@@ -11,7 +11,8 @@ validate   run the fast invariant suite and exit nonzero on failure
 Configuration is resolved in precedence order: built-in defaults, then a JSON
 config file (--config), then DTCSIM_* environment variables, then explicit
 flags.  All numeric output uses 17 significant digits so that reruns with the
-same config and seeds are byte identical (manifest wall time aside).
+same config and seeds, on the same numpy/BLAS build and thread environment,
+are byte identical (manifest wall time aside).
 
 Example:
     dtcsim evolve --gamma-t 0.02 --n-periods 200 --out runs/fig2
@@ -32,6 +33,9 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
+    HERM_TOL,
+    POSITIVITY_TOL,
+    TRACE_TOL,
     InitialStateSpec,
     SweepSpec,
     build_initial_state,
@@ -40,7 +44,7 @@ from .experiments import (
     run_stroboscopic,
     spectrum_snapshot,
 )
-from .floquet import floquet_map, floquet_map_2T
+from .floquet import block_propagator, floquet_map, floquet_map_2T
 from .operators import SpinNetworkConfig, sample_disorder
 from .spectra import excitation_superop_commutant_check, sector_eigenvalues
 from .twosite import (
@@ -227,15 +231,13 @@ def run(config: RunConfig) -> int:
 
     try:
         if config.experiment == "evolve":
-            rows, header = _run_evolve(config)
+            rows, header, extra = _run_evolve(config)
         elif config.experiment == "spectrum":
             rows, header = _run_spectrum(config)
         elif config.experiment == "gap-sweep":
             rows, header, extra = _run_gap_sweep(config)
         elif config.experiment == "twosite":
             rows, header, extra = _run_twosite(config)
-        elif config.experiment == "validate":
-            return run_validation_suite()
         else:
             raise ConfigError(f"unknown experiment {config.experiment!r}")
     except (ConfigError, ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
@@ -263,7 +265,12 @@ def _run_evolve(config: RunConfig):
         + [trace.negativity[i], trace.purity[i], trace.excitations[i]]
         for i, n in enumerate(trace.periods)
     ]
-    return rows, header
+    extra = {"numerics": {
+        **asdict(trace.worst_margins),
+        "tolerances": {"trace": TRACE_TOL, "hermiticity": HERM_TOL,
+                       "positivity": POSITIVITY_TOL},
+    }}
+    return rows, header, extra
 
 
 def _run_spectrum(config: RunConfig):
@@ -374,6 +381,14 @@ def run_validation_suite() -> int:
         via_ode = ode_oracle_evolve(rho0, cfg, 1, dt=cfg.period / 2000.0)
         assert np.abs(via_map - via_ode).max() < 1e-6
 
+    def block_step_vs_dense_map():
+        rho_dense = rho_block = build_initial_state(
+            InitialStateSpec(kind="seed_size", seed_sites=1), cfg.n_sites)
+        prop, dmap = block_propagator(cfg), floquet_map(cfg)
+        for _ in range(4):
+            rho_block, rho_dense = prop.apply(rho_block), dmap.apply(rho_dense)
+            assert np.abs(rho_block - rho_dense).max() < 1e-12
+
     def commutant_residual():
         assert excitation_superop_commutant_check(cfg) < 1e-10
 
@@ -403,6 +418,7 @@ def run_validation_suite() -> int:
     check("rhs_route_equivalence", rhs_route_equivalence)
     check("map_contracts", map_contracts)
     check("map_vs_ode_oracle", map_vs_oracle)
+    check("block_step_vs_dense_map", block_step_vs_dense_map)
     check("excitation_commutant", commutant_residual)
     check("block_vs_dense_spectrum", block_vs_dense_spectrum)
     check("twosite_routes_agree", twosite_routes_agree)

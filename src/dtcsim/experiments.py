@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import DynamicalMap, floquet_map
+from .floquet import BlockPropagator, DynamicalMap, block_propagator
 from .observables import (
     ObservableTrace,
     Partition,
@@ -98,46 +98,58 @@ def _pure_state(kets) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+#: Invariant tolerances that run_stroboscopic enforces on every recorded state.
+TRACE_TOL = 1e-9
+HERM_TOL = 1e-9
+POSITIVITY_TOL = 1e-8
+
+
 def run_stroboscopic(rho0: np.ndarray, config: SpinNetworkConfig, n_periods: int,
                      partition: Partition | None = None,
-                     dynamical_map: DynamicalMap | None = None) -> ObservableTrace:
+                     dynamical_map: DynamicalMap | BlockPropagator | None = None
+                     ) -> ObservableTrace:
     """Apply the one-period map repeatedly and record observables at each n.
 
-    The map is built once and reused for every period.  Density-matrix
-    invariants (trace, Hermiticity, positivity) are asserted every period;
-    a violation aborts with the offending period index.
+    The map is built once and reused for every period; by default it is the
+    block propagator of ``config``, and a dense :class:`DynamicalMap` is
+    accepted in its place.  Density-matrix invariants (trace, Hermiticity,
+    positivity) are asserted every period; a violation aborts with the
+    offending period index, and the worst margins seen are returned in the
+    trace.
     """
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
     part = partition or default_partition(config.n_sites)
-    dmap = dynamical_map or floquet_map(config)
-    phi = dmap.matrix
+    step = dynamical_map or block_propagator(config)
 
     n_records = n_periods + 1
     mags = np.zeros((n_records, config.n_sites))
     negs = np.zeros(n_records)
     purs = np.zeros(n_records)
     excs = np.zeros(n_records)
+    worst = None
 
-    vec = np.asarray(rho0, dtype=complex).reshape(-1).copy()
+    rho = np.asarray(rho0, dtype=complex).reshape(config.dim, config.dim)
     for n in range(n_records):
-        rho = vec.reshape(config.dim, config.dim)
         try:
-            validate_density_matrix(rho, trace_tol=1e-9, herm_tol=1e-9)
+            margins = validate_density_matrix(rho, trace_tol=TRACE_TOL, herm_tol=HERM_TOL,
+                                              positivity_tol=POSITIVITY_TOL)
         except ValueError as exc:
             raise StateInvariantError(n, str(exc)) from exc
+        worst = margins if worst is None else worst.worst(margins)
         mags[n] = all_magnetizations(rho)
         negs[n] = negativity(rho, part)
         purs[n] = purity(rho)
         excs[n] = total_excitations(rho)
         if n < n_periods:
-            vec = phi @ vec
+            rho = step.apply(rho)
     return ObservableTrace(
         periods=np.arange(n_records),
         magnetization=mags,
         negativity=negs,
         purity=purs,
         excitations=excs,
+        worst_margins=worst,
     )
 
 

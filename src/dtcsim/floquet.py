@@ -10,7 +10,11 @@ kick first, composition right to left.  The interaction-segment generator L2
 commutes with excitation number on both tensor factors and is therefore block
 diagonal over sector pairs; its exponential is computed per block, which is
 exact and orders of magnitude cheaper than exponentiating the full 4^N
-matrix.  For a perfect pi pulse the two kicks of a double period cancel and
+matrix.  :class:`BlockPropagator` keeps one period in that form and applies
+it to a density matrix directly; the dense Phi_T of :func:`floquet_map` is
+assembled from the same blocks and serves cross-checks and spectra.
+
+For a perfect pi pulse the two kicks of a double period cancel and
 conjugate the disorder sign, giving the fully block-diagonal form
 
     Phi_2T = exp((A + D) t2) @ (exp((A + D) t2) with disorder negated),
@@ -46,6 +50,42 @@ class DynamicalMap:
     matrix: np.ndarray
     period_multiple: int
     horizon: float  # duration the map propagates over (T or 2T)
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """The density matrix after one application of the map."""
+        return (self.matrix @ rho.reshape(-1)).reshape(rho.shape)
+
+
+@dataclass(frozen=True)
+class BlockPropagator:
+    """One drive period as the kick unitary and the sector-pair blocks of
+    exp(L2 * t2), applied without forming the dense 4^N map.
+
+    ``blocks[(kl, kr)]`` acts on the row-stacked sub-matrix
+    ``rho[np.ix_(sectors[kl], sectors[kr])]``.
+    """
+
+    kick: np.ndarray
+    blocks: dict
+    sectors: list
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """U1 rho U1^dagger, then every sector-pair block on its sub-matrix.
+
+        The kicked state is reordered so that each sector is a contiguous
+        range of indices; every block then reads and writes a slice.
+        """
+        order = np.concatenate(self.sectors)
+        edges = np.cumsum([0] + [len(s) for s in self.sectors])
+        kicked = (self.kick @ rho @ self.kick.conj().T)[np.ix_(order, order)]
+        stepped = np.zeros_like(kicked)
+        for (kl, kr), block in self.blocks.items():
+            rows, cols = slice(edges[kl], edges[kl + 1]), slice(edges[kr], edges[kr + 1])
+            sub = kicked[rows, cols]
+            stepped[rows, cols] = (block @ sub.reshape(-1)).reshape(sub.shape)
+        out = np.empty_like(stepped)
+        out[np.ix_(order, order)] = stepped
+        return out
 
 
 @dataclass(frozen=True)
@@ -117,19 +157,31 @@ def _assemble_blocks(blocks, sectors, dim: int) -> np.ndarray:
     return out
 
 
+def block_propagator(config: SpinNetworkConfig) -> BlockPropagator:
+    """One-period propagator: the kick unitary and the interaction blocks."""
+    blocks, sectors = _segment_blocks(hamiltonian_interaction(config), config, config.t2)
+    return BlockPropagator(kick=kick_unitary(config), blocks=blocks, sectors=sectors)
+
+
 def interaction_propagator(config: SpinNetworkConfig) -> np.ndarray:
     """Dense exp(L2 * t2) for the interaction segment, built blockwise."""
-    H2 = hamiltonian_interaction(config)
-    blocks, sectors = _segment_blocks(H2, config, config.t2)
-    return _assemble_blocks(blocks, sectors, config.dim)
+    prop = block_propagator(config)
+    return _assemble_blocks(prop.blocks, prop.sectors, config.dim)
 
 
 def floquet_map(config: SpinNetworkConfig) -> DynamicalMap:
-    """One-period dynamical map Phi_T (kick, then dissipative interaction)."""
-    U1 = kick_unitary(config)
-    kick_superop = np.kron(U1, U1.conj())
-    phi = interaction_propagator(config) @ kick_superop
-    return DynamicalMap(matrix=phi, period_multiple=1, horizon=config.period)
+    """One-period dynamical map Phi_T (kick, then dissipative interaction).
+
+    Right-multiplying by U1 kron conj(U1) maps each row of exp(L2 t2), read
+    as a dim x dim matrix R, to U1^T R conj(U1); the batched product avoids
+    forming the 4^N x 4^N Kronecker superoperator and multiplying by it.
+    """
+    prop = block_propagator(config)
+    dim = config.dim
+    phi = _assemble_blocks(prop.blocks, prop.sectors, dim).reshape(dim * dim, dim, dim)
+    np.matmul(prop.kick.T @ phi, prop.kick.conj(), out=phi)
+    return DynamicalMap(matrix=phi.reshape(dim * dim, dim * dim), period_multiple=1,
+                        horizon=config.period)
 
 
 def floquet_map_2T(config: SpinNetworkConfig) -> DynamicalMap:

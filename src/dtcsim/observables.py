@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import excitation_counts, z_sign_table
+from .superop import DensityMatrixMargins
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,7 @@ class ObservableTrace:
     negativity: np.ndarray
     purity: np.ndarray
     excitations: np.ndarray
+    worst_margins: DensityMatrixMargins | None = None  # over every recorded state
 
 
 def magnetization(rho: np.ndarray, site: int) -> float:

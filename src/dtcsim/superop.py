@@ -9,6 +9,8 @@ for any future Hamiltonian with complex matrix elements.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .operators import z_sign_table
@@ -86,20 +88,40 @@ def lindblad_rhs(rho: np.ndarray, H: np.ndarray, n_sites: int, gamma: float) -> 
     return out
 
 
+@dataclass(frozen=True)
+class DensityMatrixMargins:
+    """Invariant errors of a density matrix: |Tr rho - 1|, max |rho - rho^dagger|
+    and the lowest eigenvalue of its Hermitian part."""
+
+    trace_error: float
+    hermiticity_error: float
+    min_eigenvalue: float
+
+    def worst(self, other: DensityMatrixMargins) -> DensityMatrixMargins:
+        """The larger of each error and the lower minimum eigenvalue."""
+        return DensityMatrixMargins(
+            trace_error=max(self.trace_error, other.trace_error),
+            hermiticity_error=max(self.hermiticity_error, other.hermiticity_error),
+            min_eigenvalue=min(self.min_eigenvalue, other.min_eigenvalue),
+        )
+
+
 def validate_density_matrix(
     rho: np.ndarray,
     trace_tol: float = 1e-10,
     herm_tol: float = 1e-10,
     positivity_tol: float = 1e-8,
-) -> None:
-    """Raise ValueError if rho is not a valid density matrix within tolerance."""
+) -> DensityMatrixMargins:
+    """Raise ValueError if rho is not a valid density matrix within tolerance;
+    otherwise return the errors that were checked."""
     rho = np.asarray(rho)
-    tr_err = abs(np.trace(rho) - 1.0)
+    tr_err = float(abs(np.trace(rho) - 1.0))
     if tr_err > trace_tol:
         raise ValueError(f"trace deviates from 1 by {tr_err:.3e}")
-    herm_err = np.abs(rho - rho.conj().T).max()
+    herm_err = float(np.abs(rho - rho.conj().T).max())
     if herm_err > herm_tol:
         raise ValueError(f"Hermiticity violated by {herm_err:.3e}")
     min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min())
     if min_eig < -positivity_tol:
         raise ValueError(f"minimum eigenvalue {min_eig:.3e} below -{positivity_tol:.0e}")
+    return DensityMatrixMargins(tr_err, herm_err, min_eig)

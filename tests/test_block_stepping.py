@@ -1,0 +1,75 @@
+"""Block-propagator stepping against stepping with the dense one-period map."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from dtcsim import (
+    InitialStateSpec,
+    SpinNetworkConfig,
+    build_initial_state,
+    floquet_map,
+    run_stroboscopic,
+)
+from dtcsim.experiments import StateInvariantError
+from dtcsim.floquet import block_propagator
+
+OBSERVABLES = ("magnetization", "negativity", "purity", "excitations")
+
+
+def _max_trace_difference(a, b):
+    return max(np.abs(getattr(a, name) - getattr(b, name)).max() for name in OBSERVABLES)
+
+
+def test_default_run_matches_dense_map_trace(seeded_state, default_config, default_trace):
+    # default_trace steps the dense 4096^2 Phi_T; the default route is blockwise
+    blockwise = run_stroboscopic(seeded_state, default_config, 201)
+    assert _max_trace_difference(blockwise, default_trace) < 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.07])
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_small_n_block_stepping_matches_dense_map(n_sites, gamma):
+    # imperfect kick, unequal segments and disorder; N = 1 has no coupling pairs
+    cfg = SpinNetworkConfig(n_sites=n_sites, epsilon=0.05, t1=0.3, t2=0.7, gamma=gamma,
+                            disorder=np.linspace(0.4, 1.9, n_sites))
+    rho0 = build_initial_state(
+        InitialStateSpec(kind="pure_pattern", pattern="+1+"[:n_sites]), n_sites)
+    phi = floquet_map(cfg).matrix
+    prop = block_propagator(cfg)
+    rho, vec = rho0, rho0.reshape(-1)
+    for _ in range(12):
+        rho, vec = prop.apply(rho), phi @ vec
+        assert np.abs(rho - vec.reshape(cfg.dim, cfg.dim)).max() < 1e-12
+    blockwise = run_stroboscopic(rho0, cfg, 12)
+    dense = run_stroboscopic(rho0, cfg, 12, dynamical_map=floquet_map(cfg))
+    assert _max_trace_difference(blockwise, dense) < 1e-12
+
+
+def test_block_propagator_applies_every_sector_pair():
+    cfg = SpinNetworkConfig(n_sites=3, disorder=np.array([0.3, 0.0, 0.7]))
+    prop = block_propagator(cfg)
+    assert sorted(prop.blocks) == [(kl, kr) for kl in range(4) for kr in range(4)]
+
+
+def test_corrupted_block_breaks_hermiticity_check():
+    # (k, k') and (k', k) are applied independently, so the per-period
+    # Hermiticity check can fail; it is not true by construction
+    cfg = SpinNetworkConfig(n_sites=2)
+    prop = block_propagator(cfg)
+    blocks = dict(prop.blocks)
+    blocks[(1, 2)] = 1.5 * blocks[(1, 2)]
+    rho0 = build_initial_state(InitialStateSpec(kind="pure_pattern", pattern="++"), 2)
+    with pytest.raises(StateInvariantError, match="Hermiticity") as err:
+        run_stroboscopic(rho0, cfg, 3, dynamical_map=replace(prop, blocks=blocks))
+    assert err.value.period == 1
+
+
+def test_trace_records_worst_margins():
+    cfg = SpinNetworkConfig(n_sites=3, gamma=0.05, disorder=np.array([0.3, 0.0, 0.7]))
+    rho0 = build_initial_state(InitialStateSpec(kind="pure_pattern", pattern="1+1"), 3)
+    margins = run_stroboscopic(rho0, cfg, 20).worst_margins
+    assert 0.0 <= margins.trace_error < 1e-12
+    assert 0.0 <= margins.hermiticity_error < 1e-12
+    assert -1e-12 < margins.min_eigenvalue <= 0.0  # the pure initial state has zeros

@@ -79,6 +79,20 @@ def test_evolve_writes_table_and_manifest(tmp_path):
     assert "wall_time_seconds" in manifest
 
 
+def test_evolve_manifest_records_numerical_margins(tmp_path):
+    from dtcsim.experiments import HERM_TOL, POSITIVITY_TOL, TRACE_TOL
+
+    config = RunConfig(experiment="evolve", n=3, initial_state="1++",
+                       n_periods=8, out=str(tmp_path))
+    assert run(config) == 0
+    numerics = json.loads((tmp_path / "evolve_manifest.json").read_text())["numerics"]
+    assert numerics["tolerances"] == {"trace": TRACE_TOL, "hermiticity": HERM_TOL,
+                                      "positivity": POSITIVITY_TOL}
+    assert 0.0 <= numerics["trace_error"] <= TRACE_TOL
+    assert 0.0 <= numerics["hermiticity_error"] <= HERM_TOL
+    assert numerics["min_eigenvalue"] >= -POSITIVITY_TOL
+
+
 def test_evolve_output_byte_identical_across_reruns(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

@@ -24,7 +24,7 @@ from dtcsim import (
     two_site_numeric_coupling,
     vectorize,
 )
-from dtcsim.floquet import BranchAmbiguityWarning, _assemble_blocks
+from dtcsim.floquet import BranchAmbiguityWarning, _assemble_blocks, interaction_propagator
 from dtcsim.operators import excitation_sectors
 
 
@@ -84,6 +84,15 @@ def test_floquet_map_matches_dense_library_route(small_config):
     L2 = liouvillian(hamiltonian_interaction(cfg), cfg.n_sites, cfg.gamma)
     U1 = kick_unitary(cfg)
     dense = scipy.linalg.expm(L2 * cfg.t2) @ np.kron(U1, U1.conj())
+    assert np.abs(floquet_map(cfg).matrix - dense).max() < 1e-12
+
+
+def test_floquet_map_batched_kick_matches_kronecker_product():
+    # the kick is applied as a batched product; compare with kron(U1, conj U1)
+    cfg = SpinNetworkConfig(n_sites=3, epsilon=0.03, t1=0.4, t2=0.6, gamma=0.05,
+                            disorder=np.array([0.2, 1.1, 0.6]))
+    U1 = kick_unitary(cfg)
+    dense = interaction_propagator(cfg) @ np.kron(U1, U1.conj())
     assert np.abs(floquet_map(cfg).matrix - dense).max() < 1e-12
 
 

@@ -162,3 +162,12 @@ def test_validate_density_matrix():
         validate_density_matrix(bad)
     with pytest.raises(ValueError, match="eigenvalue"):
         validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+def test_validate_density_matrix_returns_margins():
+    rho = np.diag([0.7, 0.3 + 1e-12]).astype(complex)
+    rho[0, 1] = 1e-13j
+    margins = validate_density_matrix(rho)
+    assert margins.trace_error == pytest.approx(1e-12, rel=1e-3)
+    assert margins.hermiticity_error == pytest.approx(1e-13, rel=1e-3)
+    assert margins.min_eigenvalue == pytest.approx(0.3, abs=1e-11)
