@@ -18,7 +18,6 @@ from .experiments import (
     dtc_settling_period,
     ode_oracle_evolve,
     run_stroboscopic,
-    spectrum_snapshot,
 )
 from .floquet import (
     DynamicalMap,
@@ -60,6 +59,7 @@ from .spectra import (
     liouvillian_gap,
     sector_block_decompose,
     sector_gap,
+    spectrum_2T,
     steady_states,
 )
 from .superop import (
@@ -114,6 +114,7 @@ __all__ = [
     "excitation_superop_commutant_check",
     "sector_block_decompose",
     "sector_gap",
+    "spectrum_2T",
     "Partition",
     "ObservableTrace",
     "default_partition",
@@ -131,7 +132,6 @@ __all__ = [
     "dtc_settling_period",
     "ode_oracle_evolve",
     "disorder_gap_sweep",
-    "spectrum_snapshot",
     "TwoSiteEffective",
     "analytic_effective_coupling",
     "two_site_numeric_coupling",

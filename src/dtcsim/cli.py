@@ -42,11 +42,10 @@ from .experiments import (
     disorder_gap_sweep,
     ode_oracle_evolve,
     run_stroboscopic,
-    spectrum_snapshot,
 )
 from .floquet import block_propagator, floquet_map, floquet_map_2T
 from .operators import SpinNetworkConfig, sample_disorder
-from .spectra import excitation_superop_commutant_check, sector_eigenvalues
+from .spectra import excitation_superop_commutant_check, sector_eigenvalues, spectrum_2T
 from .twosite import (
     analytic_effective_coupling,
     coupling_gamma_crossings,
@@ -274,7 +273,7 @@ def _run_evolve(config: RunConfig):
 
 
 def _run_spectrum(config: RunConfig):
-    lams = spectrum_snapshot(config.spin_config())
+    lams = spectrum_2T(config.spin_config())
     return [[lam.real, lam.imag] for lam in lams], ["re_lambda", "im_lambda"]
 
 

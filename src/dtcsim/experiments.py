@@ -18,13 +18,7 @@ from .observables import (
     total_excitations,
 )
 from .operators import SpinNetworkConfig, hamiltonian_interaction, hamiltonian_kick
-from .spectra import (
-    DEFAULT_ZERO_THRESHOLD,
-    GapResult,
-    sector_eigenvalues,
-    gap_from_eigenvalues,
-    spectrum_2T,
-)
+from .spectra import DEFAULT_ZERO_THRESHOLD, GapResult, sector_gap
 from .superop import lindblad_rhs, validate_density_matrix
 
 _KET = {
@@ -111,14 +105,20 @@ def run_stroboscopic(rho0: np.ndarray, config: SpinNetworkConfig, n_periods: int
     """Apply the one-period map repeatedly and record observables at each n.
 
     The map is built once and reused for every period; by default it is the
-    block propagator of ``config``, and a dense :class:`DynamicalMap` is
-    accepted in its place.  Density-matrix invariants (trace, Hermiticity,
-    positivity) are asserted every period; a violation aborts with the
-    offending period index, and the worst margins seen are returned in the
-    trace.
+    block propagator of ``config``, and a dense one-period
+    :class:`DynamicalMap` is accepted in its place; a two-period map is
+    refused, since each of its steps would be recorded as one period.
+    Density-matrix invariants (trace, Hermiticity, positivity) are asserted
+    every period; a violation aborts with the offending period index, and the
+    worst margins seen are returned in the trace.
     """
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
+    if isinstance(dynamical_map, DynamicalMap) and dynamical_map.period_multiple != 1:
+        raise ValueError(
+            f"run_stroboscopic steps one period at a time; got a map over "
+            f"{dynamical_map.period_multiple} periods"
+        )
     part = partition or default_partition(config.n_sites)
     step = dynamical_map or block_propagator(config)
 
@@ -270,27 +270,34 @@ def disorder_gap_sweep(sweep: SweepSpec, n_workers: int = 1) -> SweepResult:
     """Average the Liouvillian gap over disorder realizations for each W.
 
     Every realization samples its disorder from a seed mixed from
-    (base_seed, realization index), builds the two-period map through the
-    sector-block fast path and extracts the gap.  Fully deterministic for a
-    fixed spec; realizations may run in worker threads.
+    (base_seed, realization index) and takes the gap from the sector-block
+    fast path.  Realizations that draw the same disorder vector (every one
+    at W = 0) share one gap computation; results and failures are still
+    recorded per (W, realization).  Fully deterministic for a fixed spec;
+    distinct realizations may run in worker threads.
     """
     cfg = sweep.config
     n_w, n_r = len(sweep.w_values), sweep.n_realizations
     gaps = np.full((n_w, n_r), np.nan)
     failures = []
 
-    def one(iw: int, r: int):
+    def realization(iw: int, r: int) -> SpinNetworkConfig:
         rng = np.random.default_rng(realization_seed(sweep.base_seed, r))
-        disorder = rng.uniform(0.0, sweep.w_values[iw], cfg.n_sites)
-        lam = sector_eigenvalues_for(cfg.with_disorder(disorder))
-        return gap_from_eigenvalues(lam, sweep.zero_threshold)
+        return cfg.with_disorder(rng.uniform(0.0, sweep.w_values[iw], cfg.n_sites))
+
+    def one(config: SpinNetworkConfig):
+        return _guarded(sector_gap, config, sweep.zero_threshold)
 
     tasks = [(iw, r) for iw in range(n_w) for r in range(n_r)]
+    drawn = [_guarded(realization, iw, r) for iw, r in tasks]  # config or failure message
+    distinct = list(dict.fromkeys(c for c in drawn if isinstance(c, SpinNetworkConfig)))
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(lambda t: _guarded(one, *t), tasks))
+            computed = list(pool.map(one, distinct))
     else:
-        results = [_guarded(one, *t) for t in tasks]
+        computed = [one(c) for c in distinct]
+    by_config = dict(zip(distinct, computed))
+    results = [by_config.get(c, c) for c in drawn]
 
     for (iw, r), outcome in zip(tasks, results):
         if isinstance(outcome, GapResult) and outcome.gap is not None:
@@ -321,16 +328,3 @@ def _guarded(fn, *args):
         return fn(*args)
     except Exception as exc:  # recorded per realization, never dropped
         return f"{type(exc).__name__}: {exc}"
-
-
-def sector_eigenvalues_for(config: SpinNetworkConfig) -> np.ndarray:
-    """Rates of the two-period generator via the block fast path."""
-    from .floquet import floquet_2T_sector_blocks
-
-    blocks = floquet_2T_sector_blocks(config)
-    return sector_eigenvalues(blocks, 2.0 * config.period)
-
-
-def spectrum_snapshot(config: SpinNetworkConfig) -> np.ndarray:
-    """Eigenvalue cloud of the two-period effective generator, as data."""
-    return spectrum_2T(config)

@@ -10,16 +10,23 @@ kick first, composition right to left.  The interaction-segment generator L2
 commutes with excitation number on both tensor factors and is therefore block
 diagonal over sector pairs; its exponential is computed per block, which is
 exact and orders of magnitude cheaper than exponentiating the full 4^N
-matrix.  :class:`BlockPropagator` keeps one period in that form and applies
-it to a density matrix directly; the dense Phi_T of :func:`floquet_map` is
-assembled from the same blocks and serves cross-checks and spectra.
+matrix.  The propagator preserves Hermiticity, so block (kr, kl) is block
+(kl, kr) conjugated with its index pairs swapped, and only the blocks with
+kl <= kr are exponentiated.  :class:`BlockPropagator` keeps one period in
+that form and applies it to a density matrix directly; the dense Phi_T of
+:func:`floquet_map` is assembled from the same blocks and serves
+cross-checks and spectra.
 
 For a perfect pi pulse the two kicks of a double period cancel and
 conjugate the disorder sign, giving the fully block-diagonal form
 
     Phi_2T = exp((A + D) t2) @ (exp((A + D) t2) with disorder negated),
 
-which is what :func:`floquet_2T_sector_blocks` evaluates blockwise.
+which is what :func:`floquet_2T_sector_blocks` evaluates blockwise.  The
+global spin flip maps the negated-disorder segment onto the original one with
+sectors k -> N - k, so the spectrum of block (kl, kr) of Phi_2T equals that of
+(N - kl, N - kr) and is the complex conjugate of that of (kr, kl)
+(Buca & Prosen, NJP 14, 073007 (2012); Albert & Jiang, PRA 89, 022118 (2014)).
 """
 
 from __future__ import annotations
@@ -124,11 +131,24 @@ def _sector_pair_rates(signs: np.ndarray, il: np.ndarray, ir: np.ndarray,
     return gamma * acc.reshape(-1)
 
 
+def _adjoint_block(block: np.ndarray, a: int, c: int) -> np.ndarray:
+    """Block (kr, kl) of a Hermiticity-preserving map from its block (kl, kr).
+
+    Phi(rho^dagger) = Phi(rho)^dagger sends the (a x c) sub-matrix X of sector
+    pair (kl, kr) to the (c x a) sub-matrix X^dagger of (kr, kl), so the
+    partner block is the conjugate of the block with both index pairs swapped.
+    """
+    return block.reshape(a, c, a, c).transpose(1, 0, 3, 2).conj().reshape(a * c, a * c)
+
+
 def _segment_blocks(H: np.ndarray, config: SpinNetworkConfig, duration: float):
     """exp(L * duration) per sector-pair block, L = -i[H, .] + dephasing.
 
     Valid for any Hamiltonian commuting with excitation number; the XY
-    interaction Hamiltonian does for every disorder vector.
+    interaction Hamiltonian does for every disorder vector.  Only the blocks
+    with kl <= kr are exponentiated; each (kr, kl) block follows exactly from
+    its partner by :func:`_adjoint_block`, because the segment propagator
+    preserves Hermiticity.
     """
     n = config.n_sites
     sectors = excitation_sectors(n)
@@ -137,7 +157,7 @@ def _segment_blocks(H: np.ndarray, config: SpinNetworkConfig, duration: float):
     for kl in range(n + 1):
         il = sectors[kl]
         Hl = H[np.ix_(il, il)]
-        for kr in range(n + 1):
+        for kr in range(kl, n + 1):
             ir = sectors[kr]
             Hr = H[np.ix_(ir, ir)]
             gen = -1j * (
@@ -145,7 +165,11 @@ def _segment_blocks(H: np.ndarray, config: SpinNetworkConfig, duration: float):
             )
             gen[np.diag_indices_from(gen)] += _sector_pair_rates(signs, il, ir, config.gamma, n)
             blocks[(kl, kr)] = matrix_exp(gen * duration)
-    return blocks, sectors
+    # derived after the exponentials, so the largest expm runs with the
+    # fewest blocks held
+    for kl, kr in [key for key in blocks if key[0] != key[1]]:
+        blocks[(kr, kl)] = _adjoint_block(blocks[(kl, kr)], len(sectors[kl]), len(sectors[kr]))
+    return {key: blocks[key] for key in sorted(blocks)}, sectors
 
 
 def _assemble_blocks(blocks, sectors, dim: int) -> np.ndarray:
@@ -202,6 +226,12 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig):
     The pi pulses of a double period cancel up to a global phase and flip the
     sign of the on-site disorder in between, so Phi_2T is the product of two
     block-diagonal segment propagators, one with the disorder negated.
+    Negating the disorder is the global spin flip sigma^x on every site: it
+    leaves the XY coupling and the dephasing unchanged, sends sector k to
+    N - k and reverses the sorted basis order inside each sector.  The
+    negated-disorder block (kl, kr) is therefore the (N - kl, N - kr) block
+    of the same segment propagator with rows and columns reversed, and only
+    one set of segment blocks is exponentiated.
     Returns a dict mapping (k_left, k_right) to the corresponding block; the
     union of block spectra is the full Phi_2T spectrum.  The largest block
     for six sites is 400 x 400, so this is the fast path for disorder sweeps.
@@ -210,13 +240,10 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig):
         raise ValueError(
             "sector-block construction requires epsilon = 0 and 2*g*t1 = pi"
         )
-    H_plus = hamiltonian_interaction(config)
-    onsite = config.disorder @ z_sign_table(config.n_sites)
-    H_minus = H_plus.copy()
-    H_minus[np.diag_indices_from(H_minus)] -= 2.0 * onsite
-    plus, _ = _segment_blocks(H_plus, config, config.t2)
-    minus, _ = _segment_blocks(H_minus, config, config.t2)
-    return {key: plus[key] @ minus[key] for key in plus}
+    n = config.n_sites
+    plus, _ = _segment_blocks(hamiltonian_interaction(config), config, config.t2)
+    return {(kl, kr): block @ plus[(n - kl, n - kr)][::-1, ::-1]
+            for (kl, kr), block in plus.items()}
 
 
 def effective_hamiltonian_2T(config: SpinNetworkConfig) -> np.ndarray:

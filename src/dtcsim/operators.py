@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -79,6 +79,9 @@ class SpinNetworkConfig:
     ``t2`` generated by the XY Hamiltonian plus on-site disorder.  Defaults
     give t1 = t2 = 1/2 with 2*g*t1 = pi (a perfect pi pulse), j0*T/2pi = 0.2,
     alpha = 1.51 and gamma*T = 0.02.
+
+    ``disorder`` is stored as a read-only array; equality and hashing compare
+    it by value, so equal configs can key a dict.
     """
 
     n_sites: int = 6
@@ -116,6 +119,19 @@ class SpinNetworkConfig:
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "disorder", w)
+
+    def _key(self) -> tuple:
+        """Field values, the disorder vector as a tuple of its entries."""
+        return tuple(tuple(self.disorder.tolist()) if f.name == "disorder"
+                     else getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def period(self) -> float:

@@ -6,6 +6,14 @@ read directly in units of 1/T.  The steady manifold of the driven network is
 degenerate (one fixed point per preserved excitation sector), so the gap is
 the slowest rate *outside* the whole zero manifold, not merely the second
 entry of the sorted spectrum.
+
+The perfect-pulse two-period map is block diagonal over excitation sector
+pairs (k_left, k_right), and its block spectra obey two exact relations:
+block (k, k') has the complex-conjugate spectrum of (k', k), because the map
+preserves Hermiticity, and the same spectrum as (N - k, N - k'), because of
+the global spin flip.  :func:`sector_eigenvalues` therefore diagonalises one
+block per orbit of these relations (16 of the 49 blocks for six sites) and
+still returns all 4^N rates.
 """
 
 from __future__ import annotations
@@ -232,9 +240,37 @@ def sector_block_decompose(operator, n_sites: int,
 
 
 def sector_eigenvalues(blocks, horizon: float) -> np.ndarray:
-    """Pooled generator rates from sector-pair blocks of a map."""
-    mus = np.concatenate([np.linalg.eigvals(b) for b in blocks.values()])
-    return np.log(mus) / horizon
+    """Pooled generator rates from the sector-pair blocks of Phi_2T.
+
+    ``blocks`` maps every (k_left, k_right) of an N-site network to its
+    block, as :func:`floquet_2T_sector_blocks` returns them.  Only the first
+    block of each orbit under (k, k') -> (k', k) and (k, k') -> (N - k, N - k')
+    is diagonalised; every other block takes the multipliers mu of its orbit,
+    conjugated when the relation that reaches it includes the swap.  The
+    conjugation acts on mu and the logarithm is taken afterwards, so every
+    rate is the principal-branch log of a multiplier, as for a block
+    diagonalised directly.  The rates come out in the block order of
+    ``blocks``, one per basis element.  Raises ValueError when the block traces break either relation,
+    i.e. the blocks are not those of a perfect-pulse Phi_2T.
+    """
+    n = max(kl for kl, _ in blocks)
+    mus, pooled = {}, []
+    for (kl, kr), block in blocks.items():
+        images = (((n - kl, n - kr), False), ((kr, kl), True), ((n - kr, n - kl), True))
+        for key, conj in images:
+            if key in mus:
+                mu = mus[key].conj() if conj else mus[key]
+                expected = np.trace(blocks[key]).conj() if conj else np.trace(blocks[key])
+                if abs(np.trace(block) - expected) > 1e-9 * len(block):
+                    raise ValueError(
+                        f"sector blocks {(kl, kr)} and {key} break the Phi_2T "
+                        "block symmetries; their traces differ"
+                    )
+                break
+        else:
+            mu = mus[(kl, kr)] = np.linalg.eigvals(block)
+        pooled.append(mu)
+    return np.log(np.concatenate(pooled)) / horizon
 
 
 def sector_gap(config: SpinNetworkConfig,

@@ -15,10 +15,11 @@ from dtcsim import (
     disorder_gap_sweep,
     dtc_settling_period,
     floquet_map,
+    floquet_map_2T,
     ode_oracle_evolve,
     purity,
     run_stroboscopic,
-    spectrum_snapshot,
+    spectrum_2T,
     total_excitations,
     vectorize,
 )
@@ -76,6 +77,13 @@ def test_run_stroboscopic_reports_violation_period():
     with pytest.raises(StateInvariantError) as err:
         run_stroboscopic(rho0, cfg, 5, dynamical_map=broken)
     assert err.value.period == 1
+
+
+def test_run_stroboscopic_rejects_two_period_map():
+    cfg = SpinNetworkConfig(n_sites=2)
+    rho0 = build_initial_state(InitialStateSpec(kind="pure_pattern", pattern="1+"), 2)
+    with pytest.raises(ValueError, match="one period"):
+        run_stroboscopic(rho0, cfg, 4, dynamical_map=floquet_map_2T(cfg))
 
 
 def test_settling_detection(default_trace, gamma0_trace):
@@ -161,6 +169,22 @@ def test_sweep_records_failures_instead_of_dropping():
     assert np.isnan(result.gaps).all()
 
 
+def test_sweep_records_failed_disorder_draws_per_realization(monkeypatch):
+    import dtcsim.experiments
+
+    def seed_or_fail(base_seed, realization):
+        if realization == 1:
+            raise RuntimeError("no seed")
+        return realization_seed(base_seed, realization)
+
+    monkeypatch.setattr(dtcsim.experiments, "realization_seed", seed_or_fail)
+    spec = SweepSpec(config=_quick_sweep_config(), w_values=(0.0, 2.0), n_realizations=3)
+    result = disorder_gap_sweep(spec)
+    assert result.failures == ((0, 1, "RuntimeError: no seed"), (1, 1, "RuntimeError: no seed"))
+    assert np.isnan(result.gaps[:, 1]).all()
+    assert np.isfinite(result.gaps[:, [0, 2]]).all()
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(config=_quick_sweep_config(), w_values=(1.0,), n_realizations=0)
@@ -169,7 +193,7 @@ def test_sweep_spec_validation():
 
 
 def test_spectrum_snapshot_defaults(default_config):
-    lam = spectrum_snapshot(default_config)
+    lam = spectrum_2T(default_config)
     assert lam.size == 4096
     steady = np.abs(lam.real) < 1e-10
     assert steady.sum() >= 7
@@ -179,7 +203,7 @@ def test_spectrum_snapshot_defaults(default_config):
 
 def test_spectrum_snapshot_unitary():
     cfg = SpinNetworkConfig(n_sites=3, gamma=0.0)
-    lam = spectrum_snapshot(cfg)
+    lam = spectrum_2T(cfg)
     assert np.abs(lam.real).max() < 1e-10
 
 

@@ -206,3 +206,13 @@ def test_config_rejects_bad_values():
         SpinNetworkConfig(n_sites=3, disorder=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         SpinNetworkConfig(n_sites=2, disorder=np.array([-1.0, 0.0]))
+
+
+def test_config_equality_and_hash_compare_disorder_by_value():
+    a = SpinNetworkConfig(n_sites=3, disorder=np.array([0.0, 1.5, 0.2]))
+    b = SpinNetworkConfig(n_sites=3).with_disorder([0.0, 1.5, 0.2])
+    assert a == b and hash(a) == hash(b)
+    assert isinstance(b.disorder, np.ndarray)
+    assert a != a.with_disorder([0.0, 1.5, 0.3])
+    assert SpinNetworkConfig(n_sites=3) == SpinNetworkConfig(n_sites=3, disorder=np.zeros(3))
+    assert len({a, b, SpinNetworkConfig(n_sites=3)}) == 2
