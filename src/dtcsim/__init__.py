@@ -21,9 +21,7 @@ from .experiments import (
 )
 from .floquet import (
     DynamicalMap,
-    EffectiveGenerator,
     effective_hamiltonian_2T,
-    effective_liouvillian_2T,
     floquet_2T_sector_blocks,
     floquet_map,
     floquet_map_2T,
@@ -52,8 +50,10 @@ from .operators import (
     sample_disorder,
 )
 from .spectra import (
+    EffectiveGenerator,
     GapResult,
     SpectralData,
+    effective_liouvillian_2T,
     eigendecompose,
     excitation_superop_commutant_check,
     liouvillian_gap,

@@ -83,7 +83,6 @@ class RunConfig:
     base_seed: int = 12345
     disorder_seed: int = 0
     twosite_points: int = 129
-    workers: int = 1
     out: str = "dtcsim_out"
 
     def period(self) -> float:
@@ -131,7 +130,6 @@ _VALIDATORS = {
     "n_periods": lambda v: v >= 1,
     "n_realizations": lambda v: v >= 1,
     "twosite_points": lambda v: v >= 2,
-    "workers": lambda v: v >= 1,
 }
 
 
@@ -185,8 +183,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
         value = getattr(config, key)
         if not check(value):
             raise ConfigError(f"{key} is out of range: {value!r}")
-    if config.w_over_j0_values and min(config.w_over_j0_values) < 0:
-        raise ConfigError("w_over_j0_values must be non-negative")
+    w = config.w_over_j0_values
+    if not all(np.isfinite(w)) or any(v < 0 for v in w):
+        raise ConfigError(f"w_over_j0_values must be finite and non-negative: {list(w)!r}")
     return config
 
 
@@ -286,7 +285,7 @@ def _run_gap_sweep(config: RunConfig):
         n_realizations=config.n_realizations,
         base_seed=config.base_seed,
     )
-    result = disorder_gap_sweep(sweep, n_workers=config.workers)
+    result = disorder_gap_sweep(sweep)
     period = config.period()
     header = ["W_over_J0", "mean_gapT", "min_gapT", "max_gapT", "n_realizations"]
     rows = [
@@ -464,7 +463,6 @@ def main(argv=None) -> int:
                          help="comma-separated disorder strengths in units of J0")
     p_sweep.add_argument("--realizations", type=int, dest="n_realizations")
     p_sweep.add_argument("--base-seed", type=int, dest="base_seed")
-    p_sweep.add_argument("--workers", type=int, dest="workers")
 
     p_twosite = sub.add_parser("twosite", help="two-site coupling and gap curves")
     p_twosite.add_argument("--points", type=int, dest="twosite_points")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,8 +241,8 @@ class SweepSpec:
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
         w = tuple(float(v) for v in self.w_values)
-        if any(v < 0 for v in w):
-            raise ValueError("disorder strengths must be >= 0")
+        if not all(np.isfinite(w)) or any(v < 0 for v in w):
+            raise ValueError(f"disorder strengths must be finite and >= 0: {list(w)!r}")
         object.__setattr__(self, "w_values", w)
 
 
@@ -256,9 +255,13 @@ class SweepResult:
     mean: np.ndarray
     min: np.ndarray
     max: np.ndarray
-    seeds: tuple              # (base_seed, realization) pairs actually used
     failures: tuple           # (w_index, realization, message) triples
     base_seed: int
+
+    @property
+    def seeds(self) -> tuple:
+        """The (base_seed, realization) pairs used, one per realization."""
+        return tuple((self.base_seed, r) for r in range(self.gaps.shape[1]))
 
 
 def realization_seed(base_seed: int, realization: int) -> np.random.SeedSequence:
@@ -266,15 +269,15 @@ def realization_seed(base_seed: int, realization: int) -> np.random.SeedSequence
     return np.random.SeedSequence((base_seed, realization))
 
 
-def disorder_gap_sweep(sweep: SweepSpec, n_workers: int = 1) -> SweepResult:
+def disorder_gap_sweep(sweep: SweepSpec) -> SweepResult:
     """Average the Liouvillian gap over disorder realizations for each W.
 
     Every realization samples its disorder from a seed mixed from
     (base_seed, realization index) and takes the gap from the sector-block
     fast path.  Realizations that draw the same disorder vector (every one
     at W = 0) share one gap computation; results and failures are still
-    recorded per (W, realization).  Fully deterministic for a fixed spec;
-    distinct realizations may run in worker threads.
+    recorded per (W, realization).  Runs serially and is fully deterministic
+    for a fixed spec.
     """
     cfg = sweep.config
     n_w, n_r = len(sweep.w_values), sweep.n_realizations
@@ -285,18 +288,10 @@ def disorder_gap_sweep(sweep: SweepSpec, n_workers: int = 1) -> SweepResult:
         rng = np.random.default_rng(realization_seed(sweep.base_seed, r))
         return cfg.with_disorder(rng.uniform(0.0, sweep.w_values[iw], cfg.n_sites))
 
-    def one(config: SpinNetworkConfig):
-        return _guarded(sector_gap, config, sweep.zero_threshold)
-
     tasks = [(iw, r) for iw in range(n_w) for r in range(n_r)]
     drawn = [_guarded(realization, iw, r) for iw, r in tasks]  # config or failure message
     distinct = list(dict.fromkeys(c for c in drawn if isinstance(c, SpinNetworkConfig)))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            computed = list(pool.map(one, distinct))
-    else:
-        computed = [one(c) for c in distinct]
-    by_config = dict(zip(distinct, computed))
+    by_config = {c: _guarded(sector_gap, c, sweep.zero_threshold) for c in distinct}
     results = [by_config.get(c, c) for c in drawn]
 
     for (iw, r), outcome in zip(tasks, results):
@@ -317,7 +312,6 @@ def disorder_gap_sweep(sweep: SweepSpec, n_workers: int = 1) -> SweepResult:
         mean=mean,
         min=gmin,
         max=gmax,
-        seeds=tuple((sweep.base_seed, r) for r in range(n_r)),
         failures=tuple(failures),
         base_seed=sweep.base_seed,
     )

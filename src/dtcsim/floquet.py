@@ -1,4 +1,4 @@
-"""One- and two-period dynamical maps and their effective generators.
+"""One- and two-period dynamical maps and the two-period effective Hamiltonian.
 
 The drive alternates a purely unitary kick (dephasing is negligible during a
 short pulse) with an interaction segment evolved under the full Lindblad
@@ -95,15 +95,6 @@ class BlockPropagator:
         return out
 
 
-@dataclass(frozen=True)
-class EffectiveGenerator:
-    """Time-independent generator whose exponential reproduces a map."""
-
-    matrix: np.ndarray
-    horizon: float
-    branch_note: str
-
-
 def matrix_exp(A: np.ndarray) -> np.ndarray:
     """Matrix exponential via scaling-and-squaring with Pade approximants."""
     A = np.asarray(A)
@@ -118,10 +109,6 @@ def matrix_exp(A: np.ndarray) -> np.ndarray:
 def kick_unitary(config: SpinNetworkConfig) -> np.ndarray:
     """U1 = exp(-i H1 t1); a global pi rotation about x when epsilon = 0."""
     return matrix_exp(-1j * hamiltonian_kick(config) * config.t1)
-
-
-def _is_perfect_pulse(config: SpinNetworkConfig, tol: float = 1e-12) -> bool:
-    return config.epsilon == 0.0 and abs(2.0 * config.g * config.t1 - np.pi) < tol
 
 
 def _sector_pair_rates(signs: np.ndarray, il: np.ndarray, ir: np.ndarray,
@@ -211,7 +198,7 @@ def floquet_map(config: SpinNetworkConfig) -> DynamicalMap:
 def floquet_map_2T(config: SpinNetworkConfig) -> DynamicalMap:
     """Two-period map Phi_T^2; commutes with the excitation superoperators
     when the kick is a perfect pi pulse."""
-    if _is_perfect_pulse(config):
+    if config.perfect_pulse:
         blocks = floquet_2T_sector_blocks(config)
         phi2 = _assemble_blocks(blocks, excitation_sectors(config.n_sites), config.dim)
     else:
@@ -236,7 +223,7 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig):
     union of block spectra is the full Phi_2T spectrum.  The largest block
     for six sites is 400 x 400, so this is the fast path for disorder sweeps.
     """
-    if not _is_perfect_pulse(config):
+    if not config.perfect_pulse:
         raise ValueError(
             "sector-block construction requires epsilon = 0 and 2*g*t1 = pi"
         )
@@ -256,7 +243,7 @@ def effective_hamiltonian_2T(config: SpinNetworkConfig) -> np.ndarray:
     of U(2T) is taken and a warning is emitted if any eigenphase sits within
     1e-6 of the +-pi branch cut.
     """
-    if _is_perfect_pulse(config) and not np.any(config.disorder):
+    if config.perfect_pulse and not np.any(config.disorder):
         return 0.5 * hamiltonian_interaction(config)
     U1 = kick_unitary(config)
     U2 = matrix_exp(-1j * hamiltonian_interaction(config) * config.t2)
@@ -271,32 +258,3 @@ def effective_hamiltonian_2T(config: SpinNetworkConfig) -> np.ndarray:
         )
     H = 1j * scipy.linalg.logm(U_2T) / (2.0 * config.period)
     return (H + H.conj().T) / 2.0
-
-
-def effective_liouvillian_2T(
-    dmap: DynamicalMap, condition_limit: float = 1e12
-) -> EffectiveGenerator:
-    """Eigenvalue logarithm of a two-period map, divided by its horizon.
-
-    Real parts of the generator spectrum are branch free; imaginary parts are
-    only defined modulo 2*pi / horizon, which the branch note records.  A map
-    whose eigenvector matrix is ill conditioned beyond ``condition_limit`` is
-    reported as numerically defective.
-    """
-    if dmap.period_multiple != 2:
-        raise ValueError("expected a two-period map")
-    mu, R = np.linalg.eig(dmap.matrix)
-    R_inv = np.linalg.inv(R)
-    cond = float(np.abs(R).sum(axis=0).max() * np.abs(R_inv).sum(axis=0).max())
-    if cond > condition_limit:
-        raise np.linalg.LinAlgError(
-            f"map is numerically defective: eigenvector condition number {cond:.3e}"
-        )
-    lam = np.log(mu) / dmap.horizon
-    gen = (R * lam) @ R_inv
-    note = (
-        "principal branch: Im(eigenvalues) defined modulo "
-        f"{2.0 * np.pi / dmap.horizon:.6f} (= 2*pi / horizon); "
-        f"eigenvector condition number {cond:.3e}"
-    )
-    return EffectiveGenerator(matrix=gen, horizon=dmap.horizon, branch_note=note)

@@ -55,14 +55,11 @@ def magnetization(rho: np.ndarray, site: int) -> float:
     n_sites = int(round(np.log2(rho.shape[0])))
     if not 0 <= site < n_sites:
         raise ValueError(f"site {site} out of range for {n_sites} sites")
-    value = np.sum(z_sign_table(n_sites)[site] * np.diagonal(rho))
-    if abs(value.imag) > 1e-10:
-        raise ValueError(f"magnetization has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+    return float(all_magnetizations(rho)[site])
 
 
 def all_magnetizations(rho: np.ndarray) -> np.ndarray:
-    """Per-site magnetization vector, same convention as magnetization()."""
+    """Per-site magnetizations Tr(rho sigma_l^z), l = 0..N-1."""
     n_sites = int(round(np.log2(rho.shape[0])))
     values = z_sign_table(n_sites) @ np.diagonal(rho)
     if np.abs(values.imag).max() > 1e-10:

@@ -141,6 +141,11 @@ class SpinNetworkConfig:
     def dim(self) -> int:
         return 2**self.n_sites
 
+    @property
+    def perfect_pulse(self) -> bool:
+        """epsilon exactly 0 and 2*g*t1 = pi to 1e-12: the kick is a pi pulse."""
+        return self.epsilon == 0.0 and abs(2.0 * self.g * self.t1 - np.pi) < 1e-12
+
     def with_disorder(self, disorder) -> "SpinNetworkConfig":
         return replace(self, disorder=np.asarray(disorder, float))
 

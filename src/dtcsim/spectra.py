@@ -24,8 +24,6 @@ import numpy as np
 
 from .floquet import (
     DynamicalMap,
-    EffectiveGenerator,
-    _is_perfect_pulse,
     floquet_2T_sector_blocks,
     floquet_map,
     floquet_map_2T,
@@ -49,13 +47,24 @@ class SpectralData:
     part; for a map input ``map_eigenvalues`` keeps the raw multipliers mu
     with Lambda = log(mu) / source_horizon.  ``left_vectors`` are normalised
     against ``right_vectors`` so that L^dagger R = identity.
+    ``condition_number`` is the 1-norm condition estimate of R.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     source_horizon: float
+    condition_number: float
     map_eigenvalues: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class EffectiveGenerator:
+    """Time-independent generator whose exponential reproduces a map."""
+
+    matrix: np.ndarray
+    horizon: float
+    branch_note: str
 
 
 @dataclass(frozen=True)
@@ -132,8 +141,32 @@ def eigendecompose(operator, horizon: float | None = None,
         right_vectors=right,
         left_vectors=left,
         source_horizon=tau if is_map else (horizon or tau),
+        condition_number=cond,
         map_eigenvalues=None if mu is None else mu[order],
     )
+
+
+def effective_liouvillian_2T(
+    dmap: DynamicalMap, condition_limit: float = 1e12
+) -> EffectiveGenerator:
+    """Eigenvalue logarithm of a two-period map, divided by its horizon.
+
+    Built from :func:`eigendecompose` as R diag(Lambda) L^dagger.  Real parts
+    of the generator spectrum are branch free; imaginary parts are only
+    defined modulo 2*pi / horizon, which the branch note records.  A map
+    whose eigenvector matrix is ill conditioned beyond ``condition_limit`` is
+    reported as numerically defective.
+    """
+    if dmap.period_multiple != 2:
+        raise ValueError("expected a two-period map")
+    spec = eigendecompose(dmap, condition_limit=condition_limit)
+    gen = (spec.right_vectors * spec.eigenvalues) @ spec.left_vectors.conj().T
+    note = (
+        "principal branch: Im(eigenvalues) defined modulo "
+        f"{2.0 * np.pi / dmap.horizon:.6f} (= 2*pi / horizon); "
+        f"eigenvector condition number {spec.condition_number:.3e}"
+    )
+    return EffectiveGenerator(matrix=gen, horizon=dmap.horizon, branch_note=note)
 
 
 def gap_from_eigenvalues(eigenvalues: np.ndarray,
@@ -287,7 +320,7 @@ def spectrum_2T(config: SpinNetworkConfig) -> np.ndarray:
     Uses the sector-block path for a perfect pi pulse and the dense map
     otherwise; either way the result is the complete eigenvalue cloud.
     """
-    if _is_perfect_pulse(config):
+    if config.perfect_pulse:
         lam = sector_eigenvalues(floquet_2T_sector_blocks(config), 2.0 * config.period)
     else:
         dmap = floquet_map_2T(config)

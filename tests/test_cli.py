@@ -22,6 +22,22 @@ def test_negative_gamma_names_offending_key():
         parse_config(overrides={"gamma_t": -0.1}, env={})
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_non_finite_disorder_strength_names_key(bad, capsys):
+    with pytest.raises(ConfigError, match="w_over_j0_values"):
+        parse_config(overrides={"w_over_j0_values": f"0,{bad}"}, env={})
+    argv = ["gap-sweep", "--n", "2", "--w-over-j0", f"0,{bad}", "--realizations", "2"]
+    assert main(argv) == 2
+    assert "w_over_j0_values" in capsys.readouterr().err
+
+
+def test_workers_key_rejected(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"workers": 2}))
+    with pytest.raises(ConfigError, match="workers"):
+        parse_config(str(path), env={})
+
+
 def test_unknown_keys_rejected(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"gamma_tt": 0.02}))

@@ -153,14 +153,6 @@ def test_sweep_deterministic():
     assert r1.seeds == r2.seeds
 
 
-def test_sweep_parallel_matches_serial():
-    spec = SweepSpec(config=_quick_sweep_config(), w_values=(2.0,),
-                     n_realizations=4, base_seed=5)
-    serial = disorder_gap_sweep(spec, n_workers=1)
-    threaded = disorder_gap_sweep(spec, n_workers=3)
-    assert np.array_equal(serial.gaps, threaded.gaps)
-
-
 def test_sweep_records_failures_instead_of_dropping():
     cfg = replace(_quick_sweep_config(), gamma=0.0)  # unitary: no gap anywhere
     spec = SweepSpec(config=cfg, w_values=(0.0,), n_realizations=2)
@@ -190,6 +182,18 @@ def test_sweep_spec_validation():
         SweepSpec(config=_quick_sweep_config(), w_values=(1.0,), n_realizations=0)
     with pytest.raises(ValueError):
         SweepSpec(config=_quick_sweep_config(), w_values=(-1.0,))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_sweep_spec_rejects_non_finite_strengths(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SweepSpec(config=_quick_sweep_config(), w_values=(0.0, bad))
+
+
+def test_sweep_seeds_follow_base_seed_and_realization_count():
+    spec = SweepSpec(config=_quick_sweep_config(), w_values=(0.0,),
+                     n_realizations=3, base_seed=41)
+    assert disorder_gap_sweep(spec).seeds == ((41, 0), (41, 1), (41, 2))
 
 
 def test_spectrum_snapshot_defaults(default_config):

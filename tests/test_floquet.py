@@ -6,11 +6,13 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from dtcsim import (
+    DynamicalMap,
     SpinNetworkConfig,
     all_magnetizations,
     devectorize,
     effective_hamiltonian_2T,
     effective_liouvillian_2T,
+    eigendecompose,
     dephasing_superop,
     floquet_2T_sector_blocks,
     floquet_map,
@@ -146,6 +148,13 @@ def test_sector_blocks_require_perfect_pulse():
         floquet_2T_sector_blocks(SpinNetworkConfig(n_sites=2, epsilon=0.05))
 
 
+def test_perfect_pulse_exact_in_epsilon_tolerant_in_pulse_area():
+    assert SpinNetworkConfig(n_sites=2).perfect_pulse
+    assert not SpinNetworkConfig(n_sites=2, epsilon=1e-15).perfect_pulse
+    assert SpinNetworkConfig(n_sites=2, g=np.pi + 1e-13).perfect_pulse
+    assert not SpinNetworkConfig(n_sites=2, g=np.pi + 1e-11).perfect_pulse
+
+
 def test_sector_blocks_assemble_to_the_squared_map():
     cfg = SpinNetworkConfig(n_sites=3, disorder=np.array([0.5, 1.5, 0.2]))
     blocks = floquet_2T_sector_blocks(cfg)
@@ -217,6 +226,20 @@ def test_effective_liouvillian_matches_closed_form():
     gen = effective_liouvillian_2T(dmap)
     assert_spectra_match(np.exp(np.linalg.eigvals(gen.matrix) * dmap.horizon),
                          np.exp(np.linalg.eigvals(closed) * dmap.horizon), 1e-8)
+
+
+def test_effective_liouvillian_notes_condition_number(small_config):
+    dmap = floquet_map_2T(small_config)
+    cond = eigendecompose(dmap).condition_number
+    assert 1.0 <= cond < 1e12
+    assert f"condition number {cond:.3e}" in effective_liouvillian_2T(dmap).branch_note
+
+
+def test_effective_liouvillian_reports_defective_map():
+    jordan = DynamicalMap(matrix=np.array([[1.0, 1.0], [0.0, 1.0]]),
+                          period_multiple=2, horizon=2.0)
+    with pytest.raises(np.linalg.LinAlgError, match="defective"):
+        effective_liouvillian_2T(jordan)
 
 
 def test_effective_liouvillian_requires_two_period_map(small_config):
