@@ -57,7 +57,6 @@ from .spectra import (
     eigendecompose,
     excitation_superop_commutant_check,
     liouvillian_gap,
-    sector_block_decompose,
     sector_gap,
     spectrum_2T,
     steady_states,
@@ -112,7 +111,6 @@ __all__ = [
     "liouvillian_gap",
     "steady_states",
     "excitation_superop_commutant_check",
-    "sector_block_decompose",
     "sector_gap",
     "spectrum_2T",
     "Partition",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 import time
@@ -130,6 +131,15 @@ _VALIDATORS = {
     "n_periods": lambda v: v >= 1,
     "n_realizations": lambda v: v >= 1,
     "twosite_points": lambda v: v >= 2,
+    "base_seed": lambda v: v >= 0,
+    "disorder_seed": lambda v: v >= 0,
+}
+
+#: Value types accepted for the numeric RunConfig fields, by annotation.
+_NUMBER_TYPES = {
+    "int": (numbers.Integral,),
+    "float": (numbers.Real,),
+    "float | None": (numbers.Real, type(None)),
 }
 
 
@@ -137,8 +147,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
                  env: dict | None = None) -> RunConfig:
     """Resolve a RunConfig from file, environment and flag overrides.
 
-    Unknown keys are rejected; out-of-range values raise ConfigError naming
-    the offending key.  Flags win over environment, environment over file.
+    Unknown keys are rejected; non-numeric values of numeric keys and
+    out-of-range values raise ConfigError naming the offending key.  Flags
+    win over environment, environment over file.
     """
     known = {f.name for f in fields(RunConfig)}
     merged: dict = {}
@@ -175,17 +186,26 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
     if "w_over_j0_values" in merged:
         values = merged["w_over_j0_values"]
         if isinstance(values, str):
-            values = [float(v) for v in values.split(",") if v.strip()]
-        merged["w_over_j0_values"] = tuple(float(v) for v in values)
+            values = [v for v in values.split(",") if v.strip()]
+        try:
+            merged["w_over_j0_values"] = tuple(float(v) for v in values)
+        except (TypeError, ValueError):
+            raise ConfigError(f"w_over_j0_values must be a list of numbers: {values!r}") from None
 
     config = RunConfig(**merged)
+    for f in fields(config):
+        kinds = _NUMBER_TYPES.get(f.type)
+        value = getattr(config, f.name)
+        if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
     for key, check in _VALIDATORS.items():
         value = getattr(config, key)
         if not check(value):
             raise ConfigError(f"{key} is out of range: {value!r}")
     w = config.w_over_j0_values
-    if not all(np.isfinite(w)) or any(v < 0 for v in w):
-        raise ConfigError(f"w_over_j0_values must be finite and non-negative: {list(w)!r}")
+    if not w or not all(np.isfinite(w)) or any(v < 0 for v in w):
+        raise ConfigError("w_over_j0_values must be a non-empty list of finite, "
+                          f"non-negative numbers: {list(w)!r}")
     return config
 
 

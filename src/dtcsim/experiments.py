@@ -17,7 +17,7 @@ from .observables import (
     total_excitations,
 )
 from .operators import SpinNetworkConfig, hamiltonian_interaction, hamiltonian_kick
-from .spectra import DEFAULT_ZERO_THRESHOLD, GapResult, sector_gap
+from .spectra import GapResult, sector_gap
 from .superop import lindblad_rhs, validate_density_matrix
 
 _KET = {
@@ -152,19 +152,23 @@ def run_stroboscopic(rho0: np.ndarray, config: SpinNetworkConfig, n_periods: int
     )
 
 
-def dtc_settling_period(trace: ObservableTrace, change_tol: float = 0.01,
-                        run_length: int = 10) -> int | None:
+#: Quiet-step tolerance and quiet-run length of dtc_settling_period.
+SETTLE_CHANGE_TOL = 0.01
+SETTLE_RUN_LENGTH = 10
+
+
+def dtc_settling_period(trace: ObservableTrace) -> int | None:
     """First even period after which the doubled dynamics has stabilised.
 
-    Settled means every site changes by less than ``change_tol`` between
-    periods n and n+2 for ``run_length`` consecutive even periods; returns
+    Settled means every site changes by less than SETTLE_CHANGE_TOL between
+    periods n and n+2 for SETTLE_RUN_LENGTH consecutive even periods; returns
     the first such n, or None if the trace never settles.
     """
     mags = trace.magnetization
     even = np.arange(0, len(mags) - 2, 2)
-    quiet = np.array([np.abs(mags[n + 2] - mags[n]).max() < change_tol for n in even])
-    for i in range(len(quiet) - run_length + 1):
-        if quiet[i:i + run_length].all():
+    quiet = np.array([np.abs(mags[n + 2] - mags[n]).max() < SETTLE_CHANGE_TOL for n in even])
+    for i in range(len(quiet) - SETTLE_RUN_LENGTH + 1):
+        if quiet[i:i + SETTLE_RUN_LENGTH].all():
             return int(even[i])
     return None
 
@@ -235,14 +239,14 @@ class SweepSpec:
     w_values: tuple
     n_realizations: int = 20
     base_seed: int = 12345
-    zero_threshold: float = DEFAULT_ZERO_THRESHOLD
 
     def __post_init__(self):
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
         w = tuple(float(v) for v in self.w_values)
-        if not all(np.isfinite(w)) or any(v < 0 for v in w):
-            raise ValueError(f"disorder strengths must be finite and >= 0: {list(w)!r}")
+        if not w or not all(np.isfinite(w)) or any(v < 0 for v in w):
+            raise ValueError(
+                f"disorder strengths must be a non-empty list, finite and >= 0: {list(w)!r}")
         object.__setattr__(self, "w_values", w)
 
 
@@ -291,7 +295,7 @@ def disorder_gap_sweep(sweep: SweepSpec) -> SweepResult:
     tasks = [(iw, r) for iw in range(n_w) for r in range(n_r)]
     drawn = [_guarded(realization, iw, r) for iw, r in tasks]  # config or failure message
     distinct = list(dict.fromkeys(c for c in drawn if isinstance(c, SpinNetworkConfig)))
-    by_config = {c: _guarded(sector_gap, c, sweep.zero_threshold) for c in distinct}
+    by_config = {c: _guarded(sector_gap, c) for c in distinct}
     results = [by_config.get(c, c) for c in drawn]
 
     for (iw, r), outcome in zip(tasks, results):

@@ -14,6 +14,10 @@ preserves Hermiticity, and the same spectrum as (N - k, N - k'), because of
 the global spin flip.  :func:`sector_eigenvalues` therefore diagonalises one
 block per orbit of these relations (16 of the 49 blocks for six sites) and
 still returns all 4^N rates.
+
+Three thresholds are fixed: ZERO_THRESHOLD = 1e-10 bounds the steady
+manifold, TRACE_CUTOFF = 1e-8 splits its steady states from its coherences,
+and CONDITION_LIMIT = 1e12 marks an eigendecomposition as defective.
 """
 
 from __future__ import annotations
@@ -28,15 +32,15 @@ from .floquet import (
     floquet_map,
     floquet_map_2T,
 )
-from .operators import SpinNetworkConfig, excitation_counts, excitation_sectors
+from .operators import SpinNetworkConfig, excitation_counts
 from .superop import devectorize
 
-#: |Re Lambda| below this counts as part of the steady manifold (units 1/T).
-DEFAULT_ZERO_THRESHOLD = 1e-10
-
-
-class SectorLeakageError(ValueError):
-    """A map claimed to be sector block diagonal has off-block weight."""
+#: |Re Lambda| at or below this counts as part of the steady manifold (units 1/T).
+ZERO_THRESHOLD = 1e-10
+#: A zero mode whose |trace| exceeds this is a steady state, else a coherence.
+TRACE_CUTOFF = 1e-8
+#: Eigenvector condition estimate beyond which an input is reported as defective.
+CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,6 @@ class GapResult:
 
     gap: float | None
     n_steady: int
-    zero_threshold: float
 
     @property
     def relaxation_periods(self) -> float | None:
@@ -81,30 +84,17 @@ class GapResult:
         return None if self.gap in (None, 0.0) else 1.0 / self.gap
 
 
-def eigendecompose(operator, horizon: float | None = None,
-                   condition_limit: float = 1e12) -> SpectralData:
+def eigendecompose(operator) -> SpectralData:
     """Eigendecompose a map or generator into biorthogonal spectral data.
 
-    Parameters
-    ----------
-    operator : DynamicalMap, EffectiveGenerator or square ndarray
-        A bare ndarray is treated as a generator unless ``horizon`` is given,
-        in which case it is treated as a map over that duration.
-    condition_limit : float
-        Eigenvector condition number beyond which the input is reported as
-        numerically defective instead of silently returning garbage.
+    A :class:`DynamicalMap` is a map over its horizon; a square ndarray is a
+    generator.  An eigenvector matrix whose condition estimate exceeds
+    CONDITION_LIMIT is reported as numerically defective instead of silently
+    returning garbage.
     """
-    is_map = False
-    if isinstance(operator, DynamicalMap):
-        matrix, tau, is_map = operator.matrix, operator.horizon, True
-    elif isinstance(operator, EffectiveGenerator):
-        matrix, tau = operator.matrix, operator.horizon
-    else:
-        matrix = np.asarray(operator)
-        if horizon is not None:
-            tau, is_map = horizon, True
-        else:
-            tau = 0.0
+    is_map = isinstance(operator, DynamicalMap)
+    matrix = operator.matrix if is_map else np.asarray(operator)
+    tau = operator.horizon if is_map else 0.0
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("expected a square operator")
 
@@ -119,19 +109,13 @@ def eigendecompose(operator, horizon: float | None = None,
     cond = float(
         np.abs(right).sum(axis=0).max() * np.abs(inv_right).sum(axis=0).max()
     )
-    if cond > condition_limit:
+    if cond > CONDITION_LIMIT:
         residual = np.abs(matrix @ right - right * vals).max()
         raise np.linalg.LinAlgError(
             "input is defective within working precision: eigenvector "
             f"condition number {cond:.3e}, eigenpair residual {residual:.3e}"
         )
-    if is_map:
-        mu = vals
-        lam = np.log(mu) / tau
-    else:
-        mu = None
-        lam = vals
-
+    lam = np.log(vals) / tau if is_map else vals
     order = np.lexsort((lam.imag, -lam.real))
     lam = lam[order]
     right = right[:, order]
@@ -140,26 +124,24 @@ def eigendecompose(operator, horizon: float | None = None,
         eigenvalues=lam,
         right_vectors=right,
         left_vectors=left,
-        source_horizon=tau if is_map else (horizon or tau),
+        source_horizon=tau,
         condition_number=cond,
-        map_eigenvalues=None if mu is None else mu[order],
+        map_eigenvalues=vals[order] if is_map else None,
     )
 
 
-def effective_liouvillian_2T(
-    dmap: DynamicalMap, condition_limit: float = 1e12
-) -> EffectiveGenerator:
+def effective_liouvillian_2T(dmap: DynamicalMap) -> EffectiveGenerator:
     """Eigenvalue logarithm of a two-period map, divided by its horizon.
 
     Built from :func:`eigendecompose` as R diag(Lambda) L^dagger.  Real parts
     of the generator spectrum are branch free; imaginary parts are only
     defined modulo 2*pi / horizon, which the branch note records.  A map
-    whose eigenvector matrix is ill conditioned beyond ``condition_limit`` is
+    whose eigenvector matrix is ill conditioned beyond CONDITION_LIMIT is
     reported as numerically defective.
     """
     if dmap.period_multiple != 2:
         raise ValueError("expected a two-period map")
-    spec = eigendecompose(dmap, condition_limit=condition_limit)
+    spec = eigendecompose(dmap)
     gen = (spec.right_vectors * spec.eigenvalues) @ spec.left_vectors.conj().T
     note = (
         "principal branch: Im(eigenvalues) defined modulo "
@@ -169,46 +151,43 @@ def effective_liouvillian_2T(
     return EffectiveGenerator(matrix=gen, horizon=dmap.horizon, branch_note=note)
 
 
-def gap_from_eigenvalues(eigenvalues: np.ndarray,
-                         zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> GapResult:
+def gap_from_eigenvalues(eigenvalues: np.ndarray) -> GapResult:
     """Gap and steady-mode count from generator rates alone."""
     re = np.real(np.asarray(eigenvalues))
-    n_steady = int(np.sum(np.abs(re) <= zero_threshold))
-    decaying = re[re < -zero_threshold]
+    n_steady = int(np.sum(np.abs(re) <= ZERO_THRESHOLD))
+    decaying = re[re < -ZERO_THRESHOLD]
     gap = None if decaying.size == 0 else float(-decaying.max())
-    return GapResult(gap=gap, n_steady=n_steady, zero_threshold=zero_threshold)
+    return GapResult(gap=gap, n_steady=n_steady)
 
 
-def liouvillian_gap(spec, zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> GapResult:
-    """Gap of a spectrum: -Re of the slowest eigenvalue past the zero manifold.
+def liouvillian_gap(spec: SpectralData) -> GapResult:
+    """Gap of a spectrum; see :func:`gap_from_eigenvalues`.
 
-    Accepts SpectralData or a raw eigenvalue array.  Returns an explicit
-    no-gap result (gap = None) when every eigenvalue sits within the
-    threshold, as happens for purely unitary dynamics.
+    The gap is -Re of the slowest eigenvalue past the zero manifold, or None
+    when every eigenvalue sits within ZERO_THRESHOLD, as happens for purely
+    unitary dynamics.
     """
-    lam = spec.eigenvalues if isinstance(spec, SpectralData) else spec
-    return gap_from_eigenvalues(lam, zero_threshold)
+    return gap_from_eigenvalues(spec.eigenvalues)
 
 
-def steady_states(spec: SpectralData,
-                  zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
-                  trace_cutoff: float = 1e-8):
+def steady_states(spec: SpectralData):
     """Split the zero manifold into trace-carrying states and coherence modes.
 
-    Right eigenvectors with |Re Lambda| and |Im Lambda| below the threshold
-    are devectorised and Hermitised.  Vectors with non-negligible trace are
-    normalised to unit trace (they span the physical steady manifold; an
-    individual element of a degenerate manifold need not be positive).
-    Traceless zero modes are returned separately, Frobenius normalised.
+    Right eigenvectors with |Re Lambda| and |Im Lambda| at or below
+    ZERO_THRESHOLD are devectorised and Hermitised.  Vectors whose |trace|
+    exceeds TRACE_CUTOFF are normalised to unit trace (they span the physical
+    steady manifold; an individual element of a degenerate manifold need not
+    be positive).  Traceless zero modes are returned separately, Frobenius
+    normalised.
     """
     lam = spec.eigenvalues
-    keep = (np.abs(lam.real) <= zero_threshold) & (np.abs(lam.imag) <= zero_threshold)
+    keep = (np.abs(lam.real) <= ZERO_THRESHOLD) & (np.abs(lam.imag) <= ZERO_THRESHOLD)
     states, coherences = [], []
     for idx in np.flatnonzero(keep):
         mat = devectorize(spec.right_vectors[:, idx])
         mat = (mat + mat.conj().T) / 2.0
         tr = np.trace(mat).real
-        if abs(tr) > trace_cutoff:
+        if abs(tr) > TRACE_CUTOFF:
             states.append(mat / tr)
         else:
             coherences.append(mat / np.linalg.norm(mat))
@@ -233,43 +212,6 @@ def excitation_superop_commutant_check(config: SpinNetworkConfig) -> float:
     res_left = np.abs(phi2 * (left[None, :] - left[:, None])).max()
     res_right = np.abs(phi2 * (right[None, :] - right[:, None])).max()
     return float(max(res_left, res_right))
-
-
-def sector_block_decompose(operator, n_sites: int,
-                           leakage_tol: float = 1e-10):
-    """Decompose a sector-preserving superoperator into its diagonal blocks.
-
-    Returns (blocks, leakage) where blocks maps (k_left, k_right) to the
-    submatrix over vectorised basis elements |i><j| with i in sector k_left
-    and j in sector k_right.  Raises SectorLeakageError if any off-block
-    entry exceeds ``leakage_tol``; callers should fall back to the dense
-    spectrum in that case.
-    """
-    matrix = operator.matrix if isinstance(operator, DynamicalMap) else np.asarray(operator)
-    dim = 2**n_sites
-    if matrix.shape != (dim * dim, dim * dim):
-        raise ValueError(f"operator shape {matrix.shape} does not match n_sites = {n_sites}")
-    sectors = excitation_sectors(n_sites)
-    counts = excitation_counts(n_sites)
-    group = (counts[:, None] * (n_sites + 1) + counts[None, :]).reshape(-1)
-
-    leakage = 0.0
-    blocks = {}
-    for kl in range(n_sites + 1):
-        for kr in range(n_sites + 1):
-            rows = (sectors[kl][:, None] * dim + sectors[kr][None, :]).reshape(-1)
-            sub = matrix[rows, :]
-            inside = group == kl * (n_sites + 1) + kr
-            blocks[(kl, kr)] = sub[:, rows]
-            outside = sub[:, ~inside]
-            if outside.size:
-                leakage = max(leakage, float(np.abs(outside).max()))
-    if leakage > leakage_tol:
-        raise SectorLeakageError(
-            f"off-block leakage {leakage:.3e} exceeds {leakage_tol:.0e}; "
-            "the map does not preserve excitation sectors"
-        )
-    return blocks, leakage
 
 
 def sector_eigenvalues(blocks, horizon: float) -> np.ndarray:
@@ -306,12 +248,11 @@ def sector_eigenvalues(blocks, horizon: float) -> np.ndarray:
     return np.log(np.concatenate(pooled)) / horizon
 
 
-def sector_gap(config: SpinNetworkConfig,
-               zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> GapResult:
+def sector_gap(config: SpinNetworkConfig) -> GapResult:
     """Liouvillian gap through the sector-block fast path (epsilon = 0)."""
     blocks = floquet_2T_sector_blocks(config)
     lam = sector_eigenvalues(blocks, 2.0 * config.period)
-    return gap_from_eigenvalues(lam, zero_threshold)
+    return gap_from_eigenvalues(lam)
 
 
 def spectrum_2T(config: SpinNetworkConfig) -> np.ndarray:

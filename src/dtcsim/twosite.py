@@ -26,6 +26,9 @@ from .spectra import GapResult, eigendecompose, liouvillian_gap
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
+#: Grid points of the |K|(w) scan that brackets the gamma crossings.
+CROSSING_SCAN_POINTS = 8192
+
 
 @dataclass(frozen=True)
 class TwoSiteEffective:
@@ -122,21 +125,17 @@ def critical_disorder_estimate(j0: float, gamma: float, t2: float) -> float:
     return (np.pi / t2) * (1.0 - gamma / (2.0 * j0 + gamma))
 
 
-def coupling_gamma_crossings(j0: float, gamma: float, t2: float,
-                             w_max: float | None = None,
-                             samples: int = 8192) -> np.ndarray:
+def coupling_gamma_crossings(j0: float, gamma: float, t2: float) -> np.ndarray:
     """All disorder strengths where |K|(w) crosses gamma from above.
 
-    The scan covers w * t2 / 2pi in [0, pi] by default (the window in which
-    the two-site transition is studied); crossings are refined by root
-    finding.  The first entry is the edge of the first dip (what the rough
-    closed-form estimate targets); the last entry is the transition visible
-    at the upper end of the window, near w / j0 of about 29 for the default
-    drive parameters.
+    The scan covers w * t2 / 2pi in [0, pi] (the window in which the two-site
+    transition is studied) on CROSSING_SCAN_POINTS points; crossings are
+    refined by root finding.  The first entry is the edge of the first dip
+    (what the rough closed-form estimate targets); the last entry is the
+    transition visible at the upper end of the window, near w / j0 of about
+    29 for the default drive parameters.
     """
-    if w_max is None:
-        w_max = 2.0 * np.pi**2 / t2
-    grid = np.linspace(1e-9, w_max, samples)
+    grid = np.linspace(1e-9, 2.0 * np.pi**2 / t2, CROSSING_SCAN_POINTS)
     kval = np.array([analytic_effective_coupling(j0, w, t2).coupling_magnitude for w in grid])
     f = kval - gamma
     down = np.flatnonzero((f[:-1] > 0) & (f[1:] <= 0))

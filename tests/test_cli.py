@@ -22,13 +22,52 @@ def test_negative_gamma_names_offending_key():
         parse_config(overrides={"gamma_t": -0.1}, env={})
 
 
-@pytest.mark.parametrize("bad", ["inf", "nan"])
-def test_non_finite_disorder_strength_names_key(bad, capsys):
+@pytest.mark.parametrize("values", ["0,inf", "0,nan", ","], ids=["inf", "nan", "empty"])
+def test_non_finite_disorder_strength_names_key(values, capsys):
     with pytest.raises(ConfigError, match="w_over_j0_values"):
-        parse_config(overrides={"w_over_j0_values": f"0,{bad}"}, env={})
-    argv = ["gap-sweep", "--n", "2", "--w-over-j0", f"0,{bad}", "--realizations", "2"]
+        parse_config(overrides={"w_over_j0_values": values}, env={})
+    argv = ["gap-sweep", "--n", "2", "--w-over-j0", values, "--realizations", "2"]
     assert main(argv) == 2
     assert "w_over_j0_values" in capsys.readouterr().err
+
+
+_SWEEP_FLAGS = {"n": "--n", "w_over_j0_values": "--w-over-j0",
+                "n_realizations": "--realizations"}
+
+
+@pytest.mark.parametrize("source, key, value", [
+    ("flag", "w_over_j0_values", "abc"),
+    ("env", "n", "abc"),
+    ("file", "n_realizations", "2"),
+    ("file", "gamma_t", None),
+])
+def test_non_numeric_value_names_key(source, key, value, tmp_path, monkeypatch, capsys):
+    values = {"n": "2", "w_over_j0_values": "0", "n_realizations": "1"}
+    argv = ["gap-sweep", "--out", str(tmp_path)]
+    if source == "flag":
+        values[key] = value
+    else:
+        values.pop(key, None)  # the value must come from the environment or the file
+    if source == "env":
+        monkeypatch.setenv(f"DTCSIM_{key.upper()}", value)
+    if source == "file":
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: value}))
+        argv += ["--config", str(path)]
+    for name, text in values.items():
+        argv += [_SWEEP_FLAGS[name], text]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
+
+
+@pytest.mark.parametrize("flag, key", [("--base-seed", "base_seed"),
+                                       ("--disorder-seed", "disorder_seed")])
+def test_negative_seed_names_key(flag, key, tmp_path, capsys):
+    argv = ["gap-sweep", "--n", "2", "--w-over-j0", "0,3", "--realizations", "2",
+            "--w-t-over-2pi", "0.3", flag, "-1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "gap_sweep.csv").exists()
 
 
 def test_workers_key_rejected(tmp_path):

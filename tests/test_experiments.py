@@ -184,10 +184,11 @@ def test_sweep_spec_validation():
         SweepSpec(config=_quick_sweep_config(), w_values=(-1.0,))
 
 
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_sweep_spec_rejects_non_finite_strengths(bad):
+@pytest.mark.parametrize("w_values", [(0.0, np.inf), (0.0, np.nan), ()],
+                         ids=["inf", "nan", "empty"])
+def test_sweep_spec_rejects_non_finite_strengths(w_values):
     with pytest.raises(ValueError, match="finite"):
-        SweepSpec(config=_quick_sweep_config(), w_values=(0.0, bad))
+        SweepSpec(config=_quick_sweep_config(), w_values=w_values)
 
 
 def test_sweep_seeds_follow_base_seed_and_realization_count():

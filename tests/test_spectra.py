@@ -12,12 +12,11 @@ from dtcsim import (
     floquet_map_2T,
     liouvillian,
     liouvillian_gap,
-    sector_block_decompose,
     sector_gap,
     steady_states,
     vectorize,
 )
-from dtcsim.spectra import SectorLeakageError, sector_eigenvalues
+from dtcsim.spectra import sector_eigenvalues
 
 
 def test_unitary_map_spectrum_on_unit_circle():
@@ -110,20 +109,14 @@ def test_commutant_residual_diagonal_dynamics():
     assert excitation_superop_commutant_check(cfg) < 1e-12
 
 
-def test_sector_block_decompose_shapes_and_leakage(small_config):
-    dmap = floquet_map_2T(small_config)
-    blocks, leakage = sector_block_decompose(dmap, small_config.n_sites)
-    assert leakage <= 1e-10
+def test_sector_block_shapes(small_config):
     from math import comb
+
+    blocks = floquet_2T_sector_blocks(small_config)
+    assert sorted(blocks) == [(kl, kr) for kl in range(4) for kr in range(4)]
     for (kl, kr), block in blocks.items():
         size = comb(3, kl) * comb(3, kr)
         assert block.shape == (size, size)
-
-
-def test_sector_block_decompose_refuses_leaky_map():
-    cfg = SpinNetworkConfig(n_sites=2, epsilon=0.05)
-    with pytest.raises(SectorLeakageError):
-        sector_block_decompose(floquet_map_2T(cfg), 2)
 
 
 def test_block_and_dense_spectra_agree(small_config):
@@ -185,6 +178,5 @@ def test_default_block_path_matches_dense_gap(default_config, default_spectral):
     assert fast.gap == pytest.approx(dense.gap, abs=1e-8)
 
 
-def test_default_block_sizes(default_map_2T, default_config):
-    blocks, _ = sector_block_decompose(default_map_2T, default_config.n_sites)
-    assert blocks[(3, 3)].shape == (400, 400)
+def test_default_block_sizes(default_config):
+    assert floquet_2T_sector_blocks(default_config)[(3, 3)].shape == (400, 400)
