@@ -149,9 +149,11 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
 
     Unknown keys are rejected; non-numeric values of numeric keys and
     out-of-range values raise ConfigError naming the offending key.  Flags
-    win over environment, environment over file.
+    win over environment, environment over file.  Environment values are
+    JSON-decoded, except for text keys, which keep the raw text.
     """
     known = {f.name for f in fields(RunConfig)}
+    text_keys = {f.name for f in fields(RunConfig) if f.type == "str"}
     merged: dict = {}
 
     if path is not None:
@@ -169,7 +171,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
         if not key.startswith(ENV_PREFIX):
             continue
         name = key[len(ENV_PREFIX):].lower()
-        if name in known:
+        if name in text_keys:
+            merged[name] = raw
+        elif name in known:
             try:
                 merged[name] = json.loads(raw)
             except json.JSONDecodeError:
@@ -293,6 +297,11 @@ def _run_evolve(config: RunConfig):
 
 def _run_spectrum(config: RunConfig):
     lams = spectrum_2T(config.spin_config())
+    underflowed = int(np.sum(~np.isfinite(lams)))
+    if underflowed:
+        raise ValueError(
+            f"{underflowed} of {lams.size} two-period multipliers underflowed to 0, "
+            "so their rates log(mu) / 2T are not finite; lower gamma_t")
     return [[lam.real, lam.imag] for lam in lams], ["re_lambda", "im_lambda"]
 
 

@@ -16,7 +16,12 @@ from .observables import (
     purity,
     total_excitations,
 )
-from .operators import SpinNetworkConfig, hamiltonian_interaction, hamiltonian_kick
+from .operators import (
+    SpinNetworkConfig,
+    hamiltonian_interaction,
+    hamiltonian_kick,
+    sample_disorder,
+)
 from .spectra import GapResult, sector_gap
 from .superop import lindblad_rhs, validate_density_matrix
 
@@ -289,8 +294,8 @@ def disorder_gap_sweep(sweep: SweepSpec) -> SweepResult:
     failures = []
 
     def realization(iw: int, r: int) -> SpinNetworkConfig:
-        rng = np.random.default_rng(realization_seed(sweep.base_seed, r))
-        return cfg.with_disorder(rng.uniform(0.0, sweep.w_values[iw], cfg.n_sites))
+        seed = realization_seed(sweep.base_seed, r)
+        return cfg.with_disorder(sample_disorder(cfg.n_sites, sweep.w_values[iw], seed))
 
     tasks = [(iw, r) for iw in range(n_w) for r in range(n_r)]
     drawn = [_guarded(realization, iw, r) for iw, r in tasks]  # config or failure message

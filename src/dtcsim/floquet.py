@@ -17,6 +17,14 @@ that form and applies it to a density matrix directly; the dense Phi_T of
 :func:`floquet_map` is assembled from the same blocks and serves
 cross-checks and spectra.
 
+The generator of a diagonal block (k, k) maps the c x c sub-matrix of sector
+k to itself and preserves Hermiticity, so in the Hermitian basis of c x c
+matrices (:func:`dtcsim.superop.to_hermitian_basis`) it is a real matrix.
+Those blocks, the largest ones and the populations among them, are
+exponentiated in real arithmetic; the basis change is a similarity, so the
+result is the same exponential up to rounding.  The off-diagonal blocks stay
+complex: their real form would have twice the dimension.
+
 For a perfect pi pulse the two kicks of a double period cancel and
 conjugate the disorder sign, giving the fully block-diagonal form
 
@@ -44,6 +52,7 @@ from .operators import (
     hamiltonian_kick,
     z_sign_table,
 )
+from .superop import from_hermitian_basis, hermitian_real_form
 
 
 class BranchAmbiguityWarning(UserWarning):
@@ -135,7 +144,8 @@ def _segment_blocks(H: np.ndarray, config: SpinNetworkConfig, duration: float):
     interaction Hamiltonian does for every disorder vector.  Only the blocks
     with kl <= kr are exponentiated; each (kr, kl) block follows exactly from
     its partner by :func:`_adjoint_block`, because the segment propagator
-    preserves Hermiticity.
+    preserves Hermiticity.  Each diagonal block (k, k) is exponentiated as the
+    real matrix its generator is in the Hermitian basis and mapped back.
     """
     n = config.n_sites
     sectors = excitation_sectors(n)
@@ -151,7 +161,12 @@ def _segment_blocks(H: np.ndarray, config: SpinNetworkConfig, duration: float):
                 np.kron(Hl, np.eye(len(ir))) - np.kron(np.eye(len(il)), Hr.T)
             )
             gen[np.diag_indices_from(gen)] += _sector_pair_rates(signs, il, ir, config.gamma, n)
-            blocks[(kl, kr)] = matrix_exp(gen * duration)
+            gen *= duration
+            if kl == kr:
+                real = hermitian_real_form(gen, f"segment generator block {(kl, kr)}")
+                blocks[(kl, kr)] = from_hermitian_basis(matrix_exp(real))
+            else:
+                blocks[(kl, kr)] = matrix_exp(gen)
     # derived after the exponentials, so the largest expm runs with the
     # fewest blocks held
     for kl, kr in [key for key in blocks if key[0] != key[1]]:

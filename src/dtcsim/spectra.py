@@ -15,6 +15,13 @@ the global spin flip.  :func:`sector_eigenvalues` therefore diagonalises one
 block per orbit of these relations (16 of the 49 blocks for six sites) and
 still returns all 4^N rates.
 
+A diagonal block (k, k) maps the c x c sub-matrix of sector k to itself and
+preserves Hermiticity, so its form in the Hermitian basis of c x c matrices
+(:func:`dtcsim.superop.to_hermitian_basis`) is a real matrix with the same
+spectrum.  Those blocks, which hold the steady manifold and the largest
+block, are diagonalised by the real eigensolver, which is exact up to
+rounding and returns the complex multipliers in exact conjugate pairs.
+
 Three thresholds are fixed: ZERO_THRESHOLD = 1e-10 bounds the steady
 manifold, TRACE_CUTOFF = 1e-8 splits its steady states from its coherences,
 and CONDITION_LIMIT = 1e12 marks an eigendecomposition as defective.
@@ -33,7 +40,7 @@ from .floquet import (
     floquet_map_2T,
 )
 from .operators import SpinNetworkConfig, excitation_counts
-from .superop import devectorize
+from .superop import devectorize, hermitian_real_form
 
 #: |Re Lambda| at or below this counts as part of the steady manifold (units 1/T).
 ZERO_THRESHOLD = 1e-10
@@ -225,8 +232,12 @@ def sector_eigenvalues(blocks, horizon: float) -> np.ndarray:
     conjugation acts on mu and the logarithm is taken afterwards, so every
     rate is the principal-branch log of a multiplier, as for a block
     diagonalised directly.  The rates come out in the block order of
-    ``blocks``, one per basis element.  Raises ValueError when the block traces break either relation,
-    i.e. the blocks are not those of a perfect-pulse Phi_2T.
+    ``blocks``, one per basis element.  A diagonal block (k, k) is
+    diagonalised as its real Hermitian-basis form, whose complex multipliers
+    come in exact conjugate pairs.  Raises ValueError when the block traces
+    break either relation, or when the Hermitian-basis form of a diagonal
+    block is not real, i.e. the blocks are not those of a perfect-pulse
+    Phi_2T.
     """
     n = max(kl for kl, _ in blocks)
     mus, pooled = {}, []
@@ -243,6 +254,8 @@ def sector_eigenvalues(blocks, horizon: float) -> np.ndarray:
                     )
                 break
         else:
+            if kl == kr:
+                block = hermitian_real_form(block, f"Phi_2T sector block {(kl, kr)}")
             mu = mus[(kl, kr)] = np.linalg.eigvals(block)
         pooled.append(mu)
     return np.log(np.concatenate(pooled)) / horizon

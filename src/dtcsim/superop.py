@@ -5,6 +5,16 @@ so vec(A rho B) = (A kron B^T) vec(rho).  The Hamiltonian superoperator is
 therefore -i (H kron I - I kron H^T); for the real-symmetric Hamiltonians
 built by :mod:`dtcsim.operators` the transpose is immaterial, but it matters
 for any future Hamiltonian with complex matrix elements.
+
+A superoperator that maps the c x c matrices of one sector to themselves and
+preserves Hermiticity, as every diagonal sector block (k, k) of the segment
+propagator and of Phi_2T does, is a real matrix in the Hermitian basis of
+c x c matrices: it maps the real span of that basis, the Hermitian matrices,
+to itself.  :func:`to_hermitian_basis` and :func:`from_hermitian_basis` are
+the unitary change to that basis and back.  The change is a similarity, so
+the real form has the same spectrum and exp(T G T^dagger) = T exp(G)
+T^dagger; exponentiating or diagonalising the real form is exact, only
+cheaper.
 """
 
 from __future__ import annotations
@@ -14,6 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import z_sign_table
+
+#: Largest imaginary part, relative to max(1, max |entry|), that the
+#: Hermitian-basis form of a Hermiticity-preserving block may carry.
+HERMITIAN_REAL_TOL = 1e-12
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -31,6 +45,69 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
     if dim * dim != vec.size:
         raise ValueError(f"vector length {vec.size} is not a perfect square")
     return vec.reshape(dim, dim)
+
+
+def _hermitian_basis(c: int):
+    """T = diag(d1) + diag(d2) S on row-stacked c x c matrices, S the transpose.
+
+    Row a*c + b of T picks the coefficient of one Hermitian basis element:
+    (|a><b| + |b><a|)/sqrt2 for a < b, i(|b><a| - |a><b|)/sqrt2 for a > b and
+    |a><a| on the diagonal.  The rows are orthonormal, so T is unitary.
+    """
+    a, b = np.divmod(np.arange(c * c), c)
+    s = 1.0 / np.sqrt(2.0)
+    d1 = np.where(a < b, s, np.where(a > b, 1j * s, 1.0))
+    d2 = np.where(a < b, s, np.where(a > b, -1j * s, 0.0))
+    return d1, d2, b * c + a
+
+
+def _sandwich(M: np.ndarray, u1: np.ndarray, u2: np.ndarray, swap: np.ndarray) -> np.ndarray:
+    """U M U^dagger for U = diag(u1) + diag(u2) S, S the index permutation ``swap``."""
+    UM = u2[:, None] * M[swap]
+    UM += u1[:, None] * M
+    out = UM[:, swap]
+    out *= u2.conj()
+    UM *= u1.conj()
+    out += UM
+    return out
+
+
+def to_hermitian_basis(M: np.ndarray) -> np.ndarray:
+    """T M T^dagger: a superoperator on c x c matrices in the Hermitian basis.
+
+    Every row of T has at most two nonzeros, so this is index arithmetic on
+    M, O(c^4), with no dense T.  The result is real exactly when M preserves
+    Hermiticity.
+    """
+    d1, d2, swap = _hermitian_basis(int(round(np.sqrt(len(M)))))
+    return _sandwich(M, d1, d2, swap)
+
+
+def from_hermitian_basis(R: np.ndarray) -> np.ndarray:
+    """T^dagger R T, the exact inverse of :func:`to_hermitian_basis`.
+
+    T^dagger = diag(d1*) + S diag(d2*) = diag(d1*) + diag(d2*[swap]) S.
+    """
+    d1, d2, swap = _hermitian_basis(int(round(np.sqrt(len(R)))))
+    return _sandwich(R, d1.conj(), d2.conj()[swap], swap)
+
+
+def hermitian_real_form(M: np.ndarray, name: str) -> np.ndarray:
+    """The real matrix T M T^dagger of a Hermiticity-preserving M.
+
+    Raises ValueError naming ``name`` when an imaginary part exceeds
+    HERMITIAN_REAL_TOL relative to max(1, max |entry|), i.e. when M does not
+    preserve Hermiticity to working precision.
+    """
+    R = to_hermitian_basis(M)
+    residue = float(np.abs(R.imag).max())
+    scale = max(1.0, float(np.abs(R).max()))
+    if residue > HERMITIAN_REAL_TOL * scale:
+        raise ValueError(
+            f"{name} does not preserve Hermiticity: its Hermitian-basis form "
+            f"has imaginary parts up to {residue:.3e}"
+        )
+    return R.real.copy()
 
 
 def hamiltonian_superop(H: np.ndarray) -> np.ndarray:

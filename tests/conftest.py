@@ -2,6 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Derandomized, so a property test draws the same examples on every run; the
+# example budget keeps the property tests under 30 s together.
+settings.register_profile("dtcsim", derandomize=True, deadline=None, max_examples=100)
+settings.load_profile("dtcsim")
 
 from dtcsim import (
     InitialStateSpec,

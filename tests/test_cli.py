@@ -217,3 +217,24 @@ def test_main_rejects_bad_flag_value(tmp_path):
 
 def test_run_unknown_experiment():
     assert run(RunConfig(experiment="frobnicate")) == 1
+
+
+def test_text_keys_keep_raw_environment_text(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DTCSIM_INITIAL_STATE", "111")
+    monkeypatch.setenv("DTCSIM_OUT", "123")
+    config = parse_config()
+    assert config.initial_state == "111" and config.out == "123"
+    monkeypatch.delenv("DTCSIM_OUT")
+    assert main(["evolve", "--n", "3", "--n-periods", "2", "--out", "123"]) == 0
+    monkeypatch.delenv("DTCSIM_INITIAL_STATE")
+    assert main(["evolve", "--n", "3", "--n-periods", "2", "--initial-state", "111",
+                 "--out", "flag"]) == 0
+    assert (tmp_path / "123" / "evolve.csv").read_bytes() == \
+        (tmp_path / "flag" / "evolve.csv").read_bytes()
+
+
+def test_spectrum_refuses_underflowed_multipliers(tmp_path, capsys):
+    assert main(["spectrum", "--n", "2", "--gamma-t", "5000", "--out", str(tmp_path)]) == 1
+    assert "multipliers underflowed to 0" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
