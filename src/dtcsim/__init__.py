@@ -33,7 +33,6 @@ from .observables import (
     Partition,
     all_magnetizations,
     default_partition,
-    magnetization,
     negativity,
     partial_transpose,
     purity,
@@ -62,7 +61,6 @@ from .spectra import (
     steady_states,
 )
 from .superop import (
-    dephasing_superop,
     devectorize,
     hamiltonian_superop,
     lindblad_rhs,
@@ -92,7 +90,6 @@ __all__ = [
     "vectorize",
     "devectorize",
     "hamiltonian_superop",
-    "dephasing_superop",
     "liouvillian",
     "lindblad_rhs",
     "validate_density_matrix",
@@ -116,7 +113,6 @@ __all__ = [
     "Partition",
     "ObservableTrace",
     "default_partition",
-    "magnetization",
     "all_magnetizations",
     "partial_transpose",
     "negativity",

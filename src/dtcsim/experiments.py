@@ -20,6 +20,7 @@ from .operators import (
     SpinNetworkConfig,
     hamiltonian_interaction,
     hamiltonian_kick,
+    kron_all,
     sample_disorder,
 )
 from .spectra import GapResult, sector_gap
@@ -64,16 +65,8 @@ def build_initial_state(spec: InitialStateSpec, n_sites: int,
         return _pure_state([_site_ket(s) for s in spec.pattern])
     if spec.kind == "mixed_B":
         part = partition or default_partition(n_sites)
-        factors = []
-        for site in range(n_sites):
-            if site in part.sites_a:
-                factors.append(np.outer(_KET["1"], _KET["1"].conj()))
-            else:
-                factors.append(np.eye(2, dtype=complex) / 2.0)
-        rho = factors[0]
-        for f in factors[1:]:
-            rho = np.kron(rho, f)
-        return rho
+        return kron_all(np.outer(_KET["1"], _KET["1"].conj()) if site in part.sites_a
+                        else np.eye(2, dtype=complex) / 2.0 for site in range(n_sites))
     if spec.kind == "seed_size":
         k = spec.seed_sites
         if k is None or not 0 <= k <= n_sites:

@@ -17,6 +17,10 @@ that form and applies it to a density matrix directly; the dense Phi_T of
 :func:`floquet_map` is assembled from the same blocks and serves
 cross-checks and spectra.
 
+:func:`interaction_propagator`, :func:`floquet_map` and :func:`floquet_map_2T`
+form a dense 4^N x 4^N matrix and refuse N > DENSE_LIMIT before building any
+block; :func:`block_propagator` and :func:`floquet_2T_sector_blocks` never do.
+
 The generator of a diagonal block (k, k) maps the c x c sub-matrix of sector
 k to itself and preserves Hermiticity, so in the Hermitian basis of c x c
 matrices (:func:`dtcsim.superop.to_hermitian_basis`) it is a real matrix.
@@ -50,9 +54,9 @@ from .operators import (
     excitation_sectors,
     hamiltonian_interaction,
     hamiltonian_kick,
-    z_sign_table,
+    require_dense,
 )
-from .superop import from_hermitian_basis, hermitian_real_form
+from .superop import dephasing_rates, from_hermitian_basis, hermitian_real_form
 
 
 class BranchAmbiguityWarning(UserWarning):
@@ -120,13 +124,6 @@ def kick_unitary(config: SpinNetworkConfig) -> np.ndarray:
     return matrix_exp(-1j * hamiltonian_kick(config) * config.t1)
 
 
-def _sector_pair_rates(signs: np.ndarray, il: np.ndarray, ir: np.ndarray,
-                       gamma: float, n_sites: int) -> np.ndarray:
-    """Dephasing diagonal restricted to the (il, ir) sector pair block."""
-    acc = signs[:, il].T @ signs[:, ir] - n_sites
-    return gamma * acc.reshape(-1)
-
-
 def _adjoint_block(block: np.ndarray, a: int, c: int) -> np.ndarray:
     """Block (kr, kl) of a Hermiticity-preserving map from its block (kl, kr).
 
@@ -149,7 +146,7 @@ def _segment_blocks(H: np.ndarray, config: SpinNetworkConfig, duration: float):
     """
     n = config.n_sites
     sectors = excitation_sectors(n)
-    signs = z_sign_table(n)
+    rates = dephasing_rates(n, config.gamma).reshape(config.dim, config.dim)
     blocks = {}
     for kl in range(n + 1):
         il = sectors[kl]
@@ -160,7 +157,7 @@ def _segment_blocks(H: np.ndarray, config: SpinNetworkConfig, duration: float):
             gen = -1j * (
                 np.kron(Hl, np.eye(len(ir))) - np.kron(np.eye(len(il)), Hr.T)
             )
-            gen[np.diag_indices_from(gen)] += _sector_pair_rates(signs, il, ir, config.gamma, n)
+            gen[np.diag_indices_from(gen)] += rates[np.ix_(il, ir)].reshape(-1)
             gen *= duration
             if kl == kr:
                 real = hermitian_real_form(gen, f"segment generator block {(kl, kr)}")
@@ -191,6 +188,7 @@ def block_propagator(config: SpinNetworkConfig) -> BlockPropagator:
 
 def interaction_propagator(config: SpinNetworkConfig) -> np.ndarray:
     """Dense exp(L2 * t2) for the interaction segment, built blockwise."""
+    require_dense(config.n_sites)
     prop = block_propagator(config)
     return _assemble_blocks(prop.blocks, prop.sectors, config.dim)
 
@@ -202,6 +200,7 @@ def floquet_map(config: SpinNetworkConfig) -> DynamicalMap:
     as a dim x dim matrix R, to U1^T R conj(U1); the batched product avoids
     forming the 4^N x 4^N Kronecker superoperator and multiplying by it.
     """
+    require_dense(config.n_sites)
     prop = block_propagator(config)
     dim = config.dim
     phi = _assemble_blocks(prop.blocks, prop.sectors, dim).reshape(dim * dim, dim, dim)
@@ -213,6 +212,7 @@ def floquet_map(config: SpinNetworkConfig) -> DynamicalMap:
 def floquet_map_2T(config: SpinNetworkConfig) -> DynamicalMap:
     """Two-period map Phi_T^2; commutes with the excitation superoperators
     when the kick is a perfect pi pulse."""
+    require_dense(config.n_sites)
     if config.perfect_pulse:
         blocks = floquet_2T_sector_blocks(config)
         phi2 = _assemble_blocks(blocks, excitation_sectors(config.n_sites), config.dim)

@@ -50,14 +50,6 @@ class ObservableTrace:
     worst_margins: DensityMatrixMargins | None = None  # over every recorded state
 
 
-def magnetization(rho: np.ndarray, site: int) -> float:
-    """Local magnetization Tr(rho sigma_site^z)."""
-    n_sites = int(round(np.log2(rho.shape[0])))
-    if not 0 <= site < n_sites:
-        raise ValueError(f"site {site} out of range for {n_sites} sites")
-    return float(all_magnetizations(rho)[site])
-
-
 def all_magnetizations(rho: np.ndarray) -> np.ndarray:
     """Per-site magnetizations Tr(rho sigma_l^z), l = 0..N-1."""
     n_sites = int(round(np.log2(rho.shape[0])))

@@ -25,8 +25,18 @@ _PAULI = {
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 
-#: Largest site count accepted for dense superoperator work (4^N matrices).
-DEFAULT_DENSE_LIMIT = 6
+#: Largest site count of the routes that form a dense 4^N x 4^N matrix.
+DENSE_LIMIT = 6
+#: Largest site count a SpinNetworkConfig accepts; the sector blocks of N = 8
+#: would need about 2.6 GB.
+MAX_SITES = 7
+
+
+def require_dense(n_sites: int) -> None:
+    """Raise ValueError when a route forming a 4^N x 4^N matrix gets N > DENSE_LIMIT."""
+    if n_sites > DENSE_LIMIT:
+        raise ValueError(f"n_sites = {n_sites} exceeds the dense limit {DENSE_LIMIT} "
+                         "of routes that form a 4^N x 4^N matrix")
 
 
 def pauli(mu: str) -> np.ndarray:
@@ -93,16 +103,10 @@ class SpinNetworkConfig:
     t2: float = 0.5
     gamma: float = 0.02
     disorder: np.ndarray = field(default=None)  # type: ignore[assignment]
-    dense_limit: int = DEFAULT_DENSE_LIMIT
 
     def __post_init__(self):
-        if self.n_sites < 1:
-            raise ValueError("n_sites must be >= 1")
-        if self.n_sites > self.dense_limit:
-            raise ValueError(
-                f"n_sites = {self.n_sites} exceeds the dense limit "
-                f"{self.dense_limit}; raise dense_limit explicitly to opt in"
-            )
+        if not 1 <= self.n_sites <= MAX_SITES:
+            raise ValueError(f"n_sites = {self.n_sites} is outside 1..{MAX_SITES}")
         if self.t1 <= 0 or self.t2 <= 0:
             raise ValueError("segment durations t1, t2 must be positive")
         if self.gamma < 0:

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .floquet import (
     DynamicalMap,
@@ -91,6 +92,21 @@ class GapResult:
         return None if self.gap in (None, 0.0) else 1.0 / self.gap
 
 
+def _rates(mu: np.ndarray, horizon: float) -> np.ndarray:
+    """Generator rates log(mu) / horizon; mu = 0 gives a non-finite rate
+    without a RuntimeWarning, and callers that report rates check for it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(mu) / horizon
+
+
+def spectral_distance(a, b) -> float:
+    """Worst nearest-neighbour distance between two eigenvalue clouds, taken
+    both ways; unlike sorting, it pairs the members of degenerate clusters."""
+    pts_a, pts_b = (np.column_stack([np.real(x).ravel(), np.imag(x).ravel()]) for x in (a, b))
+    return float(max(cKDTree(pts_b).query(pts_a)[0].max(),
+                     cKDTree(pts_a).query(pts_b)[0].max()))
+
+
 def eigendecompose(operator) -> SpectralData:
     """Eigendecompose a map or generator into biorthogonal spectral data.
 
@@ -122,7 +138,7 @@ def eigendecompose(operator) -> SpectralData:
             "input is defective within working precision: eigenvector "
             f"condition number {cond:.3e}, eigenpair residual {residual:.3e}"
         )
-    lam = np.log(vals) / tau if is_map else vals
+    lam = _rates(vals, tau) if is_map else vals
     order = np.lexsort((lam.imag, -lam.real))
     lam = lam[order]
     right = right[:, order]
@@ -258,7 +274,7 @@ def sector_eigenvalues(blocks, horizon: float) -> np.ndarray:
                 block = hermitian_real_form(block, f"Phi_2T sector block {(kl, kr)}")
             mu = mus[(kl, kr)] = np.linalg.eigvals(block)
         pooled.append(mu)
-    return np.log(np.concatenate(pooled)) / horizon
+    return _rates(np.concatenate(pooled), horizon)
 
 
 def sector_gap(config: SpinNetworkConfig) -> GapResult:
@@ -278,5 +294,5 @@ def spectrum_2T(config: SpinNetworkConfig) -> np.ndarray:
         lam = sector_eigenvalues(floquet_2T_sector_blocks(config), 2.0 * config.period)
     else:
         dmap = floquet_map_2T(config)
-        lam = np.log(np.linalg.eigvals(dmap.matrix)) / dmap.horizon
+        lam = _rates(np.linalg.eigvals(dmap.matrix), dmap.horizon)
     return lam[np.lexsort((lam.imag, -lam.real))]

@@ -15,6 +15,9 @@ the unitary change to that basis and back.  The change is a similarity, so
 the real form has the same spectrum and exp(T G T^dagger) = T exp(G)
 T^dagger; exponentiating or diagonalising the real form is exact, only
 cheaper.
+
+Only :func:`hamiltonian_superop` and :func:`liouvillian`, which calls it,
+form a dense 4^N x 4^N matrix, and both refuse N > DENSE_LIMIT.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import z_sign_table
+from .operators import require_dense, z_sign_table
 
 #: Largest imaginary part, relative to max(1, max |entry|), that the
 #: Hermitian-basis form of a Hermiticity-preserving block may carry.
@@ -115,6 +118,7 @@ def hamiltonian_superop(H: np.ndarray) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("H must be square")
+    require_dense(H.shape[0].bit_length() - 1)  # floor(log2 dim) sites
     I = np.eye(H.shape[0], dtype=complex)
     return -1j * (np.kron(H, I) - np.kron(I, H.T))
 
@@ -130,13 +134,6 @@ def dephasing_rates(n_sites: int, gamma: float) -> np.ndarray:
     s = z_sign_table(n_sites)
     mat = s.T @ s - n_sites  # (i, j) -> sum_l s_l^i s_l^j - N
     return gamma * mat.reshape(-1)
-
-
-def dephasing_superop(n_sites: int, gamma: float) -> np.ndarray:
-    """Dense diagonal superoperator gamma sum_l (sigma_l^z x sigma_l^z - I)."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    return np.diag(dephasing_rates(n_sites, gamma)).astype(complex)
 
 
 def liouvillian(H: np.ndarray, n_sites: int, gamma: float) -> np.ndarray:

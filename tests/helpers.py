@@ -2,10 +2,10 @@
 
 import numpy as np
 import scipy.linalg
-from scipy.spatial import cKDTree
 
 from dtcsim import embed, hamiltonian_interaction, liouvillian, pauli
 from dtcsim.operators import excitation_sectors
+from dtcsim.spectra import spectral_distance
 
 
 def assert_spectra_match(a, b, tol):
@@ -17,11 +17,8 @@ def assert_spectra_match(a, b, tol):
     a = np.asarray(a).ravel()
     b = np.asarray(b).ravel()
     assert a.size == b.size, f"sizes differ: {a.size} vs {b.size}"
-    pts_a = np.column_stack([a.real, a.imag])
-    pts_b = np.column_stack([b.real, b.imag])
-    d_ab = cKDTree(pts_b).query(pts_a)[0].max()
-    d_ba = cKDTree(pts_a).query(pts_b)[0].max()
-    assert max(d_ab, d_ba) < tol, f"spectra differ by {max(d_ab, d_ba):.3e}"
+    dist = spectral_distance(a, b)
+    assert dist < tol, f"spectra differ by {dist:.3e}"
 
 
 def brute_force_segment_blocks(H, config):

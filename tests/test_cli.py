@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dtcsim import floquet
 from dtcsim.cli import ConfigError, RunConfig, main, parse_config, run
 
 
@@ -238,3 +239,37 @@ def test_spectrum_refuses_underflowed_multipliers(tmp_path, capsys):
     assert main(["spectrum", "--n", "2", "--gamma-t", "5000", "--out", str(tmp_path)]) == 1
     assert "multipliers underflowed to 0" in capsys.readouterr().err
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, flags", [
+    ("evolve", ["--initial-state", "1", "--n-periods", "4"]),
+    ("spectrum", []),
+    ("gap-sweep", ["--w-over-j0", "0,5", "--realizations", "2"]),
+])
+def test_single_site_runs(experiment, flags, tmp_path):
+    # one site has no coupling pairs; the kick flips it and dephasing at
+    # gamma_t = 0.02 is the only decay, so gap * T = gamma_t
+    assert main([experiment, "--n", "1", "--out", str(tmp_path)] + flags) == 0
+    _, _, data = _read_table(tmp_path / f"{experiment.replace('-', '_')}.csv")
+    if experiment == "evolve":
+        assert np.allclose(data[:, 1], [1.0, -1.0, 1.0, -1.0, 1.0], atol=1e-12)
+    elif experiment == "spectrum":
+        assert data.shape == (4, 2)
+        assert np.sort(data[:, 0]) == pytest.approx([-0.02, -0.02, 0.0, 0.0], abs=1e-12)
+    else:
+        assert data[:, 1:4] == pytest.approx(0.02, rel=1e-9)
+
+
+def test_site_count_beyond_max_names_key(tmp_path, capsys):
+    assert main(["evolve", "--n", "8", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: n is out of range: 8")
+
+
+def test_dense_spectrum_refuses_seven_sites(tmp_path, capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a sector block was built before the dense-limit check")
+
+    monkeypatch.setattr(floquet, "_segment_blocks", forbidden)
+    argv = ["spectrum", "--n", "7", "--epsilon", "0.05", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "exceeds the dense limit 6" in capsys.readouterr().err

@@ -12,7 +12,6 @@ from dtcsim import (
     default_partition,
     devectorize,
     floquet_map,
-    magnetization,
     negativity,
     partial_transpose,
     purity,
@@ -41,7 +40,7 @@ def test_magnetization_seeded_state():
     mags = all_magnetizations(rho)
     assert np.allclose(mags[:3], 1.0, atol=1e-12)
     assert np.allclose(mags[3:], 0.0, atol=1e-12)
-    assert magnetization(rho, 0) == pytest.approx(1.0)
+    assert all_magnetizations(rho)[0] == pytest.approx(1.0)
 
 
 def test_magnetization_maximally_mixed():
@@ -52,12 +51,7 @@ def test_magnetization_after_one_decoupled_period():
     cfg = SpinNetworkConfig(n_sites=2, j0=0.0, gamma=0.0)
     rho0 = build_initial_state(InitialStateSpec(kind="pure_pattern", pattern="10"), 2)
     rho1 = devectorize(floquet_map(cfg).matrix @ vectorize(rho0))
-    assert magnetization(rho1, 0) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_magnetization_site_out_of_range():
-    with pytest.raises(ValueError):
-        magnetization(np.eye(4) / 4.0, 2)
+    assert all_magnetizations(rho1)[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_partial_transpose_product_state():

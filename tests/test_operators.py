@@ -195,9 +195,9 @@ def test_sample_disorder_mean():
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         SpinNetworkConfig(n_sites=0)
-    with pytest.raises(ValueError):
-        SpinNetworkConfig(n_sites=7)  # beyond the default dense limit
-    SpinNetworkConfig(n_sites=7, dense_limit=7)  # explicit opt-in is fine
+    with pytest.raises(ValueError, match=r"outside 1\.\.7"):
+        SpinNetworkConfig(n_sites=8)  # beyond MAX_SITES
+    SpinNetworkConfig(n_sites=7)  # the block routes run seven sites
     with pytest.raises(ValueError):
         SpinNetworkConfig(t1=0.0)
     with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dtcsim import (
-    dephasing_superop,
     devectorize,
     hamiltonian_superop,
     lindblad_rhs,
@@ -12,6 +11,7 @@ from dtcsim import (
     validate_density_matrix,
     vectorize,
 )
+from dtcsim.superop import dephasing_rates
 
 
 def _random_density(dim, seed):
@@ -72,27 +72,27 @@ def test_hamiltonian_superop_spectrum_imaginary():
 
 
 def test_dephasing_superop_structure():
-    D = dephasing_superop(2, 0.3)
+    D = np.diag(dephasing_rates(2, 0.3))
     assert np.abs(D - np.diag(np.diag(D))).max() == 0.0
     assert np.abs(np.diag(D).imag).max() == 0.0
     assert np.diag(D).real.max() <= 0.0
 
 
 def test_dephasing_annihilates_populations():
-    D = dephasing_superop(3, 0.7)
+    D = np.diag(dephasing_rates(3, 0.7))
     for k in (0, 5, 7):
         proj = np.zeros((8, 8)); proj[k, k] = 1.0
         assert np.abs(D @ vectorize(proj)).max() == 0.0
 
 
 def test_dephasing_single_qubit_rate():
-    D = dephasing_superop(1, 0.25)
+    D = np.diag(dephasing_rates(1, 0.25))
     coherence = np.array([0.0, 1.0, 0.0, 0.0])
     assert np.allclose(D @ coherence, -2 * 0.25 * coherence)
 
 
 def test_dephasing_zero_gamma():
-    assert np.abs(dephasing_superop(2, 0.0)).max() == 0.0
+    assert np.abs(np.diag(dephasing_rates(2, 0.0))).max() == 0.0
 
 
 def test_liouvillian_trace_preserving():
