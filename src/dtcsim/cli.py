@@ -27,7 +27,7 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +247,8 @@ def _write_manifest(path: Path, config: RunConfig, outputs: list[str],
 
 def run(config: RunConfig) -> int:
     """Execute one experiment; write its table and manifest; return exit status."""
+    if config.experiment == "twosite":
+        config = replace(config, n=2)  # the model has two sites; record no other count
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
@@ -455,7 +457,6 @@ def run_validation_suite() -> int:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--n", type=int, dest="n")
     parser.add_argument("--j0-t-over-2pi", type=float, dest="j0_t_over_2pi")
     parser.add_argument("--alpha", type=float, dest="alpha")
     parser.add_argument("--gamma-t", type=float, dest="gamma_t")
@@ -495,6 +496,8 @@ def main(argv=None) -> int:
 
     for p in (p_evolve, p_spectrum, p_sweep, p_twosite):
         _add_common_flags(p)
+    for p in (p_evolve, p_spectrum, p_sweep):  # twosite always models two sites
+        p.add_argument("--n", type=int, dest="n")
 
     args = vars(parser.parse_args(argv))
     experiment = args.pop("experiment")

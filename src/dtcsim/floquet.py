@@ -134,7 +134,7 @@ def _adjoint_block(block: np.ndarray, a: int, c: int) -> np.ndarray:
     return block.reshape(a, c, a, c).transpose(1, 0, 3, 2).conj().reshape(a * c, a * c)
 
 
-def _segment_blocks(H: np.ndarray, config: SpinNetworkConfig, duration: float):
+def _segment_blocks(H: np.ndarray, config: SpinNetworkConfig, duration: float, diagonal=False):
     """exp(L * duration) per sector-pair block, L = -i[H, .] + dephasing.
 
     Valid for any Hamiltonian commuting with excitation number; the XY
@@ -143,6 +143,7 @@ def _segment_blocks(H: np.ndarray, config: SpinNetworkConfig, duration: float):
     its partner by :func:`_adjoint_block`, because the segment propagator
     preserves Hermiticity.  Each diagonal block (k, k) is exponentiated as the
     real matrix its generator is in the Hermitian basis and mapped back.
+    With ``diagonal`` only the N + 1 diagonal blocks are built.
     """
     n = config.n_sites
     sectors = excitation_sectors(n)
@@ -151,7 +152,7 @@ def _segment_blocks(H: np.ndarray, config: SpinNetworkConfig, duration: float):
     for kl in range(n + 1):
         il = sectors[kl]
         Hl = H[np.ix_(il, il)]
-        for kr in range(kl, n + 1):
+        for kr in (kl,) if diagonal else range(kl, n + 1):
             ir = sectors[kr]
             Hr = H[np.ix_(ir, ir)]
             gen = -1j * (
@@ -238,12 +239,17 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig):
     union of block spectra is the full Phi_2T spectrum.  The largest block
     for six sites is 400 x 400, so this is the fast path for disorder sweeps.
     """
+    return _floquet_2T_blocks(config, diagonal=False)
+
+
+def _floquet_2T_blocks(config: SpinNetworkConfig, diagonal: bool):
+    """The blocks of :func:`floquet_2T_sector_blocks`, only those (k, k) if ``diagonal``."""
     if not config.perfect_pulse:
         raise ValueError(
             "sector-block construction requires epsilon = 0 and 2*g*t1 = pi"
         )
     n = config.n_sites
-    plus, _ = _segment_blocks(hamiltonian_interaction(config), config, config.t2)
+    plus, _ = _segment_blocks(hamiltonian_interaction(config), config, config.t2, diagonal)
     return {(kl, kr): block @ plus[(n - kl, n - kr)][::-1, ::-1]
             for (kl, kr), block in plus.items()}
 

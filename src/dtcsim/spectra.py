@@ -22,6 +22,10 @@ spectrum.  Those blocks, which hold the steady manifold and the largest
 block, are diagonalised by the real eigensolver, which is exact up to
 rounding and returns the complex multipliers in exact conjugate pairs.
 
+The gap needs only the N + 1 diagonal blocks: dephasing damps block (kl, kr)
+to |mu| <= exp(-4 gamma t2 |kl - kr|) (log-norm bound, Soderlind 2006), with
+equality in block (0, 1), so :func:`sector_gap` adds that floor rate instead.
+
 Three thresholds are fixed: ZERO_THRESHOLD = 1e-10 bounds the steady
 manifold, TRACE_CUTOFF = 1e-8 splits its steady states from its coherences,
 and CONDITION_LIMIT = 1e12 marks an eigendecomposition as defective.
@@ -36,6 +40,7 @@ from scipy.spatial import cKDTree
 
 from .floquet import (
     DynamicalMap,
+    _floquet_2T_blocks,
     floquet_2T_sector_blocks,
     floquet_map,
     floquet_map_2T,
@@ -278,10 +283,14 @@ def sector_eigenvalues(blocks, horizon: float) -> np.ndarray:
 
 
 def sector_gap(config: SpinNetworkConfig) -> GapResult:
-    """Liouvillian gap through the sector-block fast path (epsilon = 0)."""
-    blocks = floquet_2T_sector_blocks(config)
-    lam = sector_eigenvalues(blocks, 2.0 * config.period)
-    return gap_from_eigenvalues(lam)
+    """Liouvillian gap through the sector-block fast path (epsilon = 0).
+
+    Diagonalises only the blocks (k, k) and adds the off-diagonal floor rate
+    -2 gamma t2 / T, unless that floor is within ZERO_THRESHOLD of zero."""
+    floor = 2.0 * config.gamma * config.t2 / config.period
+    diagonal = floor > ZERO_THRESHOLD
+    lam = sector_eigenvalues(_floquet_2T_blocks(config, diagonal), 2.0 * config.period)
+    return gap_from_eigenvalues(np.append(lam, -floor) if diagonal else lam)
 
 
 def spectrum_2T(config: SpinNetworkConfig) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 import numpy as np
 import scipy.linalg
+from hypothesis import strategies as st
 
-from dtcsim import embed, hamiltonian_interaction, liouvillian, pauli
+from dtcsim import SpinNetworkConfig, embed, hamiltonian_interaction, liouvillian, pauli
 from dtcsim.operators import excitation_sectors
 from dtcsim.spectra import spectral_distance
 
@@ -55,3 +56,20 @@ def brute_force_2T_rates(config):
     blocks = brute_force_2T_blocks(config)
     mus = np.concatenate([np.linalg.eigvals(b) for b in blocks.values()])
     return np.log(mus) / (2.0 * config.period)
+
+
+@st.composite
+def perfect_pulse_configs(draw, gammas=(0.0, 0.07, 50.0)):
+    """N in 1..4, gamma drawn from ``gammas``, random disorder, J0, alpha and
+    t1 != t2, with g fixed by the pi-pulse condition."""
+    n = draw(st.integers(1, 4))
+    t1 = draw(st.floats(0.2, 0.8))
+    t2 = draw(st.floats(0.2, 0.8).filter(lambda t: abs(t - t1) > 1e-3))
+    return SpinNetworkConfig(
+        n_sites=n,
+        j0=draw(st.floats(0.1, 5.0)),
+        alpha=draw(st.floats(0.0, 3.0)),
+        g=np.pi / (2.0 * t1), t1=t1, t2=t2,
+        gamma=draw(st.sampled_from(gammas)),
+        disorder=np.array(draw(st.lists(st.floats(0.0, 30.0), min_size=n, max_size=n))),
+    )

@@ -205,6 +205,19 @@ def test_twosite_table(tmp_path):
     assert manifest["gamma_crossings_w_over_j0"][-1] == pytest.approx(29.0, abs=2.0)
 
 
+def test_twosite_takes_no_site_count(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["twosite", "--n", "5", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err
+    manifest = tmp_path / "twosite_manifest.json"
+    assert main(["twosite", "--points", "9", "--out", str(tmp_path)]) == 0
+    assert json.loads(manifest.read_text())["config"]["n"] == 2
+    manifest.unlink()
+    assert run(RunConfig(experiment="twosite", n=5, twosite_points=9, out=str(tmp_path))) == 0
+    assert json.loads(manifest.read_text())["config"]["n"] == 2
+
+
 def test_main_validate_subcommand_passes(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out

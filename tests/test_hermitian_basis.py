@@ -9,10 +9,10 @@ replaced survives in ``tests/helpers.py`` and is compared against it in
 
 import numpy as np
 import pytest
+from helpers import perfect_pulse_configs
 from hypothesis import given
-from hypothesis import strategies as st
 
-from dtcsim import SpinNetworkConfig, floquet_2T_sector_blocks, hamiltonian_interaction
+from dtcsim import floquet_2T_sector_blocks, hamiltonian_interaction
 from dtcsim.floquet import _segment_blocks
 from dtcsim.spectra import sector_eigenvalues
 from dtcsim.superop import (
@@ -59,23 +59,6 @@ def test_non_hermiticity_preserving_block_makes_sector_eigenvalues_raise(small_c
     blocks[(1, 1)] = bumped
     with pytest.raises(ValueError, match=r"block \(1, 1\) does not preserve Hermiticity"):
         sector_eigenvalues(blocks, 2.0 * small_config.period)
-
-
-@st.composite
-def perfect_pulse_configs(draw):
-    """N in 1..4, gamma zero, small or large, random disorder, J0, alpha and
-    t1 != t2, with g fixed by the pi-pulse condition."""
-    n = draw(st.integers(1, 4))
-    t1 = draw(st.floats(0.2, 0.8))
-    t2 = draw(st.floats(0.2, 0.8).filter(lambda t: abs(t - t1) > 1e-3))
-    return SpinNetworkConfig(
-        n_sites=n,
-        j0=draw(st.floats(0.1, 5.0)),
-        alpha=draw(st.floats(0.0, 3.0)),
-        g=np.pi / (2.0 * t1), t1=t1, t2=t2,
-        gamma=draw(st.sampled_from([0.0, 0.07, 50.0])),
-        disorder=np.array(draw(st.lists(st.floats(0.0, 30.0), min_size=n, max_size=n))),
-    )
 
 
 def imaginary_residue(block):
