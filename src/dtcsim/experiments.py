@@ -83,9 +83,7 @@ def _site_ket(symbol: str) -> np.ndarray:
 
 
 def _pure_state(kets) -> np.ndarray:
-    psi = kets[0]
-    for k in kets[1:]:
-        psi = np.kron(psi, k)
+    psi = kron_all(kets).ravel()
     return np.outer(psi, psi.conj())
 
 

@@ -223,7 +223,7 @@ def floquet_map_2T(config: SpinNetworkConfig) -> DynamicalMap:
     return DynamicalMap(matrix=phi2, period_multiple=2, horizon=2.0 * config.period)
 
 
-def floquet_2T_sector_blocks(config: SpinNetworkConfig):
+def floquet_2T_sector_blocks(config: SpinNetworkConfig, diagonal: bool = False):
     """Sector-pair blocks of Phi_2T for a perfect pi pulse.
 
     The pi pulses of a double period cancel up to a global phase and flip the
@@ -238,12 +238,8 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig):
     Returns a dict mapping (k_left, k_right) to the corresponding block; the
     union of block spectra is the full Phi_2T spectrum.  The largest block
     for six sites is 400 x 400, so this is the fast path for disorder sweeps.
+    With ``diagonal`` only the N + 1 blocks (k, k) are built.
     """
-    return _floquet_2T_blocks(config, diagonal=False)
-
-
-def _floquet_2T_blocks(config: SpinNetworkConfig, diagonal: bool):
-    """The blocks of :func:`floquet_2T_sector_blocks`, only those (k, k) if ``diagonal``."""
     if not config.perfect_pulse:
         raise ValueError(
             "sector-block construction requires epsilon = 0 and 2*g*t1 = pi"
@@ -252,6 +248,14 @@ def _floquet_2T_blocks(config: SpinNetworkConfig, diagonal: bool):
     plus, _ = _segment_blocks(hamiltonian_interaction(config), config, config.t2, diagonal)
     return {(kl, kr): block @ plus[(n - kl, n - kr)][::-1, ::-1]
             for (kl, kr), block in plus.items()}
+
+
+def principal_log_hamiltonian(U: np.ndarray, horizon: float):
+    """Hermitised (i / horizon) log U on the principal branch, and whether an
+    eigenphase of U lies within 1e-6 of the +-pi cut, where the branch is ambiguous."""
+    phases = np.angle(np.linalg.eigvals(U))
+    H = 1j * scipy.linalg.logm(U) / horizon
+    return (H + H.conj().T) / 2.0, bool(np.any(np.abs(np.abs(phases) - np.pi) < 1e-6))
 
 
 def effective_hamiltonian_2T(config: SpinNetworkConfig) -> np.ndarray:
@@ -268,14 +272,8 @@ def effective_hamiltonian_2T(config: SpinNetworkConfig) -> np.ndarray:
         return 0.5 * hamiltonian_interaction(config)
     U1 = kick_unitary(config)
     U2 = matrix_exp(-1j * hamiltonian_interaction(config) * config.t2)
-    U_2T = U2 @ U1 @ U2 @ U1
-    phases = np.angle(np.linalg.eigvals(U_2T))
-    if np.any(np.abs(np.abs(phases) - np.pi) < 1e-6):
-        warnings.warn(
-            "eigenphase of U(2T) within 1e-6 of +-pi; principal-branch "
-            "effective Hamiltonian is ambiguous there",
-            BranchAmbiguityWarning,
-            stacklevel=2,
-        )
-    H = 1j * scipy.linalg.logm(U_2T) / (2.0 * config.period)
-    return (H + H.conj().T) / 2.0
+    H, on_cut = principal_log_hamiltonian(U2 @ U1 @ U2 @ U1, 2.0 * config.period)
+    if on_cut:
+        warnings.warn("eigenphase of U(2T) within 1e-6 of +-pi; principal-branch effective "
+                      "Hamiltonian is ambiguous there", BranchAmbiguityWarning, stacklevel=2)
+    return H

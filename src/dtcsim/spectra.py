@@ -38,13 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .floquet import (
-    DynamicalMap,
-    _floquet_2T_blocks,
-    floquet_2T_sector_blocks,
-    floquet_map,
-    floquet_map_2T,
-)
+from .floquet import DynamicalMap, floquet_2T_sector_blocks, floquet_map, floquet_map_2T
 from .operators import SpinNetworkConfig, excitation_counts
 from .superop import devectorize, hermitian_real_form
 
@@ -225,8 +219,11 @@ def steady_states(spec: SpectralData):
 def excitation_superop_commutant_check(config: SpinNetworkConfig) -> float:
     """Residual max-norm of [Phi_2T, N_hat superoperator].
 
-    Builds the two-period map as the square of the one-period map (so the
-    check is independent of any block-structure shortcut), then commutes it
+    Builds the two-period map as the square of the one-period map, whose
+    interaction segment is assembled from the sector-pair blocks of
+    exp(L2 t2), so the residual checks the kick and the composition of two
+    periods, not the block structure of L2; ``dtcsim validate`` checks that
+    through [H2, N] = 0 (``interaction_u1_symmetry``).  The map is commuted
     with both the left- and right-multiplication excitation superoperators,
     which are diagonal under row stacking.  Returns the larger residual.
     """
@@ -289,7 +286,7 @@ def sector_gap(config: SpinNetworkConfig) -> GapResult:
     -2 gamma t2 / T, unless that floor is within ZERO_THRESHOLD of zero."""
     floor = 2.0 * config.gamma * config.t2 / config.period
     diagonal = floor > ZERO_THRESHOLD
-    lam = sector_eigenvalues(_floquet_2T_blocks(config, diagonal), 2.0 * config.period)
+    lam = sector_eigenvalues(floquet_2T_sector_blocks(config, diagonal), 2.0 * config.period)
     return gap_from_eigenvalues(np.append(lam, -floor) if diagonal else lam)
 
 

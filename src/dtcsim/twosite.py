@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, logm
+from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from .floquet import floquet_map_2T
+from .floquet import floquet_map_2T, principal_log_hamiltonian
 from .operators import SpinNetworkConfig
 from .spectra import GapResult, eigendecompose, liouvillian_gap
 
@@ -34,18 +34,14 @@ CROSSING_SCAN_POINTS = 8192
 class TwoSiteEffective:
     """Effective double-period Hamiltonian data in the one-excitation basis.
 
-    ``coupling`` is the complex off-diagonal element K; ``a`` and ``c`` are
-    the rotation parameters of the SU(2) composition (segment angle and
-    composed angle); ``branch_flag`` marks points where an eigenphase of the
-    double-period rotation sits on the +-pi branch cut and the phase of K is
-    therefore undefined.
+    ``coupling`` is the complex off-diagonal element K; ``branch_flag``
+    marks points where an eigenphase of the double-period rotation sits on
+    the +-pi branch cut and the phase of K is therefore undefined.
     """
 
     eps0: float
     eps1: float
     coupling: complex
-    a: float
-    c: float
     branch_flag: bool = False
 
     @property
@@ -66,7 +62,6 @@ def analytic_effective_coupling(j0: float, w: float, t2: float) -> TwoSiteEffect
     period = 2.0 * t2
     omega = np.hypot(2.0 * j0, w)
     phi = omega * t2
-    a = -phi
     cos_theta = 1.0 - 2.0 * (2.0 * j0 / omega) ** 2 * np.sin(phi) ** 2
     theta = float(np.arccos(np.clip(cos_theta, -1.0, 1.0)))
     sin_theta = np.sin(theta)
@@ -78,10 +73,10 @@ def analytic_effective_coupling(j0: float, w: float, t2: float) -> TwoSiteEffect
     if sin_theta < 1e-12:
         if theta > np.pi / 2.0:  # antipodal rotation: phase of K undefined
             return TwoSiteEffective(0.0, 0.0, complex(theta / (2.0 * period)),
-                                    a, theta, branch_flag=True)
-        return TwoSiteEffective(0.0, 0.0, 0.0j, a, theta)
+                                    branch_flag=True)
+        return TwoSiteEffective(0.0, 0.0, 0.0j)
     coupling = (theta / (2.0 * period * sin_theta)) * (vx - 1j * vy)
-    return TwoSiteEffective(0.0, 0.0, complex(coupling), a, theta)
+    return TwoSiteEffective(0.0, 0.0, complex(coupling))
 
 
 def two_site_numeric_coupling(j0: float, w: float, t2: float) -> TwoSiteEffective:
@@ -98,18 +93,12 @@ def two_site_numeric_coupling(j0: float, w: float, t2: float) -> TwoSiteEffectiv
     f2 = expm(-1j * (2.0 * j0 * _SX - w * _SZ) * t2) @ expm(
         -1j * (2.0 * j0 * _SX + w * _SZ) * t2
     )
-    phases = np.angle(np.linalg.eigvals(f2))
-    branch = bool(np.any(np.abs(np.abs(phases) - np.pi) < 1e-6))
-    h_eff = 1j * logm(f2) / (2.0 * period)
-    h_eff = (h_eff + h_eff.conj().T) / 2.0
-    omega = np.hypot(2.0 * j0, w)
+    h_eff, on_cut = principal_log_hamiltonian(f2, 2.0 * period)
     return TwoSiteEffective(
         eps0=float(h_eff[0, 0].real),
         eps1=float(h_eff[1, 1].real),
         coupling=complex(h_eff[0, 1]),
-        a=-omega * t2,
-        c=2.0 * period * abs(h_eff[0, 1]),
-        branch_flag=branch,
+        branch_flag=on_cut,
     )
 
 

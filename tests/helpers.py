@@ -4,8 +4,8 @@ import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
-from dtcsim import SpinNetworkConfig, embed, hamiltonian_interaction, liouvillian, pauli
-from dtcsim.operators import excitation_sectors
+from dtcsim import SpinNetworkConfig, hamiltonian_interaction, liouvillian
+from dtcsim.operators import embed, excitation_sectors, pauli
 from dtcsim.spectra import spectral_distance
 
 

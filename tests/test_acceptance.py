@@ -18,7 +18,6 @@ from dtcsim import (
     build_initial_state,
     coupling_gamma_crossings,
     disorder_gap_sweep,
-    effective_hamiltonian_2T,
     excitation_superop_commutant_check,
     floquet_map_2T,
     liouvillian_gap,
@@ -31,6 +30,7 @@ from dtcsim import (
     two_site_numeric_coupling,
     vectorize,
 )
+from dtcsim.floquet import effective_hamiltonian_2T
 
 J0 = 0.2 * 2 * np.pi
 GAMMA = 0.02

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dtcsim import floquet
-from dtcsim.cli import ConfigError, RunConfig, main, parse_config, run
+from dtcsim.cli import ConfigError, RunConfig, main, parse_config, run, run_validation_suite
 
 
 def test_defaults_match_reference_parameters():
@@ -223,6 +223,23 @@ def test_main_validate_subcommand_passes(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+def test_validate_catches_corrupted_2T_blocks(monkeypatch, capsys):
+    # Scaling one orbit of off-diagonal blocks keeps their trace relations, so
+    # only a dense side built without the block builder can notice.
+    original = floquet.floquet_2T_sector_blocks
+
+    def corrupted(config, *args, **kwargs):
+        blocks = original(config, *args, **kwargs)
+        n = config.n_sites
+        for key in ((0, 1), (1, 0), (n, n - 1), (n - 1, n)):
+            blocks[key] = 0.9 * blocks[key]
+        return blocks
+
+    monkeypatch.setattr(floquet, "floquet_2T_sector_blocks", corrupted)
+    assert run_validation_suite() == 1
+    assert "FAIL block_vs_dense_spectrum" in capsys.readouterr().out
 
 
 def test_main_rejects_bad_flag_value(tmp_path):

@@ -13,7 +13,6 @@ from dtcsim import (
     build_initial_state,
     devectorize,
     disorder_gap_sweep,
-    dtc_settling_period,
     floquet_map,
     floquet_map_2T,
     ode_oracle_evolve,
@@ -23,7 +22,7 @@ from dtcsim import (
     total_excitations,
     vectorize,
 )
-from dtcsim.experiments import StateInvariantError, realization_seed
+from dtcsim.experiments import StateInvariantError, dtc_settling_period, realization_seed
 from dtcsim.floquet import DynamicalMap
 
 

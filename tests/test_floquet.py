@@ -10,24 +10,26 @@ from dtcsim import (
     SpinNetworkConfig,
     all_magnetizations,
     devectorize,
-    effective_hamiltonian_2T,
-    effective_liouvillian_2T,
     eigendecompose,
     floquet_2T_sector_blocks,
     floquet_map,
     floquet_map_2T,
     hamiltonian_interaction,
-    hamiltonian_superop,
     kick_unitary,
     liouvillian,
     matrix_exp,
-    pauli,
     two_site_numeric_coupling,
     vectorize,
 )
-from dtcsim.floquet import BranchAmbiguityWarning, _assemble_blocks, interaction_propagator
-from dtcsim.operators import excitation_sectors
-from dtcsim.superop import dephasing_rates
+from dtcsim.floquet import (
+    BranchAmbiguityWarning,
+    _assemble_blocks,
+    effective_hamiltonian_2T,
+    interaction_propagator,
+)
+from dtcsim.operators import excitation_sectors, pauli
+from dtcsim.spectra import effective_liouvillian_2T
+from dtcsim.superop import dephasing_rates, hamiltonian_superop
 
 
 def test_matrix_exp_zero():
@@ -58,7 +60,7 @@ def test_matrix_exp_rejects_non_finite():
 
 
 def test_kick_unitary_pi_pulse_conjugation():
-    from dtcsim import embed
+    from dtcsim.operators import embed
 
     cfg = SpinNetworkConfig(n_sites=3)
     U = kick_unitary(cfg)

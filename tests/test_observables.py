@@ -13,11 +13,11 @@ from dtcsim import (
     devectorize,
     floquet_map,
     negativity,
-    partial_transpose,
     purity,
     total_excitations,
     vectorize,
 )
+from dtcsim.observables import partial_transpose
 
 PART6 = Partition((0, 1, 2), (3, 4, 5))
 

@@ -5,15 +5,19 @@ import pytest
 
 from dtcsim import (
     SpinNetworkConfig,
-    coupling_matrix,
-    embed,
     excitation_number_operator,
     hamiltonian_interaction,
     hamiltonian_kick,
-    pauli,
     sample_disorder,
 )
-from dtcsim.operators import excitation_counts, excitation_sectors, z_sign_table
+from dtcsim.operators import (
+    coupling_matrix,
+    embed,
+    excitation_counts,
+    excitation_sectors,
+    pauli,
+    z_sign_table,
+)
 
 KET1 = np.array([0.0, 1.0], dtype=complex)
 

@@ -81,13 +81,13 @@ def test_sector_eigenvalues_refuses_blocks_without_the_symmetries():
 
 def test_sweep_builds_each_distinct_realization_once(monkeypatch):
     calls = []
-    original = dtcsim.spectra._floquet_2T_blocks
+    original = dtcsim.spectra.floquet_2T_sector_blocks
 
-    def counted(config, diagonal):
+    def counted(config, diagonal=False):
         calls.append(config)
         return original(config, diagonal)
 
-    monkeypatch.setattr(dtcsim.spectra, "_floquet_2T_blocks", counted)
+    monkeypatch.setattr(dtcsim.spectra, "floquet_2T_sector_blocks", counted)
     cfg = SpinNetworkConfig(n_sites=3, j0=0.9)
     result = disorder_gap_sweep(SweepSpec(config=cfg, w_values=(0.0,), n_realizations=3))
     assert len(calls) == 1

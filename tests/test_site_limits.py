@@ -13,7 +13,6 @@ from dtcsim import (
     excitation_superop_commutant_check,
     floquet,
     hamiltonian_interaction,
-    hamiltonian_superop,
     liouvillian,
     negativity,
     ode_oracle_evolve,
@@ -22,6 +21,7 @@ from dtcsim import (
     spectrum_2T,
 )
 from dtcsim.observables import default_partition
+from dtcsim.superop import hamiltonian_superop
 
 SEVEN = SpinNetworkConfig(n_sites=7)
 

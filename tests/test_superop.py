@@ -5,13 +5,12 @@ import pytest
 
 from dtcsim import (
     devectorize,
-    hamiltonian_superop,
     lindblad_rhs,
     liouvillian,
     validate_density_matrix,
     vectorize,
 )
-from dtcsim.superop import dephasing_rates
+from dtcsim.superop import dephasing_rates, hamiltonian_superop
 
 
 def _random_density(dim, seed):
