@@ -237,6 +237,10 @@ class SweepSpec:
     base_seed: int = 12345
 
     def __post_init__(self):
+        if not self.config.perfect_pulse:
+            raise ValueError(
+                "a gap sweep takes its gaps from the sector blocks of a perfect pi pulse: "
+                f"epsilon must be exactly 0 (got {self.config.epsilon!r}) and 2*g*t1 = pi")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
         w = tuple(float(v) for v in self.w_values)

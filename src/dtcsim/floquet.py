@@ -29,6 +29,12 @@ exponentiated in real arithmetic; the basis change is a similarity, so the
 result is the same exponential up to rounding.  The off-diagonal blocks stay
 complex: their real form would have twice the dimension.
 
+Every exponential in the package goes through :func:`matrix_exp`, which
+holds each loaded OpenBLAS thread pool (numpy's and scipy's wheels bundle
+one each) at one thread for the call: the blocks are too small for threaded
+BLAS to pay, and the two pools' spinning threads slow each other down.
+Eigendecompositions and stepping run with the threads they inherit.
+
 For a perfect pi pulse the two kicks of a double period cancel and
 conjugate the disorder sign, giving the fully block-diagonal form
 
@@ -43,6 +49,8 @@ sectors k -> N - k, so the spectrum of block (kl, kr) of Phi_2T equals that of
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -108,14 +116,64 @@ class BlockPropagator:
         return out
 
 
+#: (set, get) thread-count symbols of an OpenBLAS build, first match wins:
+#: numpy's ILP64 wheel build, scipy's wheel build, a system OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_pools() -> tuple:
+    """(set, get) thread-count functions of every OpenBLAS loaded into the
+    process, read once from /proc/self/maps; empty where that file or the
+    symbols are missing (another OS, MKL, Accelerate)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return ()
+    paths = dict.fromkeys(f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5])
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                pools.append((getattr(lib, set_name), getattr(lib, get_name)))
+                break
+    return tuple(pools)
+
+
 def matrix_exp(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring with Pade approximants."""
-    A = np.asarray(A)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix contains non-finite entries")
-    out = scipy.linalg.expm(A)
-    if not np.all(np.isfinite(out)):
-        raise OverflowError("matrix exponential overflowed")
+    """Matrix exponential via scaling-and-squaring with Pade approximants.
+
+    scipy.linalg.expm runs its Pade step on scipy's bundled OpenBLAS and its
+    squarings on numpy's, and each library keeps its own thread pool whose
+    idle threads spin, so on a few cores the two pools fight over them.  The
+    sector blocks are at most 400 x 400 at six sites, too small for threaded
+    BLAS to pay, so every loaded OpenBLAS is held at one thread for the call and
+    each pool's count is restored afterwards, also when the call raises.  The
+    count is process-wide, which is safe because dtcsim runs serially.
+    """
+    pools = _openblas_pools()
+    before = [get() for _, get in pools]
+    try:
+        for set_threads, _ in pools:
+            set_threads(1)
+        A = np.asarray(A)
+        if not np.all(np.isfinite(A)):
+            raise ValueError("matrix contains non-finite entries")
+        out = scipy.linalg.expm(A)
+        if not np.all(np.isfinite(out)):
+            raise OverflowError("matrix exponential overflowed")
+    finally:
+        for (set_threads, _), count in zip(pools, before):
+            set_threads(count)
     return out
 
 

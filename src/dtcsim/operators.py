@@ -170,22 +170,27 @@ def hamiltonian_interaction(config: SpinNetworkConfig) -> np.ndarray:
     sum_{l<m} J[l, m] (sigma_l^x sigma_m^x + sigma_l^y sigma_m^y)
     + sum_l disorder[l] sigma_l^z.  Commutes with the excitation number
     operator for any disorder vector.
+
+    Built from the basis bits: the XY term of pair (l, m) is 2 J[l, m]
+    between basis states i and i ^ (bit_l | bit_m) wherever bits l and m of i
+    differ, and sigma_l^z is diagonal with the signs of z_sign_table.
     """
     n = config.n_sites
     J = coupling_matrix(n, config.j0, config.alpha)
-    H = np.zeros((config.dim, config.dim), dtype=complex)
+    idx = np.arange(config.dim)
+    bits = 1 << (n - 1 - np.arange(n))  # basis-index bit of each site
+    H = np.zeros((config.dim, config.dim))
     for l in range(n):
         for m in range(l + 1, n):
             if J[l, m] == 0.0:
                 continue
-            H += J[l, m] * (
-                embed(_PAULI["x"], l, n) @ embed(_PAULI["x"], m, n)
-                + embed(_PAULI["y"], l, n) @ embed(_PAULI["y"], m, n)
-            )
+            rows = idx[((idx & bits[l]) == 0) != ((idx & bits[m]) == 0)]
+            H[rows, rows ^ (bits[l] | bits[m])] = 2.0 * J[l, m]
+    signs = z_sign_table(n)
     for l in range(n):
         if config.disorder[l] != 0.0:
-            H += config.disorder[l] * embed(_PAULI["z"], l, n)
-    return H
+            H[idx, idx] += config.disorder[l] * signs[l]
+    return H.astype(complex)
 
 
 def excitation_number_operator(n_sites: int) -> np.ndarray:

@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from .floquet import floquet_map_2T, principal_log_hamiltonian
+from .floquet import floquet_map_2T, matrix_exp, principal_log_hamiltonian
 from .operators import SpinNetworkConfig
 from .spectra import GapResult, eigendecompose, liouvillian_gap
 
@@ -90,7 +89,7 @@ def two_site_numeric_coupling(j0: float, w: float, t2: float) -> TwoSiteEffectiv
     if j0 <= 0 or t2 <= 0 or w < 0:
         raise ValueError("require j0 > 0, t2 > 0 and w >= 0")
     period = 2.0 * t2
-    f2 = expm(-1j * (2.0 * j0 * _SX - w * _SZ) * t2) @ expm(
+    f2 = matrix_exp(-1j * (2.0 * j0 * _SX - w * _SZ) * t2) @ matrix_exp(
         -1j * (2.0 * j0 * _SX + w * _SZ) * t2
     )
     h_eff, on_cut = principal_log_hamiltonian(f2, 2.0 * period)

@@ -5,7 +5,7 @@ import scipy.linalg
 from hypothesis import strategies as st
 
 from dtcsim import SpinNetworkConfig, hamiltonian_interaction, liouvillian
-from dtcsim.operators import embed, excitation_sectors, pauli
+from dtcsim.operators import coupling_matrix, embed, excitation_sectors, pauli
 from dtcsim.spectra import spectral_distance
 
 
@@ -20,6 +20,30 @@ def assert_spectra_match(a, b, tol):
     assert a.size == b.size, f"sizes differ: {a.size} vs {b.size}"
     dist = spectral_distance(a, b)
     assert dist < tol, f"spectra differ by {dist:.3e}"
+
+
+def embed_hamiltonian_interaction(config):
+    """The interaction Hamiltonian as a sum of embedded Pauli products.
+
+    Each pair term is the product of two single-site embeddings and each
+    disorder term one embedding, added in the order of the bit-arithmetic
+    construction, which should therefore match it bit for bit.
+    """
+    n = config.n_sites
+    J = coupling_matrix(n, config.j0, config.alpha)
+    H = np.zeros((config.dim, config.dim), dtype=complex)
+    for l in range(n):
+        for m in range(l + 1, n):
+            if J[l, m] == 0.0:
+                continue
+            H += J[l, m] * (
+                embed(pauli("x"), l, n) @ embed(pauli("x"), m, n)
+                + embed(pauli("y"), l, n) @ embed(pauli("y"), m, n)
+            )
+    for l in range(n):
+        if config.disorder[l] != 0.0:
+            H += config.disorder[l] * embed(pauli("z"), l, n)
+    return H
 
 
 def brute_force_segment_blocks(H, config):

@@ -193,6 +193,22 @@ def test_gap_sweep_table(tmp_path):
     assert np.all(data[:, 2] <= data[:, 1]) and np.all(data[:, 1] <= data[:, 3])
 
 
+@pytest.mark.parametrize("epsilon", ["0.05", "1e-15"])
+def test_gap_sweep_refuses_rotation_error(epsilon, tmp_path, capsys, monkeypatch):
+    # refused before any realization: no gap is computed and no table written
+    import dtcsim.experiments
+
+    def no_gap(config):
+        raise AssertionError("a realization ran")
+
+    monkeypatch.setattr(dtcsim.experiments, "sector_gap", no_gap)
+    argv = ["gap-sweep", "--n", "3", "--epsilon", epsilon, "--w-over-j0", "0,2",
+            "--realizations", "1", "--out", str(tmp_path)]
+    assert main(argv) in (1, 2)
+    assert "epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "gap_sweep.csv").exists()
+
+
 def test_twosite_table(tmp_path):
     config = RunConfig(experiment="twosite", twosite_points=17, out=str(tmp_path))
     assert run(config) == 0

@@ -21,6 +21,7 @@ from dtcsim import (
     two_site_numeric_coupling,
     vectorize,
 )
+from dtcsim import floquet
 from dtcsim.floquet import (
     BranchAmbiguityWarning,
     _assemble_blocks,
@@ -57,6 +58,52 @@ def test_matrix_exp_against_ode_integration():
 def test_matrix_exp_rejects_non_finite():
     with pytest.raises(ValueError):
         matrix_exp(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+
+
+@pytest.fixture
+def openblas_pools():
+    """Every loaded OpenBLAS pool, set to two threads and restored afterwards,
+    so that the one-thread hold inside matrix_exp is visible."""
+    pools = floquet._openblas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS with a thread-count interface is loaded")
+    before = [get() for _, get in pools]
+    for set_threads, _ in pools:
+        set_threads(2)
+    yield pools
+    for (set_threads, _), count in zip(pools, before):
+        set_threads(count)
+
+
+def _counts(pools):
+    return [get() for _, get in pools]
+
+
+def test_matrix_exp_holds_every_openblas_pool_at_one_thread(openblas_pools, monkeypatch):
+    seen = []
+    expm = scipy.linalg.expm
+
+    def probe(A):
+        seen.append(_counts(openblas_pools))
+        return expm(A)
+
+    monkeypatch.setattr(scipy.linalg, "expm", probe)
+    matrix_exp(np.eye(4))
+    assert seen == [[1] * len(openblas_pools)]
+    assert _counts(openblas_pools) == [2] * len(openblas_pools)
+
+
+def test_matrix_exp_restores_thread_counts_when_it_raises(openblas_pools):
+    with pytest.raises(ValueError):
+        matrix_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+    assert _counts(openblas_pools) == [2] * len(openblas_pools)
+
+
+def test_matrix_exp_without_openblas_is_plain_expm(monkeypatch):
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))
+    monkeypatch.setattr(floquet, "_openblas_pools", lambda: ())
+    assert matrix_exp(A).tobytes() == scipy.linalg.expm(A).tobytes()
 
 
 def test_kick_unitary_pi_pulse_conjugation():

@@ -153,6 +153,22 @@ def test_interaction_matches_brute_force_and_frozen_eigenvalue():
     assert top == pytest.approx(11.47519447201677, abs=1e-10)
 
 
+def test_interaction_bitwise_equal_to_embedded_pauli_products():
+    from helpers import embed_hamiltonian_interaction
+
+    rng = np.random.default_rng(2024)
+    for n in range(1, 8):
+        for draw in range(3):
+            disorder = rng.uniform(0, 5, n)
+            disorder[rng.random(n) < 0.4] = 0.0  # some sites without disorder
+            cfg = SpinNetworkConfig(n_sites=n, j0=0.0 if draw == 2 else rng.uniform(0.1, 3),
+                                    alpha=rng.uniform(0, 3), disorder=disorder)
+            H = hamiltonian_interaction(cfg)
+            reference = embed_hamiltonian_interaction(cfg)
+            assert H.dtype == reference.dtype and H.shape == reference.shape
+            assert H.tobytes() == reference.tobytes(), (n, draw)
+
+
 def test_hamiltonians_hermitian():
     rng = np.random.default_rng(11)
     for _ in range(4):

@@ -60,3 +60,35 @@ def test_no_module_imports_a_private_name_of_another():
                 if alias.name.startswith("_") and alias.name != "__version__":
                     offenders.append(f"{path.name}:{node.lineno} imports {alias.name}")
     assert offenders == []
+
+
+def _expm_references(tree):
+    """(enclosing function, line) of every reference to a name ``expm``:
+    a bare name, an attribute or an imported alias."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Name):
+            names = (node.id,)
+        elif isinstance(node, ast.Attribute):
+            names = (node.attr,)
+        elif isinstance(node, ast.alias):
+            names = (node.name.split(".")[-1], node.asname)
+        else:
+            names = ()
+        if "expm" in names:
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_expm_is_called_only_inside_matrix_exp():
+    references = {(path.name, function)
+                  for path in sorted(PACKAGE.glob("*.py"))
+                  for function, _ in _expm_references(ast.parse(path.read_text()))}
+    assert references == {("floquet.py", "matrix_exp")}

@@ -1,5 +1,7 @@
 """Eigendecomposition, gaps, steady states and sector blocks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,11 @@ from dtcsim import (
     liouvillian,
     liouvillian_gap,
     sector_gap,
+    spectrum_2T,
     steady_states,
     vectorize,
 )
-from dtcsim.spectra import sector_eigenvalues
+from dtcsim.spectra import sector_eigenvalues, spectral_distance
 
 
 def test_unitary_map_spectrum_on_unit_circle():
@@ -93,6 +96,23 @@ def test_steady_states_are_fixed_points(small_config):
         assert abs(np.trace(rho) - 1.0) < 1e-10
         vec = vectorize(rho)
         assert np.abs(dmap.matrix @ vec - vec).max() < 1e-8
+
+
+def test_near_zero_epsilon_takes_the_dense_route(monkeypatch):
+    # perfect_pulse compares epsilon with 0 exactly: 1e-15 is a rotation error,
+    # whose spectrum comes from the dense map and matches the block route
+    from dtcsim import spectra
+
+    cfg = SpinNetworkConfig(n_sites=3, disorder=np.array([0.5, 1.5, 0.2]))
+    exact = spectrum_2T(cfg)
+
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("block route taken")
+
+    monkeypatch.setattr(spectra, "floquet_2T_sector_blocks", no_blocks)
+    near = spectrum_2T(replace(cfg, epsilon=1e-15))
+    assert near.size == exact.size
+    assert spectral_distance(near, exact) < 1e-10
 
 
 def test_commutant_residual_small_at_zero_error(small_config):
