@@ -31,9 +31,11 @@ complex: their real form would have twice the dimension.
 
 Every exponential in the package goes through :func:`matrix_exp`, which
 holds each loaded OpenBLAS thread pool (numpy's and scipy's wheels bundle
-one each) at one thread for the call: the blocks are too small for threaded
-BLAS to pay, and the two pools' spinning threads slow each other down.
-Eigendecompositions and stepping run with the threads they inherit.
+one each) at one thread for a matrix of dimension at most
+ONE_THREAD_MAX_DIM: at that size threaded BLAS does not pay, and the two
+pools' spinning threads slow each other down.  Larger blocks (seven sites
+has blocks up to 1225 x 1225) and eigendecompositions and stepping run with
+the threads they inherit.
 
 For a perfect pi pulse the two kicks of a double period cancel and
 conjugate the disorder sign, giving the fully block-diagonal form
@@ -149,23 +151,30 @@ def _openblas_pools() -> tuple:
     return tuple(pools)
 
 
+#: Largest dimension exponentiated with every OpenBLAS held at one thread.
+#: On a 2-core host one thread wins by 2.5x at 400 (real), ties from about
+#: 440 to 500 and loses from 600 (by 1.4x to 1.7x at 1225).
+ONE_THREAD_MAX_DIM = 500
+
+
 def matrix_exp(A: np.ndarray) -> np.ndarray:
     """Matrix exponential via scaling-and-squaring with Pade approximants.
 
     scipy.linalg.expm runs its Pade step on scipy's bundled OpenBLAS and its
     squarings on numpy's, and each library keeps its own thread pool whose
-    idle threads spin, so on a few cores the two pools fight over them.  The
-    sector blocks are at most 400 x 400 at six sites, too small for threaded
-    BLAS to pay, so every loaded OpenBLAS is held at one thread for the call and
-    each pool's count is restored afterwards, also when the call raises.  The
-    count is process-wide, which is safe because dtcsim runs serially.
+    idle threads spin, so on a few cores the two pools fight over them.  Up
+    to ONE_THREAD_MAX_DIM (every sector block up to six sites) threaded BLAS
+    does not pay for that, so every loaded OpenBLAS is held at one thread for
+    the call and each pool's count is restored afterwards, also when the call
+    raises.  The count is process-wide, which is safe because dtcsim runs
+    serially.  Larger matrices run with the threads they inherit.
     """
-    pools = _openblas_pools()
+    A = np.asarray(A)
+    pools = _openblas_pools() if max(A.shape, default=0) <= ONE_THREAD_MAX_DIM else ()
     before = [get() for _, get in pools]
     try:
         for set_threads, _ in pools:
             set_threads(1)
-        A = np.asarray(A)
         if not np.all(np.isfinite(A)):
             raise ValueError("matrix contains non-finite entries")
         out = scipy.linalg.expm(A)

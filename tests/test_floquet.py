@@ -93,6 +93,34 @@ def test_matrix_exp_holds_every_openblas_pool_at_one_thread(openblas_pools, monk
     assert _counts(openblas_pools) == [2] * len(openblas_pools)
 
 
+def test_matrix_exp_leaves_large_matrices_on_inherited_threads(openblas_pools, monkeypatch):
+    seen = []
+    expm = scipy.linalg.expm
+
+    def probe(A):
+        seen.append(_counts(openblas_pools))
+        return expm(A)
+
+    monkeypatch.setattr(scipy.linalg, "expm", probe)
+    matrix_exp(np.eye(floquet.ONE_THREAD_MAX_DIM))
+    matrix_exp(np.eye(floquet.ONE_THREAD_MAX_DIM + 1))
+    assert seen == [[1] * len(openblas_pools), [2] * len(openblas_pools)]
+
+
+def test_every_mapped_openblas_yields_a_pool():
+    """numpy's and scipy's wheels each map their own OpenBLAS; a library whose
+    thread symbols are not recognised would be left spinning."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh
+                     if len(line.split(maxsplit=5)) == 6 and "openblas" in line}
+    except OSError:
+        pytest.skip("/proc/self/maps is not readable")
+    if not paths:
+        pytest.skip("no OpenBLAS is mapped")
+    assert len(floquet._openblas_pools()) == len(paths), sorted(paths)
+
+
 def test_matrix_exp_restores_thread_counts_when_it_raises(openblas_pools):
     with pytest.raises(ValueError):
         matrix_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))

@@ -16,7 +16,6 @@ from dtcsim.operators import (
     excitation_counts,
     excitation_sectors,
     pauli,
-    z_sign_table,
 )
 
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -127,33 +126,10 @@ def test_interaction_commutes_with_excitation_number():
         assert np.abs(H @ N_op - N_op @ H).max() < 1e-12
 
 
-def _brute_force_interaction(cfg):
-    """Independent route: matrix elements from bit arithmetic, not kron."""
-    n, dim = cfg.n_sites, cfg.dim
-    J = coupling_matrix(n, cfg.j0, cfg.alpha)
-    signs = z_sign_table(n)
-    H = np.zeros((dim, dim), dtype=complex)
-    H[np.diag_indices(dim)] = cfg.disorder @ signs
-    for i in range(dim):
-        for l in range(n):
-            for m in range(l + 1, n):
-                bit_l = (i >> (n - 1 - l)) & 1
-                bit_m = (i >> (n - 1 - m)) & 1
-                if bit_l != bit_m:  # XX+YY hops |10> <-> |01>, amplitude 2J
-                    j = i ^ (1 << (n - 1 - l)) ^ (1 << (n - 1 - m))
-                    H[j, i] += 2.0 * J[l, m]
-    return H
-
-
 def test_interaction_matches_brute_force_and_frozen_eigenvalue():
-    cfg = SpinNetworkConfig()  # six-site defaults
-    H = hamiltonian_interaction(cfg)
-    assert np.abs(H - _brute_force_interaction(cfg)).max() < 1e-12
-    top = np.linalg.eigvalsh(H)[-1]
-    assert top == pytest.approx(11.47519447201677, abs=1e-10)
-
-
-def test_interaction_bitwise_equal_to_embedded_pauli_products():
+    """Bitwise equal to the sum of embedded Pauli products for N = 1..7 with
+    random J0, alpha and disorder, some entries zero; the six-site default
+    spectrum keeps its frozen top eigenvalue."""
     from helpers import embed_hamiltonian_interaction
 
     rng = np.random.default_rng(2024)
@@ -167,6 +143,9 @@ def test_interaction_bitwise_equal_to_embedded_pauli_products():
             reference = embed_hamiltonian_interaction(cfg)
             assert H.dtype == reference.dtype and H.shape == reference.shape
             assert H.tobytes() == reference.tobytes(), (n, draw)
+    H = hamiltonian_interaction(SpinNetworkConfig())  # six-site defaults
+    top = np.linalg.eigvalsh(H)[-1]
+    assert top == pytest.approx(11.47519447201677, abs=1e-10)
 
 
 def test_hamiltonians_hermitian():
