@@ -249,8 +249,6 @@ def run(config: RunConfig) -> int:
     """Execute one experiment; write its table and manifest; return exit status."""
     if config.experiment == "twosite":
         config = replace(config, n=2)  # the model has two sites; record no other count
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     extra: dict = {}
 
@@ -269,6 +267,8 @@ def run(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    out_dir = Path(config.out)  # created only once there is a table to write
+    out_dir.mkdir(parents=True, exist_ok=True)
     stem = config.experiment.replace("-", "_")
     table_path = out_dir / f"{stem}.csv"
     _write_table(table_path, config.experiment, header, rows)

@@ -166,8 +166,9 @@ def matrix_exp(A: np.ndarray) -> np.ndarray:
     to ONE_THREAD_MAX_DIM (every sector block up to six sites) threaded BLAS
     does not pay for that, so every loaded OpenBLAS is held at one thread for
     the call and each pool's count is restored afterwards, also when the call
-    raises.  The count is process-wide, which is safe because dtcsim runs
-    serially.  Larger matrices run with the threads they inherit.
+    raises.  The count is process-wide, so dtcsim must be called from one
+    thread at a time per process: a call running in another thread would see
+    the held count.  Larger matrices run with the threads they inherit.
     """
     A = np.asarray(A)
     pools = _openblas_pools() if max(A.shape, default=0) <= ONE_THREAD_MAX_DIM else ()

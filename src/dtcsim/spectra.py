@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .floquet import DynamicalMap, floquet_2T_sector_blocks, floquet_map, floquet_map_2T
 from .operators import SpinNetworkConfig, excitation_counts
@@ -101,6 +100,8 @@ def _rates(mu: np.ndarray, horizon: float) -> np.ndarray:
 def spectral_distance(a, b) -> float:
     """Worst nearest-neighbour distance between two eigenvalue clouds, taken
     both ways; unlike sorting, it pairs the members of degenerate clusters."""
+    from scipy.spatial import cKDTree  # here, so evolve, spectrum and gap-sweep never load it
+
     pts_a, pts_b = (np.column_stack([np.real(x).ravel(), np.imag(x).ravel()]) for x in (a, b))
     return float(max(cKDTree(pts_b).query(pts_a)[0].max(),
                      cKDTree(pts_a).query(pts_b)[0].max()))

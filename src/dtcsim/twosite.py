@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .floquet import floquet_map_2T, matrix_exp, principal_log_hamiltonian
 from .operators import SpinNetworkConfig
@@ -123,6 +122,8 @@ def coupling_gamma_crossings(j0: float, gamma: float, t2: float) -> np.ndarray:
     transition visible at the upper end of the window, near w / j0 of about
     29 for the default drive parameters.
     """
+    from scipy.optimize import brentq  # here, so evolve, spectrum and gap-sweep never load it
+
     grid = np.linspace(1e-9, 2.0 * np.pi**2 / t2, CROSSING_SCAN_POINTS)
     kval = np.array([analytic_effective_coupling(j0, w, t2).coupling_magnitude for w in grid])
     f = kval - gamma

@@ -209,6 +209,21 @@ def test_gap_sweep_refuses_rotation_error(epsilon, tmp_path, capsys, monkeypatch
     assert not (tmp_path / "gap_sweep.csv").exists()
 
 
+def test_refused_run_creates_no_out_directory(tmp_path, capsys):
+    out = tmp_path / "new" / "run"
+    argv = ["gap-sweep", "--n", "3", "--epsilon", "1e-15", "--out", str(out)]
+    assert main(argv) == 1
+    assert "epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_run_into_existing_directory_writes_both_files(tmp_path):
+    argv = ["evolve", "--n", "2", "--initial-state", "1+", "--n-periods", "2",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["evolve.csv", "evolve_manifest.json"]
+
+
 def test_twosite_table(tmp_path):
     config = RunConfig(experiment="twosite", twosite_points=17, out=str(tmp_path))
     assert run(config) == 0

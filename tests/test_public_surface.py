@@ -3,12 +3,19 @@ quickstart, and module boundaries inside ``src/dtcsim``."""
 
 import ast
 import importlib
+import json
+import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import dtcsim
+from dtcsim.spectra import spectral_distance
+from dtcsim.twosite import coupling_gamma_crossings
 
 PACKAGE = Path(dtcsim.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -92,3 +99,83 @@ def test_expm_is_called_only_inside_matrix_exp():
                   for path in sorted(PACKAGE.glob("*.py"))
                   for function, _ in _expm_references(ast.parse(path.read_text()))}
     assert references == {("floquet.py", "matrix_exp")}
+
+
+# Third-party modules a dtcsim module may import when it is itself imported;
+# every other third-party import sits inside the function that needs it.
+EAGER_THIRD_PARTY = ("numpy", "scipy.linalg")
+
+
+def _module_level_imports(tree):
+    """(line, dotted name) of every import outside a function body, so run at
+    import time; ``from a import b`` counts as ``a.b``, relative imports not."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.extend((node.lineno, f"{node.module}.{alias.name}") for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_module_level_imports_are_stdlib_numpy_or_scipy_linalg():
+    def eager_ok(name):
+        return (name.split(".")[0] in sys.stdlib_module_names | {"dtcsim"}
+                or any(name == ok or name.startswith(ok + ".") for ok in EAGER_THIRD_PARTY))
+
+    offenders = [f"{path.name}:{line} imports {name}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for line, name in _module_level_imports(ast.parse(path.read_text()))
+                 if not eager_ok(name)]
+    assert offenders == []
+
+
+DEFERRED = ("scipy.spatial", "scipy.optimize")
+SPECTRA = ([0.0, 1j, -0.5 + 0.2j], [0.01, 1.02j, -0.5 + 0.25j])
+CROSSING_ARGS = (0.2 * 2 * math.pi, 0.02, 0.5)  # j0, gamma, t2 of the twosite defaults
+
+# A fresh interpreter runs evolve and gap-sweep, then each function that needs
+# a deferred library, and prints which of them were loaded after each step.
+COLD_START = f"""
+import json, sys
+from dtcsim.cli import main
+
+def loaded():
+    return [name for name in {DEFERRED!r} if name in sys.modules]
+
+out = sys.argv[1]
+assert main(["evolve", "--n", "2", "--initial-state", "1+", "--n-periods", "2",
+             "--out", out + "/evolve"]) == 0
+assert main(["gap-sweep", "--n", "2", "--w-over-j0", "0", "--realizations", "1",
+             "--out", out + "/sweep"]) == 0
+after_runs = loaded()
+from dtcsim.spectra import spectral_distance
+distance = spectral_distance(*{SPECTRA!r})
+after_distance = loaded()
+from dtcsim.twosite import coupling_gamma_crossings
+crossings = coupling_gamma_crossings(*{CROSSING_ARGS!r}).tolist()
+print(json.dumps([after_runs, after_distance, loaded(), distance, crossings]))
+"""
+
+
+def test_cli_runs_load_neither_spatial_nor_optimize(tmp_path):
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    after_runs, after_distance, after_all, distance, crossings = \
+        json.loads(done.stdout.splitlines()[-1])
+    assert after_runs == []
+    assert after_distance == ["scipy.spatial"]
+    assert after_all == list(DEFERRED)
+    assert distance == spectral_distance(*SPECTRA)
+    assert crossings == coupling_gamma_crossings(*CROSSING_ARGS).tolist()
+    assert len(crossings) > 0
