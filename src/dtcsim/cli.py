@@ -22,6 +22,7 @@ Example:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import numbers
 import os
@@ -44,10 +45,9 @@ from .experiments import (
     ode_oracle_evolve,
     run_stroboscopic,
 )
-from .floquet import block_propagator, floquet_map
+from .observables import default_partition
 from .operators import MAX_SITES, SpinNetworkConfig, sample_disorder
-from .spectra import (excitation_superop_commutant_check, sector_eigenvalues,
-                      spectral_distance, spectrum_2T)
+from .spectra import spectrum_2T
 from .twosite import (
     analytic_effective_coupling,
     coupling_gamma_crossings,
@@ -78,7 +78,7 @@ class RunConfig:
     t1: float = 0.5
     t2: float = 0.5
     g: float | None = None          # defaults to a perfect pi pulse
-    initial_state: str = "111+++"
+    initial_state: str | None = None  # defaults to _default_initial_state(n)
     n_periods: int = 200
     w_over_j0_values: tuple = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
     n_realizations: int = 20
@@ -112,12 +112,18 @@ class RunConfig:
         )
 
     def initial_state_spec(self) -> InitialStateSpec:
-        text = self.initial_state
+        text = _default_initial_state(self.n) if self.initial_state is None else self.initial_state
         if text == "mixed_b":
             return InitialStateSpec(kind="mixed_B")
         if text.startswith("seed:"):
             return InitialStateSpec(kind="seed_size", seed_sites=int(text[5:]))
         return InitialStateSpec(kind="pure_pattern", pattern=text)
+
+
+def _default_initial_state(n: int) -> str:
+    """``1`` on region A of the default partition and ``+`` on region B."""
+    partition = default_partition(n)
+    return "1" * len(partition.sites_a) + "+" * len(partition.sites_b)
 
 
 _VALIDATORS = {
@@ -136,6 +142,22 @@ _VALIDATORS = {
     "disorder_seed": lambda v: v >= 0,
 }
 
+#: Settings an experiment does not model: whether the value is one it runs,
+#: and what it runs instead.
+_UNMODELLED = {
+    "twosite": {
+        "t1": (lambda c: c.t1 == c.t2, "the two-site model has t1 = t2"),
+        "epsilon": (lambda c: c.epsilon == 0.0, "the two-site model has a perfect pi pulse"),
+        "g": (lambda c: c.g is None, "the two-site model has a perfect pi pulse"),
+        "w_t_over_2pi": (lambda c: c.w_t_over_2pi == 0.0,
+                         "twosite scans the disorder gap on its own grid"),
+    },
+    "gap-sweep": {
+        "w_t_over_2pi": (lambda c: c.w_t_over_2pi == 0.0,
+                         "gap-sweep draws its own disorder from w_over_j0_values"),
+    },
+}
+
 #: Value types accepted for the numeric RunConfig fields, by annotation.
 _NUMBER_TYPES = {
     "int": (numbers.Integral,),
@@ -151,10 +173,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
     Unknown keys are rejected; non-numeric values of numeric keys and
     out-of-range values raise ConfigError naming the offending key.  Flags
     win over environment, environment over file.  Environment values are
-    JSON-decoded, except for text keys, which keep the raw text.
+    JSON-decoded, except for text keys, which keep the raw text.  An unset
+    initial_state resolves from n (see :func:`_default_initial_state`); an
+    ``out`` that is, or lies under, an existing file and a setting the
+    experiment does not model are refused.
     """
     known = {f.name for f in fields(RunConfig)}
-    text_keys = {f.name for f in fields(RunConfig) if f.type == "str"}
+    text_keys = {f.name for f in fields(RunConfig) if f.type in ("str", "str | None")}
     merged: dict = {}
 
     if path is not None:
@@ -211,6 +236,16 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
     if not w or not all(np.isfinite(w)) or any(v < 0 for v in w):
         raise ConfigError("w_over_j0_values must be a non-empty list of finite, "
                           f"non-negative numbers: {list(w)!r}")
+    for key, (runs, instead) in _UNMODELLED.get(config.experiment, {}).items():
+        if not runs(config):
+            raise ConfigError(f"{key} = {getattr(config, key)!r} is not modelled by "
+                              f"{config.experiment}: {instead}")
+    out = Path(config.out)
+    blocker = next((p for p in (out, *out.parents) if p.exists()), None)
+    if blocker is not None and not blocker.is_dir():
+        raise ConfigError(f"out must name a directory, but {str(blocker)!r} is not a directory")
+    if config.initial_state is None:
+        config = replace(config, initial_state=_default_initial_state(config.n))
     return config
 
 
@@ -331,18 +366,17 @@ def _run_gap_sweep(config: RunConfig):
 
 
 def _run_twosite(config: RunConfig):
+    spin = config.spin_config()
+    j0, gamma, t2 = spin.j0, spin.gamma, spin.t2
     period = config.period()
-    j0 = config.j0_t_over_2pi * 2.0 * np.pi / period
-    gamma = config.gamma_t / period
-    t2 = config.t2
     x_values = np.linspace(0.0, np.pi, config.twosite_points)  # w * t2 / 2pi
     w_values = x_values * 2.0 * np.pi / t2
     gaps = two_site_gap_curve(j0, gamma, t2, w_values)
     header = ["w_t2_over_2pi", "w_over_j0", "k_analytic", "k_numeric", "gapT"]
     rows = []
     for x, w, gap in zip(x_values, w_values, gaps):
-        ka = analytic_effective_coupling(j0, w if w > 0 else 0.0, t2).coupling_magnitude
-        kn = two_site_numeric_coupling(j0, w if w > 0 else 0.0, t2).coupling_magnitude
+        ka = analytic_effective_coupling(j0, w, t2).coupling_magnitude
+        kn = two_site_numeric_coupling(j0, w, t2).coupling_magnitude
         rows.append([x, w / j0, ka, kn,
                      (gap.gap if gap.gap is not None else float("nan")) * period])
     crossings = coupling_gamma_crossings(j0, gamma, t2)
@@ -364,11 +398,13 @@ def run_validation_suite() -> int:
         except Exception as exc:  # report, do not abort the suite
             checks.append((name, False, f"{type(exc).__name__}: {exc}"))
 
+    from .floquet import block_propagator, floquet_2T_sector_blocks, floquet_map, floquet_map_2T
     from .operators import (
         excitation_number_operator,
         hamiltonian_interaction,
         hamiltonian_kick,
     )
+    from .spectra import excitation_superop_commutant_check, sector_eigenvalues, spectral_distance
     from .superop import devectorize, liouvillian, lindblad_rhs, vectorize
 
     cfg = SpinNetworkConfig(n_sites=3, j0=0.9, alpha=1.2, gamma=0.05,
@@ -423,9 +459,7 @@ def run_validation_suite() -> int:
         assert excitation_superop_commutant_check(cfg) < 1e-10
 
     def block_vs_dense_spectrum():
-        from .floquet import floquet_2T_sector_blocks
-        phi = floquet_map(cfg).matrix
-        dense = np.linalg.eigvals(phi @ phi)
+        dense = np.linalg.eigvals(floquet_map_2T(cfg).matrix)
         pooled = np.exp(sector_eigenvalues(floquet_2T_sector_blocks(cfg), 2.0 * cfg.period)
                         * 2.0 * cfg.period)
         assert spectral_distance(dense, pooled) < 1e-8
@@ -459,14 +493,9 @@ def run_validation_suite() -> int:
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--j0-t-over-2pi", type=float, dest="j0_t_over_2pi")
-    parser.add_argument("--alpha", type=float, dest="alpha")
     parser.add_argument("--gamma-t", type=float, dest="gamma_t")
-    parser.add_argument("--epsilon", type=float, dest="epsilon")
-    parser.add_argument("--w-t-over-2pi", type=float, dest="w_t_over_2pi")
     parser.add_argument("--t1", type=float, dest="t1")
     parser.add_argument("--t2", type=float, dest="t2")
-    parser.add_argument("--g", type=float, dest="g")
-    parser.add_argument("--disorder-seed", type=int, dest="disorder_seed")
     parser.add_argument("--out", dest="out")
 
 
@@ -476,29 +505,37 @@ def main(argv=None) -> int:
         description="Floquet-Lindblad spin-network simulator (tables + manifests)",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
+    # no abbreviated flags: twosite would read --g as --gamma-t
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_evolve = sub.add_parser("evolve", help="stroboscopic observable traces")
+    p_evolve = add_parser("evolve", help="stroboscopic observable traces")
     p_evolve.add_argument("--initial-state", dest="initial_state",
                           help="site pattern like 111+++, or mixed_b, or seed:K")
     p_evolve.add_argument("--n-periods", type=int, dest="n_periods")
 
-    p_spectrum = sub.add_parser("spectrum", help="two-period generator eigenvalues")
+    p_spectrum = add_parser("spectrum", help="two-period generator eigenvalues")
 
-    p_sweep = sub.add_parser("gap-sweep", help="disorder-averaged Liouvillian gap")
+    p_sweep = add_parser("gap-sweep", help="disorder-averaged Liouvillian gap")
     p_sweep.add_argument("--w-over-j0", dest="w_over_j0_values",
                          help="comma-separated disorder strengths in units of J0")
     p_sweep.add_argument("--realizations", type=int, dest="n_realizations")
     p_sweep.add_argument("--base-seed", type=int, dest="base_seed")
 
-    p_twosite = sub.add_parser("twosite", help="two-site coupling and gap curves")
+    p_twosite = add_parser("twosite", help="two-site coupling and gap curves")
     p_twosite.add_argument("--points", type=int, dest="twosite_points")
 
-    sub.add_parser("validate", help="run the fast invariant suite")
+    add_parser("validate", help="run the fast invariant suite")
 
     for p in (p_evolve, p_spectrum, p_sweep, p_twosite):
         _add_common_flags(p)
-    for p in (p_evolve, p_spectrum, p_sweep):  # twosite always models two sites
+    for p in (p_evolve, p_spectrum, p_sweep):  # twosite models two sites and a perfect pulse
         p.add_argument("--n", type=int, dest="n")
+        p.add_argument("--alpha", type=float, dest="alpha")
+        p.add_argument("--epsilon", type=float, dest="epsilon")
+        p.add_argument("--g", type=float, dest="g")
+    for p in (p_evolve, p_spectrum):  # gap-sweep and twosite set the disorder themselves
+        p.add_argument("--w-t-over-2pi", type=float, dest="w_t_over_2pi")
+        p.add_argument("--disorder-seed", type=int, dest="disorder_seed")
 
     args = vars(parser.parse_args(argv))
     experiment = args.pop("experiment")

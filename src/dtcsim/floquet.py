@@ -20,6 +20,7 @@ cross-checks and spectra.
 :func:`interaction_propagator`, :func:`floquet_map` and :func:`floquet_map_2T`
 form a dense 4^N x 4^N matrix and refuse N > DENSE_LIMIT before building any
 block; :func:`block_propagator` and :func:`floquet_2T_sector_blocks` never do.
+:func:`floquet_map_2T` is Phi_T squared, never assembled from those blocks.
 
 The generator of a diagonal block (k, k) maps the c x c sub-matrix of sector
 k to itself and preserves Hermiticity, so in the Hermitian basis of c x c
@@ -279,16 +280,11 @@ def floquet_map(config: SpinNetworkConfig) -> DynamicalMap:
 
 
 def floquet_map_2T(config: SpinNetworkConfig) -> DynamicalMap:
-    """Two-period map Phi_T^2; commutes with the excitation superoperators
-    when the kick is a perfect pi pulse."""
-    require_dense(config.n_sites)
-    if config.perfect_pulse:
-        blocks = floquet_2T_sector_blocks(config)
-        phi2 = _assemble_blocks(blocks, excitation_sectors(config.n_sites), config.dim)
-    else:
-        phi = floquet_map(config).matrix
-        phi2 = phi @ phi
-    return DynamicalMap(matrix=phi2, period_multiple=2, horizon=2.0 * config.period)
+    """Two-period map Phi_T^2, the dense route that the sector blocks of
+    :func:`floquet_2T_sector_blocks` are checked against; it commutes with the
+    excitation superoperators when the kick is a perfect pi pulse."""
+    phi = floquet_map(config).matrix
+    return DynamicalMap(matrix=phi @ phi, period_multiple=2, horizon=2.0 * config.period)
 
 
 def floquet_2T_sector_blocks(config: SpinNetworkConfig, diagonal: bool = False):

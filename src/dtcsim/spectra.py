@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import DynamicalMap, floquet_2T_sector_blocks, floquet_map, floquet_map_2T
+from .floquet import DynamicalMap, floquet_2T_sector_blocks, floquet_map_2T
 from .operators import SpinNetworkConfig, excitation_counts
 from .superop import devectorize, hermitian_real_form
 
@@ -220,17 +220,15 @@ def steady_states(spec: SpectralData):
 def excitation_superop_commutant_check(config: SpinNetworkConfig) -> float:
     """Residual max-norm of [Phi_2T, N_hat superoperator].
 
-    Builds the two-period map as the square of the one-period map, whose
-    interaction segment is assembled from the sector-pair blocks of
+    Phi_2T is :func:`floquet_map_2T`, the square of the one-period map,
+    whose interaction segment is assembled from the sector-pair blocks of
     exp(L2 t2), so the residual checks the kick and the composition of two
     periods, not the block structure of L2; ``dtcsim validate`` checks that
     through [H2, N] = 0 (``interaction_u1_symmetry``).  The map is commuted
     with both the left- and right-multiplication excitation superoperators,
     which are diagonal under row stacking.  Returns the larger residual.
     """
-    phi = floquet_map(config).matrix
-    phi2 = phi @ phi
-    del phi
+    phi2 = floquet_map_2T(config).matrix
     counts = excitation_counts(config.n_sites).astype(float)
     dim = config.dim
     left = np.repeat(counts, dim)   # N kron I

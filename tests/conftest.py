@@ -15,9 +15,9 @@ from dtcsim import (
     build_initial_state,
     eigendecompose,
     floquet_map,
+    floquet_map_2T,
     run_stroboscopic,
 )
-from dtcsim.floquet import DynamicalMap
 
 
 @pytest.fixture(scope="session")
@@ -39,12 +39,8 @@ def default_map(default_config):
 
 
 @pytest.fixture(scope="session")
-def default_map_2T(default_map):
-    # squared one-period map: the dense route, independent of the
-    # sector-block construction it is tested against
-    phi = default_map.matrix
-    return DynamicalMap(matrix=phi @ phi, period_multiple=2,
-                        horizon=2.0 * default_map.horizon)
+def default_map_2T(default_config):
+    return floquet_map_2T(default_config)
 
 
 @pytest.fixture(scope="session")

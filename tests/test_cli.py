@@ -61,14 +61,18 @@ def test_non_numeric_value_names_key(source, key, value, tmp_path, monkeypatch, 
     assert capsys.readouterr().err.startswith(f"error: {key} ")
 
 
+# base_seed seeds the realizations of a sweep, disorder_seed the disorder of one network
+_SEEDED_RUNS = {"base_seed": ["gap-sweep", "--w-over-j0", "0,3", "--realizations", "2"],
+                "disorder_seed": ["spectrum", "--w-t-over-2pi", "0.3"]}
+
+
 @pytest.mark.parametrize("flag, key", [("--base-seed", "base_seed"),
                                        ("--disorder-seed", "disorder_seed")])
 def test_negative_seed_names_key(flag, key, tmp_path, capsys):
-    argv = ["gap-sweep", "--n", "2", "--w-over-j0", "0,3", "--realizations", "2",
-            "--w-t-over-2pi", "0.3", flag, "-1", "--out", str(tmp_path)]
+    argv = _SEEDED_RUNS[key] + ["--n", "2", flag, "-1", "--out", str(tmp_path)]
     assert main(argv) == 2
     assert key in capsys.readouterr().err
-    assert not (tmp_path / "gap_sweep.csv").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_workers_key_rejected(tmp_path):
@@ -222,6 +226,86 @@ def test_run_into_existing_directory_writes_both_files(tmp_path):
             "--out", str(tmp_path)]
     assert main(argv) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["evolve.csv", "evolve_manifest.json"]
+
+
+def test_out_naming_a_file_is_refused_before_the_run(tmp_path, capsys, monkeypatch):
+    import dtcsim.cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(dtcsim.cli, "run_stroboscopic", no_run)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for out in (taken, taken / "run"):
+        argv = ["evolve", "--n", "2", "--initial-state", "1+", "--n-periods", "2",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: out ")
+    assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize("n, pattern", [(1, "+"), (2, "1+"), (3, "1++"), (6, "111+++"),
+                                        (7, "111++++")])
+def test_default_initial_state_follows_n(n, pattern):
+    assert parse_config(overrides={"n": n}, env={}).initial_state == pattern
+
+
+def test_evolve_without_initial_state_runs_at_any_n(tmp_path):
+    assert main(["evolve", "--n", "2", "--n-periods", "2", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "evolve_manifest.json").read_text())
+    assert manifest["config"]["initial_state"] == "1+"
+    _, _, data = _read_table(tmp_path / "evolve.csv")
+    assert data[0, 1:3] == pytest.approx([1.0, 0.0], abs=1e-12)  # |1> on A, |+> on B
+
+
+# the smallest run of each sweep, so that a setting the sweep ignores costs little
+_SMALL_RUNS = {"twosite": ["--points", "3"],
+               "gap-sweep": ["--n", "2", "--w-over-j0", "0", "--realizations", "1"]}
+
+
+@pytest.mark.parametrize("experiment, flag", [
+    ("twosite", "--alpha"), ("twosite", "--epsilon"), ("twosite", "--g"),
+    ("twosite", "--w-t-over-2pi"), ("twosite", "--disorder-seed"),
+    ("gap-sweep", "--w-t-over-2pi"), ("gap-sweep", "--disorder-seed"),
+])
+def test_sweeps_take_no_flag_they_ignore(experiment, flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([experiment, flag, "1", "--out", str(tmp_path)] + _SMALL_RUNS[experiment])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["file", "env"])
+@pytest.mark.parametrize("experiment, key, value", [
+    ("twosite", "t1", 0.3), ("twosite", "epsilon", 0.05), ("twosite", "g", 3.0),
+    ("twosite", "w_t_over_2pi", 0.3), ("gap-sweep", "w_t_over_2pi", 0.3),
+])
+def test_sweeps_refuse_settings_they_ignore(experiment, key, value, source, tmp_path,
+                                            monkeypatch, capsys):
+    out = tmp_path / "out"
+    argv = [experiment, "--out", str(out)] + _SMALL_RUNS[experiment]
+    if source == "env":
+        monkeypatch.setenv(f"DTCSIM_{key.upper()}", json.dumps(value))
+    else:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: value}))
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} = {value!r} ")
+    assert not out.exists()
+
+
+def test_twosite_runs_the_period_it_records(tmp_path, capsys):
+    assert main(["twosite", "--t1", "0.3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: t1 = 0.3 ")
+    assert main(["twosite", "--t1", "0.3", "--t2", "0.3", "--points", "3",
+                 "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "twosite_manifest.json").read_text())["config"]
+    assert config["t1"] == config["t2"] == 0.3
+    _, _, data = _read_table(tmp_path / "twosite.csv")
+    assert data[0, 4] == pytest.approx(0.02, abs=1e-12)  # gap * T = gamma_t on the plateau
 
 
 def test_twosite_table(tmp_path):

@@ -201,9 +201,16 @@ def test_floquet_map_2T_is_identity_without_coupling():
     assert np.abs(floquet_map_2T(cfg).matrix - np.eye(16)).max() < 1e-12
 
 
-def test_floquet_map_2T_block_route_equals_squared_map(small_config):
+def test_floquet_map_2T_squares_the_map_without_sector_blocks(small_config, monkeypatch):
+    # the dense Phi_2T is the route the sector blocks are checked against,
+    # so it must not be built from them, not even at a perfect pulse
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("floquet_map_2T built the sector blocks")
+
+    monkeypatch.setattr(floquet, "floquet_2T_sector_blocks", no_blocks)
+    assert small_config.perfect_pulse
     phi = floquet_map(small_config).matrix
-    assert np.abs(floquet_map_2T(small_config).matrix - phi @ phi).max() < 1e-12
+    assert np.array_equal(floquet_map_2T(small_config).matrix, phi @ phi)
 
 
 def test_floquet_map_2T_matches_effective_unitary():

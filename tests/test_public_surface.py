@@ -69,36 +69,50 @@ def test_no_module_imports_a_private_name_of_another():
     assert offenders == []
 
 
-def _expm_references(tree):
-    """(enclosing function, line) of every reference to a name ``expm``:
-    a bare name, an attribute or an imported alias."""
+def _references(tree, targets):
+    """(enclosing functions, outermost first; line; name) of every reference
+    to a name in ``targets``: a bare name, an attribute or an imported alias."""
     found = []
 
-    def visit(node, function):
+    def visit(node, functions):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+            functions = functions + (node.name,)
         if isinstance(node, ast.Name):
-            names = (node.id,)
+            names = {node.id}
         elif isinstance(node, ast.Attribute):
-            names = (node.attr,)
+            names = {node.attr}
         elif isinstance(node, ast.alias):
-            names = (node.name.split(".")[-1], node.asname)
+            names = {node.name.split(".")[-1], node.asname}
         else:
-            names = ()
-        if "expm" in names:
-            found.append((function, node.lineno))
+            names = set()
+        found.extend((functions, node.lineno, name) for name in sorted(names & targets))
         for child in ast.iter_child_nodes(node):
-            visit(child, function)
+            visit(child, functions)
 
-    visit(tree, None)
+    visit(tree, ())
     return found
 
 
 def test_expm_is_called_only_inside_matrix_exp():
-    references = {(path.name, function)
+    references = {(path.name, functions[-1] if functions else None)
                   for path in sorted(PACKAGE.glob("*.py"))
-                  for function, _ in _expm_references(ast.parse(path.read_text()))}
+                  for functions, _, _ in _references(ast.parse(path.read_text()), {"expm"})}
     assert references == {("floquet.py", "matrix_exp")}
+
+
+# The functions that form a dense 4^N x 4^N map or eigendecompose one: the
+# independent cross-check of the sector blocks, not a production route.
+DENSE_ROUTE = {"floquet_map", "floquet_map_2T", "interaction_propagator",
+               "eigendecompose", "liouvillian_gap"}
+
+
+def test_subcommands_take_no_dense_route():
+    offenders = [f"{name}:{line} {ref}"
+                 for name in ("experiments.py", "twosite.py", "cli.py")
+                 for functions, line, ref in _references(
+                     ast.parse((PACKAGE / name).read_text()), DENSE_ROUTE)
+                 if functions[:1] != ("run_validation_suite",)]
+    assert offenders == []
 
 
 # Third-party modules a dtcsim module may import when it is itself imported;

@@ -7,11 +7,15 @@ from dtcsim import (
     analytic_effective_coupling,
     coupling_gamma_crossings,
     critical_disorder_estimate,
+    eigendecompose,
+    floquet_map_2T,
+    liouvillian_gap,
     sector_gap,
     two_site_gap_curve,
     two_site_numeric_coupling,
 )
 from dtcsim.operators import SpinNetworkConfig
+from dtcsim.twosite import two_site_config
 
 J0 = 0.2 * 2 * np.pi   # j0 * T / 2pi = 0.2 with T = 1
 T2 = 0.5
@@ -115,3 +119,23 @@ def test_two_site_plateau_matches_six_site_plateau():
     two_site = two_site_gap_curve(J0, GAMMA, T2, [0.0])[0].gap
     six_site = sector_gap(SpinNetworkConfig()).gap
     assert abs(two_site - six_site) / six_site < 0.10
+
+
+@pytest.mark.parametrize("gamma", [GAMMA, 0.0])
+def test_gap_curve_matches_the_dense_route(gamma):
+    # the curve takes its gaps from the sector blocks; the eigendecomposition
+    # of the dense 16 x 16 Phi_T^2 is the independent check, also inside the
+    # dip windows, where the gap falls below the dephasing plateau
+    crossings = coupling_gamma_crossings(J0, GAMMA, T2)
+    w_values = np.concatenate([np.linspace(0.0, 2.0 * np.pi**2 / T2, 17),
+                               crossings * 1.01, crossings * 1.02])
+    curve = two_site_gap_curve(J0, gamma, T2, w_values)
+    for w, fast in zip(w_values, curve):
+        dense = liouvillian_gap(eigendecompose(floquet_map_2T(two_site_config(J0, gamma, T2, w))))
+        assert fast.n_steady == dense.n_steady
+        if gamma == 0.0:
+            assert fast.gap is None and dense.gap is None
+        else:
+            assert fast.gap == pytest.approx(dense.gap, abs=1e-12)
+    if gamma > 0.0:
+        assert min(res.gap for res in curve) < 0.5 * gamma  # the grid reaches a dip
