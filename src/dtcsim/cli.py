@@ -298,7 +298,7 @@ def run(config: RunConfig) -> int:
             rows, header, extra = _run_twosite(config)
         else:
             raise ConfigError(f"unknown experiment {config.experiment!r}")
-    except (ConfigError, ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ConfigError, ValueError, RuntimeError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,13 +30,13 @@ exponentiated in real arithmetic; the basis change is a similarity, so the
 result is the same exponential up to rounding.  The off-diagonal blocks stay
 complex: their real form would have twice the dimension.
 
-Every exponential in the package goes through :func:`matrix_exp`, which
-holds each loaded OpenBLAS thread pool (numpy's and scipy's wheels bundle
-one each) at one thread for a matrix of dimension at most
-ONE_THREAD_MAX_DIM: at that size threaded BLAS does not pay, and the two
-pools' spinning threads slow each other down.  Larger blocks (seven sites
-has blocks up to 1225 x 1225) and eigendecompositions and stepping run with
-the threads they inherit.
+Every exponential in the package goes through :func:`matrix_exp`, a numpy
+implementation of the scaling-and-squaring algorithm of Al-Mohy & Higham
+(SIAM J. Matrix Anal. Appl. 31, 970 (2009)); the blocks are at most
+1225 x 1225 (seven sites), small enough for exact 1-norms of matrix powers.
+Only :func:`principal_log_hamiltonian`, which needs ``scipy.linalg.logm``,
+imports scipy here, inside the function, so ``evolve``, ``spectrum`` and
+``gap-sweep`` load no scipy module.
 
 For a perfect pi pulse the two kicks of a double period cancel and
 conjugate the disorder sign, giving the fully block-diagonal form
@@ -52,13 +52,11 @@ sectors k -> N - k, so the spectrum of block (kl, kr) of Phi_2T equals that of
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import warnings
 from dataclasses import dataclass
+from math import ceil, factorial, log2
 
 import numpy as np
-import scipy.linalg
 
 from .operators import (
     SpinNetworkConfig,
@@ -119,72 +117,108 @@ class BlockPropagator:
         return out
 
 
-#: (set, get) thread-count symbols of an OpenBLAS build, first match wins:
-#: numpy's ILP64 wheel build, scipy's wheel build, a system OpenBLAS.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
+#: theta_m of Al-Mohy & Higham (2009): the largest bound eta on the scaled
+#: 1-norms ||A^p||^(1/p) for which the [m/m] Pade approximant of exp has
+#: backward error at most 2^-53.
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 4.25}
 
 
-@functools.cache
-def _openblas_pools() -> tuple:
-    """(set, get) thread-count functions of every OpenBLAS loaded into the
-    process, read once from /proc/self/maps; empty where that file or the
-    symbols are missing (another OS, MKL, Accelerate)."""
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return ()
-    paths = dict.fromkeys(f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5])
-    pools = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, set_name) and hasattr(lib, get_name):
-                pools.append((getattr(lib, set_name), getattr(lib, get_name)))
-                break
-    return tuple(pools)
+def _finite(norm) -> float:
+    """``norm`` as a float; OverflowError if the matrix power it measures overflowed."""
+    if not np.isfinite(norm):
+        raise OverflowError("matrix exponential overflowed: a power of the matrix is not finite")
+    return float(norm)
 
 
-#: Largest dimension exponentiated with every OpenBLAS held at one thread.
-#: On a 2-core host one thread wins by 2.5x at 400 (real), ties from about
-#: 440 to 500 and loses from 600 (by 1.4x to 1.7x at 1225).
-ONE_THREAD_MAX_DIM = 500
+def _norm1(X: np.ndarray) -> float:
+    """Largest absolute column sum, the 1-norm."""
+    return _finite(np.abs(X).sum(axis=0).max())
+
+
+def _ell(A: np.ndarray, m: int) -> int:
+    """Extra squarings l(A, m) of Al-Mohy & Higham (2009).
+
+    They bound the backward error of the degree-m approximant by the leading
+    term |c_2m+1| || |A|^(2m+1) ||_1 / ||A||_1 of its series, whose column
+    sums are taken by 2m + 1 products of a vector with |A|.
+    """
+    abs_a = np.abs(A)
+    sums = np.ones(A.shape[0])
+    for _ in range(2 * m + 1):
+        sums = sums @ abs_a
+    c = factorial(m) ** 2 / (factorial(2 * m) * factorial(2 * m + 1))
+    alpha = c * _finite(sums.max()) / _norm1(A)
+    return max(ceil((log2(alpha) + 53) / (2 * m)), 0) if alpha else 0
+
+
+def _pade(A: np.ndarray, powers: list, m: int) -> np.ndarray:
+    """r_m(A) = (V - U)^-1 (V + U), the [m/m] Pade approximant of exp(A),
+    from the even powers [A^2, A^4, ...] (Higham, SIAM J. Matrix Anal. Appl.
+    26, 1179 (2005))."""
+    b = [float(factorial(2 * m - j) // (factorial(j) * factorial(m - j))) for j in range(m + 1)]
+    if m == 13:
+        A2, A4, A6 = powers
+        odd = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
+        V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2
+    else:
+        odd = sum(b[2 * j + 1] * P for j, P in enumerate(powers, 1))
+        V = sum(b[2 * j] * P for j, P in enumerate(powers, 1))
+    diagonal = np.diag_indices_from(A)
+    odd[diagonal] += b[1]
+    V[diagonal] += b[0]
+    U = A @ odd
+    return np.linalg.solve(V - U, V + U)
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) by scaling and squaring, Al-Mohy & Higham (2009), Algorithm 5.1.
+
+    The 1-norms of A^4 and A^6 are exact; ||A^8||^(1/8) and ||A^10||^(1/10)
+    are bounded through them instead of estimated, which can only choose a
+    larger s.  A diagonal A gets exp of its diagonal.
+    """
+    if np.count_nonzero(A) == np.count_nonzero(np.diagonal(A)):
+        return np.diag(np.exp(np.diagonal(A)))
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    d4, d6 = _norm1(A4) ** (1 / 4), _norm1(A6) ** (1 / 6)
+    eta = max(d4, d6)
+    for m in (3, 5, 7, 9):
+        if eta <= _PADE_THETA[m] and _ell(A, m) == 0:
+            powers = [A2, A4, A6] + ([A4 @ A4] if m == 9 else [])
+            return _pade(A, powers[:(m - 1) // 2], m)
+    # eta_5 = min(eta_3, max(d8, d10)), with d8 <= d4 and d10 <= (||A^4|| ||A^6||)^(1/10)
+    eta = min(eta, max(d4, d4 ** 0.4 * d6 ** 0.6))
+    s = max(ceil(log2(eta / _PADE_THETA[13])), 0) if eta else 0
+    s += _ell(A * 2.0**-s, 13)
+    step = 2.0**-s
+    # A^2k scaled by two factors 2^-ks, so that no factor underflows
+    X = _pade(A * step, [P * step**k * step**k for k, P in ((1, A2), (2, A4), (3, A6))], 13)
+    for _ in range(s):
+        X = X @ X
+    return X
 
 
 def matrix_exp(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring with Pade approximants.
+    """Matrix exponential of a finite square matrix, real or complex.
 
-    scipy.linalg.expm runs its Pade step on scipy's bundled OpenBLAS and its
-    squarings on numpy's, and each library keeps its own thread pool whose
-    idle threads spin, so on a few cores the two pools fight over them.  Up
-    to ONE_THREAD_MAX_DIM (every sector block up to six sites) threaded BLAS
-    does not pay for that, so every loaded OpenBLAS is held at one thread for
-    the call and each pool's count is restored afterwards, also when the call
-    raises.  The count is process-wide, so dtcsim must be called from one
-    thread at a time per process: a call running in another thread would see
-    the held count.  Larger matrices run with the threads they inherit.
+    Scaling and squaring with Pade approximants of degree 3 to 13 (Al-Mohy &
+    Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)), in numpy alone.
+    Raises ValueError for a non-finite entry and OverflowError when a power
+    of the matrix or the exponential itself is not finite.
     """
     A = np.asarray(A)
-    pools = _openblas_pools() if max(A.shape, default=0) <= ONE_THREAD_MAX_DIM else ()
-    before = [get() for _, get in pools]
-    try:
-        for set_threads, _ in pools:
-            set_threads(1)
-        if not np.all(np.isfinite(A)):
-            raise ValueError("matrix contains non-finite entries")
-        out = scipy.linalg.expm(A)
-        if not np.all(np.isfinite(out)):
-            raise OverflowError("matrix exponential overflowed")
-    finally:
-        for (set_threads, _), count in zip(pools, before):
-            set_threads(count)
+    A = A.astype(np.result_type(A.dtype, np.float64), copy=False)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix_exp needs a square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix contains non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+        out = _expm(A)
+    if not np.all(np.isfinite(out)):
+        raise OverflowError("matrix exponential overflowed")
     return out
 
 
@@ -317,6 +351,8 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig, diagonal: bool = False):
 def principal_log_hamiltonian(U: np.ndarray, horizon: float):
     """Hermitised (i / horizon) log U on the principal branch, and whether an
     eigenphase of U lies within 1e-6 of the +-pi cut, where the branch is ambiguous."""
+    import scipy.linalg  # here, so evolve, spectrum and gap-sweep never load scipy
+
     phases = np.angle(np.linalg.eigvals(U))
     H = 1j * scipy.linalg.logm(U) / horizon
     return (H + H.conj().T) / 2.0, bool(np.any(np.abs(np.abs(phases) - np.pi) < 1e-6))

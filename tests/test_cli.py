@@ -386,6 +386,16 @@ def test_spectrum_refuses_underflowed_multipliers(tmp_path, capsys):
     assert not (tmp_path / "spectrum.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--gamma-t", "1e300"), ("--j0-t-over-2pi", "1e200")])
+def test_overflowing_exponential_is_reported_not_raised(flag, value, tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["evolve", "--n", "2", "--initial-state", "1+", "--n-periods", "2", flag, value,
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: matrix exponential overflowed")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment, flags", [
     ("evolve", ["--initial-state", "1", "--n-periods", "4"]),
     ("spectrum", []),

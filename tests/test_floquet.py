@@ -60,78 +60,89 @@ def test_matrix_exp_rejects_non_finite():
         matrix_exp(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
 
-@pytest.fixture
-def openblas_pools():
-    """Every loaded OpenBLAS pool, set to two threads and restored afterwards,
-    so that the one-thread hold inside matrix_exp is visible."""
-    pools = floquet._openblas_pools()
-    if not pools:
-        pytest.skip("no OpenBLAS with a thread-count interface is loaded")
-    before = [get() for _, get in pools]
-    for set_threads, _ in pools:
-        set_threads(2)
-    yield pools
-    for (set_threads, _), count in zip(pools, before):
-        set_threads(count)
+def _random_generator(rng, n, dtype, norm):
+    """A skew-Hermitian part of 1-norm ``norm`` less a negative semidefinite
+    one of 1-norm at most 0.1, so exp(A) is a contraction that is not small."""
+    G = rng.normal(size=(n, n)).astype(dtype)
+    P = rng.normal(size=(n, n)).astype(dtype)
+    if dtype is complex:
+        G += 1j * rng.normal(size=(n, n))
+        P += 1j * rng.normal(size=(n, n))
+    K, D = G - G.conj().T, P @ P.conj().T
+    return (norm * K / np.abs(K).sum(axis=0).max()
+            - 0.1 * min(norm, 1.0) * D / np.abs(D).sum(axis=0).max())
 
 
-def _counts(pools):
-    return [get() for _, get in pools]
+def _close_to(out, ref):
+    return np.max(np.abs(out - ref) / np.maximum(1.0, np.abs(ref)))
 
 
-def test_matrix_exp_holds_every_openblas_pool_at_one_thread(openblas_pools, monkeypatch):
-    seen = []
-    expm = scipy.linalg.expm
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("norm, degree, squarings", [
+    (1e-3, 3, 0), (0.1, 5, 0), (0.5, 7, 0), (1.5, 9, 0), (3.0, 13, 0), (7.0, 13, 1),
+    (6000.0, 13, 10),
+])
+def test_matrix_exp_matches_scipy_at_every_pade_degree(dtype, norm, degree, squarings,
+                                                        monkeypatch):
+    A = _random_generator(np.random.default_rng(11), 40, dtype, norm)
+    pade, seen = floquet._pade, []
 
-    def probe(A):
-        seen.append(_counts(openblas_pools))
-        return expm(A)
+    def spy(scaled, powers, m):
+        seen.append((m, round(np.log2(np.abs(A).sum(axis=0).max()
+                                      / np.abs(scaled).sum(axis=0).max()))))
+        return pade(scaled, powers, m)
 
-    monkeypatch.setattr(scipy.linalg, "expm", probe)
-    matrix_exp(np.eye(4))
-    assert seen == [[1] * len(openblas_pools)]
-    assert _counts(openblas_pools) == [2] * len(openblas_pools)
-
-
-def test_matrix_exp_leaves_large_matrices_on_inherited_threads(openblas_pools, monkeypatch):
-    seen = []
-    expm = scipy.linalg.expm
-
-    def probe(A):
-        seen.append(_counts(openblas_pools))
-        return expm(A)
-
-    monkeypatch.setattr(scipy.linalg, "expm", probe)
-    matrix_exp(np.eye(floquet.ONE_THREAD_MAX_DIM))
-    matrix_exp(np.eye(floquet.ONE_THREAD_MAX_DIM + 1))
-    assert seen == [[1] * len(openblas_pools), [2] * len(openblas_pools)]
+    monkeypatch.setattr(floquet, "_pade", spy)
+    out = matrix_exp(A)
+    assert seen == [(degree, squarings)]
+    assert out.dtype == np.dtype(dtype)
+    assert _close_to(out, scipy.linalg.expm(A)) < 1e-12
 
 
-def test_every_mapped_openblas_yields_a_pool():
-    """numpy's and scipy's wheels each map their own OpenBLAS; a library whose
-    thread symbols are not recognised would be left spinning."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(maxsplit=5)[5].strip() for line in fh
-                     if len(line.split(maxsplit=5)) == 6 and "openblas" in line}
-    except OSError:
-        pytest.skip("/proc/self/maps is not readable")
-    if not paths:
-        pytest.skip("no OpenBLAS is mapped")
-    assert len(floquet._openblas_pools()) == len(paths), sorted(paths)
+def test_matrix_exp_matches_scipy_on_disordered_segment_generators(monkeypatch):
+    cfg = SpinNetworkConfig(n_sites=4, gamma=0.05, disorder=np.array([0.3, 1.2, 2.0, 0.7]))
+    generators = []
+
+    def record(A):
+        generators.append(A)
+        return matrix_exp(A)
+
+    monkeypatch.setattr(floquet, "matrix_exp", record)
+    floquet.block_propagator(cfg)
+    assert len(generators) == 1 + 15  # the kick and the blocks with kl <= kr
+    for A in generators:
+        assert _close_to(matrix_exp(A), scipy.linalg.expm(A)) < 1e-12
 
 
-def test_matrix_exp_restores_thread_counts_when_it_raises(openblas_pools):
-    with pytest.raises(ValueError):
-        matrix_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))
-    assert _counts(openblas_pools) == [2] * len(openblas_pools)
+@pytest.mark.parametrize("A", [
+    np.array([[0.3]]), np.array([[2.0 - 1.5j]]), np.diag([-1.0, 0.0, 4.5]),
+    np.diag([1j, -2.0 + 0.5j, 0.0, 3.0]), np.zeros((5, 5)), np.zeros((5, 5), dtype=complex),
+], ids=["1x1-real", "1x1-complex", "diagonal-real", "diagonal-complex", "zero-real",
+        "zero-complex"])
+def test_matrix_exp_of_diagonal_is_exp_of_diagonal(A):
+    out = matrix_exp(A)
+    assert out.dtype == A.dtype
+    assert np.array_equal(out, np.diag(np.exp(np.diagonal(A))))
 
 
-def test_matrix_exp_without_openblas_is_plain_expm(monkeypatch):
-    rng = np.random.default_rng(5)
-    A = rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))
-    monkeypatch.setattr(floquet, "_openblas_pools", lambda: ())
-    assert matrix_exp(A).tobytes() == scipy.linalg.expm(A).tobytes()
+def test_matrix_exp_of_anti_hermitian_is_unitary():
+    rng = np.random.default_rng(3)
+    G = rng.normal(size=(50, 50)) + 1j * rng.normal(size=(50, 50))
+    H = (G + G.conj().T) / 2
+    for t in (0.01, 1.0, 40.0):
+        U = matrix_exp(-1j * H * t)
+        assert np.abs(U.conj().T @ U - np.eye(50)).max() < 1e-13
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_matrix_exp_of_negated_matrix_is_inverse(dtype):
+    A = _random_generator(np.random.default_rng(4), 30, dtype, 5.0)
+    assert np.abs(matrix_exp(A) @ matrix_exp(-A) - np.eye(30)).max() < 1e-12
+
+
+def test_matrix_exp_raises_overflow_on_an_overflowing_power():
+    with pytest.raises(OverflowError):
+        matrix_exp(np.array([[0.0, 1e200], [1e200, 0.0]]))
 
 
 def test_kick_unitary_pi_pulse_conjugation():
