@@ -151,10 +151,16 @@ _UNMODELLED = {
         "g": (lambda c: c.g is None, "the two-site model has a perfect pi pulse"),
         "w_t_over_2pi": (lambda c: c.w_t_over_2pi == 0.0,
                          "twosite scans the disorder gap on its own grid"),
+        "disorder_seed": (lambda c: c.disorder_seed == RunConfig.disorder_seed,
+                          "twosite scans the disorder gap on its own grid"),
+        "alpha": (lambda c: c.alpha == RunConfig.alpha,
+                  "the two-site model has a single coupling J0"),
     },
     "gap-sweep": {
         "w_t_over_2pi": (lambda c: c.w_t_over_2pi == 0.0,
                          "gap-sweep draws its own disorder from w_over_j0_values"),
+        "disorder_seed": (lambda c: c.disorder_seed == RunConfig.disorder_seed,
+                          "gap-sweep seeds its realizations from base_seed"),
     },
 }
 
@@ -282,22 +288,14 @@ def _write_manifest(path: Path, config: RunConfig, outputs: list[str],
 
 def run(config: RunConfig) -> int:
     """Execute one experiment; write its table and manifest; return exit status."""
-    if config.experiment == "twosite":
-        config = replace(config, n=2)  # the model has two sites; record no other count
+    if config.experiment == "twosite":  # the model has two sites; record no other count
+        config = replace(config, n=2, initial_state=_default_initial_state(2))
     start = time.perf_counter()
-    extra: dict = {}
 
     try:
-        if config.experiment == "evolve":
-            rows, header, extra = _run_evolve(config)
-        elif config.experiment == "spectrum":
-            rows, header = _run_spectrum(config)
-        elif config.experiment == "gap-sweep":
-            rows, header, extra = _run_gap_sweep(config)
-        elif config.experiment == "twosite":
-            rows, header, extra = _run_twosite(config)
-        else:
+        if config.experiment not in _RUNNERS:
             raise ConfigError(f"unknown experiment {config.experiment!r}")
+        rows, header, extra = _RUNNERS[config.experiment](config)
     except (ConfigError, ValueError, RuntimeError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -340,7 +338,7 @@ def _run_spectrum(config: RunConfig):
         raise ValueError(
             f"{underflowed} of {lams.size} two-period multipliers underflowed to 0, "
             "so their rates log(mu) / 2T are not finite; lower gamma_t")
-    return [[lam.real, lam.imag] for lam in lams], ["re_lambda", "im_lambda"]
+    return [[lam.real, lam.imag] for lam in lams], ["re_lambda", "im_lambda"], {}
 
 
 def _run_gap_sweep(config: RunConfig):
@@ -385,6 +383,10 @@ def _run_twosite(config: RunConfig):
         "critical_disorder_estimate_w_over_j0": critical_disorder_estimate(j0, gamma, t2) / j0,
     }
     return rows, header, extra
+
+
+_RUNNERS = {"evolve": _run_evolve, "spectrum": _run_spectrum,
+            "gap-sweep": _run_gap_sweep, "twosite": _run_twosite}
 
 
 def run_validation_suite() -> int:

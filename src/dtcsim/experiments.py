@@ -9,7 +9,6 @@ import numpy as np
 from .floquet import BlockPropagator, DynamicalMap, block_propagator
 from .observables import (
     ObservableTrace,
-    Partition,
     all_magnetizations,
     default_partition,
     negativity,
@@ -56,15 +55,14 @@ class InitialStateSpec:
     seed_sites: int | None = None
 
 
-def build_initial_state(spec: InitialStateSpec, n_sites: int,
-                        partition: Partition | None = None) -> np.ndarray:
+def build_initial_state(spec: InitialStateSpec, n_sites: int) -> np.ndarray:
     """Construct the initial density matrix for a run."""
     if spec.kind == "pure_pattern":
         if spec.pattern is None or len(spec.pattern) != n_sites:
             raise ValueError(f"pattern must have length {n_sites}")
         return _pure_state([_site_ket(s) for s in spec.pattern])
     if spec.kind == "mixed_B":
-        part = partition or default_partition(n_sites)
+        part = default_partition(n_sites)
         return kron_all(np.outer(_KET["1"], _KET["1"].conj()) if site in part.sites_a
                         else np.eye(2, dtype=complex) / 2.0 for site in range(n_sites))
     if spec.kind == "seed_size":
@@ -94,7 +92,6 @@ POSITIVITY_TOL = 1e-8
 
 
 def run_stroboscopic(rho0: np.ndarray, config: SpinNetworkConfig, n_periods: int,
-                     partition: Partition | None = None,
                      dynamical_map: DynamicalMap | BlockPropagator | None = None
                      ) -> ObservableTrace:
     """Apply the one-period map repeatedly and record observables at each n.
@@ -114,7 +111,7 @@ def run_stroboscopic(rho0: np.ndarray, config: SpinNetworkConfig, n_periods: int
             f"run_stroboscopic steps one period at a time; got a map over "
             f"{dynamical_map.period_multiple} periods"
         )
-    part = partition or default_partition(config.n_sites)
+    part = default_partition(config.n_sites)
     step = dynamical_map or block_propagator(config)
 
     n_records = n_periods + 1

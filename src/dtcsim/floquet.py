@@ -30,10 +30,11 @@ exponentiated in real arithmetic; the basis change is a similarity, so the
 result is the same exponential up to rounding.  The off-diagonal blocks stay
 complex: their real form would have twice the dimension.
 
-Every exponential in the package goes through :func:`matrix_exp`, a numpy
-implementation of the scaling-and-squaring algorithm of Al-Mohy & Higham
-(SIAM J. Matrix Anal. Appl. 31, 970 (2009)); the blocks are at most
-1225 x 1225 (seven sites), small enough for exact 1-norms of matrix powers.
+Every exponential in the package goes through :func:`matrix_exp`, numpy
+scaling and squaring with the [13/13] Pade approximant with Al-Mohy &
+Higham's choice of s (SIAM J. Matrix Anal. Appl. 31, 970 (2009)); the
+blocks are at most 1225 x 1225 (seven sites), small enough for exact
+1-norms of matrix powers.
 Only :func:`principal_log_hamiltonian`, which needs ``scipy.linalg.logm``,
 imports scipy here, inside the function, so ``evolve``, ``spectrum`` and
 ``gap-sweep`` load no scipy module.
@@ -117,53 +118,46 @@ class BlockPropagator:
         return out
 
 
-#: theta_m of Al-Mohy & Higham (2009): the largest bound eta on the scaled
-#: 1-norms ||A^p||^(1/p) for which the [m/m] Pade approximant of exp has
-#: backward error at most 2^-53.
-_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-               7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 4.25}
+#: theta_13 of Al-Mohy & Higham (2009), the largest bound eta on the scaled
+#: 1-norms ||A^p||^(1/p) for which the [13/13] Pade approximant of exp has
+#: backward error at most 2^-53; the approximant's coefficients b_0 ... b_13;
+#: and c_27, that of the leading term of its backward-error series.
+_THETA13 = 4.25
+_B13 = tuple(float(factorial(26 - j) // (factorial(j) * factorial(13 - j))) for j in range(14))
+_C27 = factorial(13) ** 2 / (factorial(26) * factorial(27))
 
 
-def _finite(norm) -> float:
-    """``norm`` as a float; OverflowError if the matrix power it measures overflowed."""
+def _norm1(X: np.ndarray) -> float:
+    """Largest absolute column sum, the 1-norm; OverflowError if X, a power
+    of the matrix, is not finite."""
+    norm = np.abs(X).sum(axis=0).max()
     if not np.isfinite(norm):
         raise OverflowError("matrix exponential overflowed: a power of the matrix is not finite")
     return float(norm)
 
 
-def _norm1(X: np.ndarray) -> float:
-    """Largest absolute column sum, the 1-norm."""
-    return _finite(np.abs(X).sum(axis=0).max())
+def _ell(A: np.ndarray) -> int:
+    """Extra squarings l(A, 13) of Al-Mohy & Higham (2009).
 
-
-def _ell(A: np.ndarray, m: int) -> int:
-    """Extra squarings l(A, m) of Al-Mohy & Higham (2009).
-
-    They bound the backward error of the degree-m approximant by the leading
-    term |c_2m+1| || |A|^(2m+1) ||_1 / ||A||_1 of its series, whose column
-    sums are taken by 2m + 1 products of a vector with |A|.
+    They bound the backward error of the approximant by the leading term
+    c_27 || |A|^27 ||_1 / ||A||_1 of its series, whose column sums are taken
+    by 27 products of a vector with |A|.
     """
     abs_a = np.abs(A)
     sums = np.ones(A.shape[0])
-    for _ in range(2 * m + 1):
+    for _ in range(27):
         sums = sums @ abs_a
-    c = factorial(m) ** 2 / (factorial(2 * m) * factorial(2 * m + 1))
-    alpha = c * _finite(sums.max()) / _norm1(A)
-    return max(ceil((log2(alpha) + 53) / (2 * m)), 0) if alpha else 0
+    alpha = _C27 * _norm1(sums[np.newaxis]) / _norm1(A)  # the row ones @ |A|^27
+    return max(ceil((log2(alpha) + 53) / 26), 0) if alpha else 0
 
 
-def _pade(A: np.ndarray, powers: list, m: int) -> np.ndarray:
-    """r_m(A) = (V - U)^-1 (V + U), the [m/m] Pade approximant of exp(A),
-    from the even powers [A^2, A^4, ...] (Higham, SIAM J. Matrix Anal. Appl.
-    26, 1179 (2005))."""
-    b = [float(factorial(2 * m - j) // (factorial(j) * factorial(m - j))) for j in range(m + 1)]
-    if m == 13:
-        A2, A4, A6 = powers
-        odd = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
-        V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2
-    else:
-        odd = sum(b[2 * j + 1] * P for j, P in enumerate(powers, 1))
-        V = sum(b[2 * j] * P for j, P in enumerate(powers, 1))
+def _pade(A: np.ndarray, A2: np.ndarray, A4: np.ndarray, A6: np.ndarray) -> np.ndarray:
+    """r_13(A) = (V - U)^-1 (V + U), the [13/13] Pade approximant of exp(A),
+    from the even powers of A (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+    (2005))."""
+    b = _B13
+    odd = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2
     diagonal = np.diag_indices_from(A)
     odd[diagonal] += b[1]
     V[diagonal] += b[0]
@@ -172,7 +166,8 @@ def _pade(A: np.ndarray, powers: list, m: int) -> np.ndarray:
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
-    """exp(A) by scaling and squaring, Al-Mohy & Higham (2009), Algorithm 5.1.
+    """exp(A) by scaling and squaring with the [13/13] Pade approximant and
+    the choice of s of Al-Mohy & Higham (2009), Algorithm 5.1.
 
     The 1-norms of A^4 and A^6 are exact; ||A^8||^(1/8) and ||A^10||^(1/10)
     are bounded through them instead of estimated, which can only choose a
@@ -184,18 +179,17 @@ def _expm(A: np.ndarray) -> np.ndarray:
     A4 = A2 @ A2
     A6 = A4 @ A2
     d4, d6 = _norm1(A4) ** (1 / 4), _norm1(A6) ** (1 / 6)
-    eta = max(d4, d6)
-    for m in (3, 5, 7, 9):
-        if eta <= _PADE_THETA[m] and _ell(A, m) == 0:
-            powers = [A2, A4, A6] + ([A4 @ A4] if m == 9 else [])
-            return _pade(A, powers[:(m - 1) // 2], m)
-    # eta_5 = min(eta_3, max(d8, d10)), with d8 <= d4 and d10 <= (||A^4|| ||A^6||)^(1/10)
-    eta = min(eta, max(d4, d4 ** 0.4 * d6 ** 0.6))
-    s = max(ceil(log2(eta / _PADE_THETA[13])), 0) if eta else 0
-    s += _ell(A * 2.0**-s, 13)
+    # eta = min(eta_3, eta_5) with eta_3 = max(d4, d6) and eta_5 = max(d8, d10),
+    # d8 <= d4 and d10 <= (||A^4|| ||A^6||)^(1/10)
+    eta = min(max(d4, d6), max(d4, d4 ** 0.4 * d6 ** 0.6))
+    s = max(ceil(log2(eta / _THETA13)), 0) if eta else 0
+    s += _ell(A * 2.0**-s)
     step = 2.0**-s
     # A^2k scaled by two factors 2^-ks, so that no factor underflows
-    X = _pade(A * step, [P * step**k * step**k for k, P in ((1, A2), (2, A4), (3, A6))], 13)
+    A2 = A2 * step * step
+    A4 = A4 * step**2 * step**2
+    A6 = A6 * step**3 * step**3
+    X = _pade(A * step, A2, A4, A6)
     for _ in range(s):
         X = X @ X
     return X
@@ -204,10 +198,10 @@ def _expm(A: np.ndarray) -> np.ndarray:
 def matrix_exp(A: np.ndarray) -> np.ndarray:
     """Matrix exponential of a finite square matrix, real or complex.
 
-    Scaling and squaring with Pade approximants of degree 3 to 13 (Al-Mohy &
-    Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)), in numpy alone.
-    Raises ValueError for a non-finite entry and OverflowError when a power
-    of the matrix or the exponential itself is not finite.
+    Scaling and squaring with the [13/13] Pade approximant with Al-Mohy &
+    Higham's choice of s (SIAM J. Matrix Anal. Appl. 31, 970 (2009)), in
+    numpy alone.  Raises ValueError for a non-finite entry and OverflowError
+    when a power of the matrix or the exponential itself is not finite.
     """
     A = np.asarray(A)
     A = A.astype(np.result_type(A.dtype, np.float64), copy=False)

@@ -280,7 +280,9 @@ def test_sweeps_take_no_flag_they_ignore(experiment, flag, tmp_path, capsys):
 @pytest.mark.parametrize("source", ["file", "env"])
 @pytest.mark.parametrize("experiment, key, value", [
     ("twosite", "t1", 0.3), ("twosite", "epsilon", 0.05), ("twosite", "g", 3.0),
-    ("twosite", "w_t_over_2pi", 0.3), ("gap-sweep", "w_t_over_2pi", 0.3),
+    ("twosite", "w_t_over_2pi", 0.3), ("twosite", "alpha", 0.3),
+    ("twosite", "disorder_seed", 9), ("gap-sweep", "w_t_over_2pi", 0.3),
+    ("gap-sweep", "disorder_seed", 9),
 ])
 def test_sweeps_refuse_settings_they_ignore(experiment, key, value, source, tmp_path,
                                             monkeypatch, capsys):
@@ -327,10 +329,12 @@ def test_twosite_takes_no_site_count(tmp_path, capsys):
     assert "--n" in capsys.readouterr().err
     manifest = tmp_path / "twosite_manifest.json"
     assert main(["twosite", "--points", "9", "--out", str(tmp_path)]) == 0
-    assert json.loads(manifest.read_text())["config"]["n"] == 2
+    config = json.loads(manifest.read_text())["config"]
+    assert (config["n"], config["initial_state"]) == (2, "1+")
     manifest.unlink()
     assert run(RunConfig(experiment="twosite", n=5, twosite_points=9, out=str(tmp_path))) == 0
-    assert json.loads(manifest.read_text())["config"]["n"] == 2
+    config = json.loads(manifest.read_text())["config"]
+    assert (config["n"], config["initial_state"]) == (2, "1+")
 
 
 def test_main_validate_subcommand_passes(capsys):

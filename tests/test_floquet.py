@@ -79,7 +79,7 @@ def _close_to(out, ref):
 
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("norm, degree, squarings", [
-    (1e-3, 3, 0), (0.1, 5, 0), (0.5, 7, 0), (1.5, 9, 0), (3.0, 13, 0), (7.0, 13, 1),
+    (1e-3, 13, 0), (0.1, 13, 0), (0.5, 13, 0), (1.5, 13, 0), (3.0, 13, 0), (7.0, 13, 1),
     (6000.0, 13, 10),
 ])
 def test_matrix_exp_matches_scipy_at_every_pade_degree(dtype, norm, degree, squarings,
@@ -87,10 +87,10 @@ def test_matrix_exp_matches_scipy_at_every_pade_degree(dtype, norm, degree, squa
     A = _random_generator(np.random.default_rng(11), 40, dtype, norm)
     pade, seen = floquet._pade, []
 
-    def spy(scaled, powers, m):
-        seen.append((m, round(np.log2(np.abs(A).sum(axis=0).max()
-                                      / np.abs(scaled).sum(axis=0).max()))))
-        return pade(scaled, powers, m)
+    def spy(scaled, A2, A4, A6):  # the [13/13] approximant, the kernel's only degree
+        seen.append((13, round(np.log2(np.abs(A).sum(axis=0).max()
+                                       / np.abs(scaled).sum(axis=0).max()))))
+        return pade(scaled, A2, A4, A6)
 
     monkeypatch.setattr(floquet, "_pade", spy)
     out = matrix_exp(A)
@@ -141,8 +141,15 @@ def test_matrix_exp_of_negated_matrix_is_inverse(dtype):
 
 
 def test_matrix_exp_raises_overflow_on_an_overflowing_power():
-    with pytest.raises(OverflowError):
-        matrix_exp(np.array([[0.0, 1e200], [1e200, 0.0]]))
+    for big in (1e200, 1e60):  # A^4 overflows; only A^6 overflows
+        with pytest.raises(OverflowError):
+            matrix_exp(np.array([[0.0, big], [big, 0.0]]))
+
+
+def test_matrix_exp_of_a_huge_nilpotent_is_not_overscaled():
+    # a 1-norm rule for s would scale this A to zero; its powers are exact
+    A = np.array([[0.0, 1e60], [0.0, 0.0]])
+    assert _close_to(matrix_exp(A), np.eye(2) + A) < 1e-15
 
 
 def test_kick_unitary_pi_pulse_conjugation():
