@@ -155,6 +155,9 @@ _UNMODELLED = {
                           "twosite scans the disorder gap on its own grid"),
         "alpha": (lambda c: c.alpha == RunConfig.alpha,
                   "the two-site model has a single coupling J0"),
+        "n": (lambda c: c.n == RunConfig.n, "the two-site model has two sites"),
+        "initial_state": (lambda c: c.initial_state == RunConfig.initial_state,
+                          "twosite computes couplings and gaps, not a trajectory"),
     },
     "gap-sweep": {
         "w_t_over_2pi": (lambda c: c.w_t_over_2pi == 0.0,

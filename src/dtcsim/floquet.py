@@ -11,11 +11,16 @@ commutes with excitation number on both tensor factors and is therefore block
 diagonal over sector pairs; its exponential is computed per block, which is
 exact and orders of magnitude cheaper than exponentiating the full 4^N
 matrix.  The propagator preserves Hermiticity, so block (kr, kl) is block
-(kl, kr) conjugated with its index pairs swapped, and only the blocks with
-kl <= kr are exponentiated.  :class:`BlockPropagator` keeps one period in
-that form and applies it to a density matrix directly; the dense Phi_T of
-:func:`floquet_map` is assembled from the same blocks and serves
-cross-checks and spectra.
+(kl, kr) conjugated with its index pairs swapped (:func:`_adjoint_block`):
+only the blocks with kl <= kr are built and held, and each consumer derives
+the partners it needs.  Without disorder the global spin flip commutes with
+the segment as well, so block (kl, kr) is the partner of block
+(N - kr, N - kl) with rows and columns reversed, and only one block per orbit
+of that map is exponentiated (16 of the 28 for six sites).
+:class:`BlockPropagator` keeps one period in the half-stored form and applies
+it to a density matrix directly, writing each (kr, kl) sub-matrix as the
+adjoint of the (kl, kr) one; the dense Phi_T of :func:`floquet_map` is
+assembled from the same blocks and serves cross-checks and spectra.
 
 :func:`interaction_propagator`, :func:`floquet_map` and :func:`floquet_map_2T`
 form a dense 4^N x 4^N matrix and refuse N > DENSE_LIMIT before building any
@@ -34,7 +39,9 @@ Every exponential in the package goes through :func:`matrix_exp`, numpy
 scaling and squaring with the [13/13] Pade approximant with Al-Mohy &
 Higham's choice of s (SIAM J. Matrix Anal. Appl. 31, 970 (2009)); the
 blocks are at most 1225 x 1225 (seven sites), small enough for exact
-1-norms of matrix powers.
+1-norms of matrix powers.  The kernel scales the powers in place and builds
+the Pade sums in reused buffers, term by term in the order of the plain
+expressions, so it rounds exactly as they do.
 Only :func:`principal_log_hamiltonian`, which needs ``scipy.linalg.logm``,
 imports scipy here, inside the function, so ``evolve``, ``spectrum`` and
 ``gap-sweep`` load no scipy module.
@@ -91,8 +98,9 @@ class BlockPropagator:
     """One drive period as the kick unitary and the sector-pair blocks of
     exp(L2 * t2), applied without forming the dense 4^N map.
 
-    ``blocks[(kl, kr)]`` acts on the row-stacked sub-matrix
-    ``rho[np.ix_(sectors[kl], sectors[kr])]``.
+    ``blocks[(kl, kr)]``, stored for kl <= kr only, acts on the row-stacked
+    sub-matrix ``rho[np.ix_(sectors[kl], sectors[kr])]``; block (kr, kl) is
+    its partner under :func:`_adjoint_block` and is never formed.
     """
 
     kick: np.ndarray
@@ -100,10 +108,13 @@ class BlockPropagator:
     sectors: list
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """U1 rho U1^dagger, then every sector-pair block on its sub-matrix.
+        """U1 rho U1^dagger, then every stored sector-pair block on its
+        sub-matrix.
 
         The kicked state is reordered so that each sector is a contiguous
-        range of indices; every block then reads and writes a slice.
+        range of indices; every block then reads and writes a slice.  The
+        propagator preserves Hermiticity and rho is Hermitian, so the (kr, kl)
+        sub-matrix of the result is the adjoint of the (kl, kr) one.
         """
         order = np.concatenate(self.sectors)
         edges = np.cumsum([0] + [len(s) for s in self.sectors])
@@ -112,7 +123,9 @@ class BlockPropagator:
         for (kl, kr), block in self.blocks.items():
             rows, cols = slice(edges[kl], edges[kl + 1]), slice(edges[kr], edges[kr + 1])
             sub = kicked[rows, cols]
-            stepped[rows, cols] = (block @ sub.reshape(-1)).reshape(sub.shape)
+            stepped[rows, cols] = image = (block @ sub.reshape(-1)).reshape(sub.shape)
+            if kl != kr:
+                stepped[cols, rows] = image.conj().T
         out = np.empty_like(stepped)
         out[np.ix_(order, order)] = stepped
         return out
@@ -151,18 +164,39 @@ def _ell(A: np.ndarray) -> int:
     return max(ceil((log2(alpha) + 53) / 26), 0) if alpha else 0
 
 
-def _pade(A: np.ndarray, A2: np.ndarray, A4: np.ndarray, A6: np.ndarray) -> np.ndarray:
-    """r_13(A) = (V - U)^-1 (V + U), the [13/13] Pade approximant of exp(A),
-    from the even powers of A (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-    (2005))."""
+def _sum_into(out: np.ndarray, scratch: np.ndarray, terms) -> np.ndarray:
+    """out += c * P for each (c, P) of ``terms`` in turn, every product formed
+    in ``scratch``: the sum of the plain expression, without its temporaries."""
+    for c, P in terms:
+        np.multiply(P, c, out=scratch)
+        out += scratch
+    return out
+
+
+def _pade(A: np.ndarray, A2: np.ndarray, A4: np.ndarray, A6: np.ndarray):
+    """The denominator V - U and numerator V + U of r_13(A) = (V - U)^-1 (V + U),
+    the [13/13] Pade approximant of exp(A), from the even powers of A
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+
+    Three buffers hold every sum and product; each sum adds its terms in the
+    order of b_13 A^6 + b_11 A^4 + b_9 A^2, so every entry rounds as in
+    those expressions.
+    """
     b = _B13
-    odd = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
-    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2
+    acc, scratch = np.multiply(A6, b[13]), np.empty_like(A)
+    odd = A6 @ _sum_into(acc, scratch, ((b[11], A4), (b[9], A2)))
+    _sum_into(odd, scratch, ((b[7], A6), (b[5], A4), (b[3], A2)))
+    np.multiply(A6, b[12], out=acc)
+    # V is formed in the scratch buffer, and acc is the scratch from here on
+    V = np.matmul(A6, _sum_into(acc, scratch, ((b[10], A4), (b[8], A2))), out=scratch)
+    _sum_into(V, acc, ((b[6], A6), (b[4], A4), (b[2], A2)))
     diagonal = np.diag_indices_from(A)
     odd[diagonal] += b[1]
     V[diagonal] += b[0]
-    U = A @ odd
-    return np.linalg.solve(V - U, V + U)
+    U = np.matmul(A, odd, out=acc)
+    np.add(V, U, out=odd)
+    V -= U
+    return V, odd
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -171,7 +205,7 @@ def _expm(A: np.ndarray) -> np.ndarray:
 
     The 1-norms of A^4 and A^6 are exact; ||A^8||^(1/8) and ||A^10||^(1/10)
     are bounded through them instead of estimated, which can only choose a
-    larger s.  A diagonal A gets exp of its diagonal.
+    larger s.  A diagonal A gets exp of its diagonal.  A is left unchanged.
     """
     if np.count_nonzero(A) == np.count_nonzero(np.diagonal(A)):
         return np.diag(np.exp(np.diagonal(A)))
@@ -185,11 +219,13 @@ def _expm(A: np.ndarray) -> np.ndarray:
     s = max(ceil(log2(eta / _THETA13)), 0) if eta else 0
     s += _ell(A * 2.0**-s)
     step = 2.0**-s
-    # A^2k scaled by two factors 2^-ks, so that no factor underflows
-    A2 = A2 * step * step
-    A4 = A4 * step**2 * step**2
-    A6 = A6 * step**3 * step**3
-    X = _pade(A * step, A2, A4, A6)
+    # A^2k scaled in place by two factors 2^-ks, so that no factor underflows
+    for k, P in ((1, A2), (2, A4), (3, A6)):
+        P *= step**k
+        P *= step**k
+    denominator, numerator = _pade(A * step, A2, A4, A6)
+    del A2, A4, A6  # so the solve runs with only the two Pade factors held
+    X = np.linalg.solve(denominator, numerator)
     for _ in range(s):
         X = X @ X
     return X
@@ -231,56 +267,74 @@ def _adjoint_block(block: np.ndarray, a: int, c: int) -> np.ndarray:
     return block.reshape(a, c, a, c).transpose(1, 0, 3, 2).conj().reshape(a * c, a * c)
 
 
-def _segment_blocks(H: np.ndarray, config: SpinNetworkConfig, duration: float, diagonal=False):
-    """exp(L * duration) per sector-pair block, L = -i[H, .] + dephasing.
+def _segment_blocks(config: SpinNetworkConfig, diagonal: bool = False):
+    """exp(L2 * t2) per sector-pair block with kl <= kr, L2 = -i[H, .] +
+    dephasing, H the interaction Hamiltonian of ``config``.
 
-    Valid for any Hamiltonian commuting with excitation number; the XY
-    interaction Hamiltonian does for every disorder vector.  Only the blocks
-    with kl <= kr are exponentiated; each (kr, kl) block follows exactly from
-    its partner by :func:`_adjoint_block`, because the segment propagator
-    preserves Hermiticity.  Each diagonal block (k, k) is exponentiated as the
-    real matrix its generator is in the Hermitian basis and mapped back.
-    With ``diagonal`` only the N + 1 diagonal blocks are built.
+    H commutes with excitation number for every disorder vector.  The
+    segment propagator preserves Hermiticity, so each (kr, kl) block follows
+    exactly from (kl, kr) by :func:`_adjoint_block`; it is not returned, and
+    the caller derives it where it needs it.  When the disorder is all zero
+    the global spin flip commutes with L2, so block (kl, kr) is the partner
+    of (N - kr, N - kl) with rows and columns reversed: only one block per
+    orbit of (kl, kr) -> (N - kr, N - kl) is exponentiated, and the other
+    derived from it.  The exponentials run in descending block size, so the
+    largest runs while the fewest blocks are held.  Each diagonal block
+    (k, k) is exponentiated as the real matrix its generator is in the
+    Hermitian basis and mapped back.  With ``diagonal`` only the N + 1
+    diagonal blocks are built.  Returns the blocks, keyed in sorted order,
+    and the sectors.
     """
     n = config.n_sites
+    H = hamiltonian_interaction(config)
     sectors = excitation_sectors(n)
+    sizes = [len(s) for s in sectors]
     rates = dephasing_rates(n, config.gamma).reshape(config.dim, config.dim)
+    keys = [(kl, kr) for kl in range(n + 1) for kr in ((kl,) if diagonal else range(kl, n + 1))]
+    flip = not np.any(config.disorder)
+    exponentiated = [(kl, kr) for kl, kr in keys if not flip or kl + kr <= n]
     blocks = {}
-    for kl in range(n + 1):
-        il = sectors[kl]
-        Hl = H[np.ix_(il, il)]
-        for kr in (kl,) if diagonal else range(kl, n + 1):
-            ir = sectors[kr]
-            Hr = H[np.ix_(ir, ir)]
-            gen = -1j * (
-                np.kron(Hl, np.eye(len(ir))) - np.kron(np.eye(len(il)), Hr.T)
-            )
-            gen[np.diag_indices_from(gen)] += rates[np.ix_(il, ir)].reshape(-1)
-            gen *= duration
-            if kl == kr:
-                real = hermitian_real_form(gen, f"segment generator block {(kl, kr)}")
-                blocks[(kl, kr)] = from_hermitian_basis(matrix_exp(real))
-            else:
-                blocks[(kl, kr)] = matrix_exp(gen)
-    # derived after the exponentials, so the largest expm runs with the
-    # fewest blocks held
-    for kl, kr in [key for key in blocks if key[0] != key[1]]:
-        blocks[(kr, kl)] = _adjoint_block(blocks[(kl, kr)], len(sectors[kl]), len(sectors[kr]))
-    return {key: blocks[key] for key in sorted(blocks)}, sectors
+    for kl, kr in sorted(exponentiated, key=lambda key: -sizes[key[0]] * sizes[key[1]]):
+        il, ir = sectors[kl], sectors[kr]
+        gen = -1j * (
+            np.kron(H[np.ix_(il, il)], np.eye(len(ir)))
+            - np.kron(np.eye(len(il)), H[np.ix_(ir, ir)].T)
+        )
+        gen[np.diag_indices_from(gen)] += rates[np.ix_(il, ir)].reshape(-1)
+        gen *= config.t2
+        if kl == kr:
+            # rebinding frees the complex generator before the real exponential
+            gen = hermitian_real_form(gen, f"segment generator block {(kl, kr)}")
+            blocks[(kl, kr)] = from_hermitian_basis(matrix_exp(gen))
+        else:
+            blocks[(kl, kr)] = matrix_exp(gen)
+    for kl, kr in keys:
+        if (kl, kr) not in blocks:  # the spin-flip image of an exponentiated block
+            partner = _adjoint_block(blocks[(n - kr, n - kl)], sizes[n - kr], sizes[n - kl])
+            blocks[(kl, kr)] = np.ascontiguousarray(partner[::-1, ::-1])
+    return {key: blocks[key] for key in keys}, sectors
 
 
 def _assemble_blocks(blocks, sectors, dim: int) -> np.ndarray:
-    """Scatter sector-pair blocks into the dense 4^N superoperator."""
+    """Scatter sector-pair blocks into the dense 4^N superoperator; a block
+    (kl, kr) whose partner (kr, kl) is not given also fills the partner's
+    place, with :func:`_adjoint_block`."""
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for (kl, kr), block in blocks.items():
+
+    def scatter(kl, kr, block):
         rows = (sectors[kl][:, None] * dim + sectors[kr][None, :]).reshape(-1)
         out[np.ix_(rows, rows)] = block
+
+    for (kl, kr), block in blocks.items():
+        scatter(kl, kr, block)
+        if (kr, kl) not in blocks:
+            scatter(kr, kl, _adjoint_block(block, len(sectors[kl]), len(sectors[kr])))
     return out
 
 
 def block_propagator(config: SpinNetworkConfig) -> BlockPropagator:
     """One-period propagator: the kick unitary and the interaction blocks."""
-    blocks, sectors = _segment_blocks(hamiltonian_interaction(config), config, config.t2)
+    blocks, sectors = _segment_blocks(config)
     return BlockPropagator(kick=kick_unitary(config), blocks=blocks, sectors=sectors)
 
 
@@ -326,7 +380,9 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig, diagonal: bool = False):
     N - k and reverses the sorted basis order inside each sector.  The
     negated-disorder block (kl, kr) is therefore the (N - kl, N - kr) block
     of the same segment propagator with rows and columns reversed, and only
-    one set of segment blocks is exponentiated.
+    one set of segment blocks is exponentiated; each factor with kl > kr is
+    derived from its stored partner by :func:`_adjoint_block` when its
+    product is formed.
     Returns a dict mapping (k_left, k_right) to the corresponding block; the
     union of block spectra is the full Phi_2T spectrum.  The largest block
     for six sites is 400 x 400, so this is the fast path for disorder sweeps.
@@ -337,9 +393,17 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig, diagonal: bool = False):
             "sector-block construction requires epsilon = 0 and 2*g*t1 = pi"
         )
     n = config.n_sites
-    plus, _ = _segment_blocks(hamiltonian_interaction(config), config, config.t2, diagonal)
-    return {(kl, kr): block @ plus[(n - kl, n - kr)][::-1, ::-1]
-            for (kl, kr), block in plus.items()}
+    plus, sectors = _segment_blocks(config, diagonal)
+
+    def segment(kl, kr):
+        if kl <= kr:
+            return plus[(kl, kr)]
+        return _adjoint_block(plus[(kr, kl)], len(sectors[kr]), len(sectors[kl]))
+
+    keys = [(k, k) for k in range(n + 1)] if diagonal else \
+        [(kl, kr) for kl in range(n + 1) for kr in range(n + 1)]
+    return {(kl, kr): segment(kl, kr) @ segment(n - kl, n - kr)[::-1, ::-1]
+            for kl, kr in keys}
 
 
 def principal_log_hamiltonian(U: np.ndarray, horizon: float):

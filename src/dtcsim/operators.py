@@ -27,8 +27,8 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 #: Largest site count of the routes that form a dense 4^N x 4^N matrix.
 DENSE_LIMIT = 6
-#: Largest site count a SpinNetworkConfig accepts; the sector blocks of N = 8
-#: would need about 2.6 GB.
+#: Largest site count a SpinNetworkConfig accepts; the one-period sector
+#: blocks of N = 8 would need about 1.7 GB, and all 81 blocks of Phi_2T 2.6 GB.
 MAX_SITES = 7
 
 

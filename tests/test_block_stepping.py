@@ -48,18 +48,26 @@ def test_small_n_block_stepping_matches_dense_map(n_sites, gamma):
 
 
 def test_block_propagator_applies_every_sector_pair():
+    # only the blocks with kl <= kr are held; apply writes each (kr, kl)
+    # sub-matrix as the adjoint of the (kl, kr) one
     cfg = SpinNetworkConfig(n_sites=3, disorder=np.array([0.3, 0.0, 0.7]))
     prop = block_propagator(cfg)
-    assert sorted(prop.blocks) == [(kl, kr) for kl in range(4) for kr in range(4)]
+    assert list(prop.blocks) == [(kl, kr) for kl in range(4) for kr in range(kl, 4)]
+    sizes = [len(s) for s in prop.sectors]
+    assert sum(b.nbytes for b in prop.blocks.values()) == sum(
+        (sizes[kl] * sizes[kr]) ** 2 * 16 for kl, kr in prop.blocks)
 
 
 def test_corrupted_block_breaks_hermiticity_check():
-    # (k, k') and (k', k) are applied independently, so the per-period
-    # Hermiticity check can fail; it is not true by construction
+    # an off-diagonal output is the adjoint of its partner by construction,
+    # but a diagonal block (k, k) maps its sub-matrix on its own, so the
+    # per-period Hermiticity check can fail there; scaling the row of the
+    # coherence X[0, 1] of sector 1 leaves the trace unchanged
     cfg = SpinNetworkConfig(n_sites=2)
     prop = block_propagator(cfg)
     blocks = dict(prop.blocks)
-    blocks[(1, 2)] = 1.5 * blocks[(1, 2)]
+    blocks[(1, 1)] = blocks[(1, 1)].copy()
+    blocks[(1, 1)][1] *= 1.5
     rho0 = build_initial_state(InitialStateSpec(kind="pure_pattern", pattern="++"), 2)
     with pytest.raises(StateInvariantError, match="Hermiticity") as err:
         run_stroboscopic(rho0, cfg, 3, dynamical_map=replace(prop, blocks=blocks))

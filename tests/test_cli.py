@@ -281,15 +281,17 @@ def test_sweeps_take_no_flag_they_ignore(experiment, flag, tmp_path, capsys):
 @pytest.mark.parametrize("experiment, key, value", [
     ("twosite", "t1", 0.3), ("twosite", "epsilon", 0.05), ("twosite", "g", 3.0),
     ("twosite", "w_t_over_2pi", 0.3), ("twosite", "alpha", 0.3),
-    ("twosite", "disorder_seed", 9), ("gap-sweep", "w_t_over_2pi", 0.3),
-    ("gap-sweep", "disorder_seed", 9),
+    ("twosite", "disorder_seed", 9), ("twosite", "n", 5), ("twosite", "initial_state", "mixed_b"),
+    ("gap-sweep", "w_t_over_2pi", 0.3), ("gap-sweep", "disorder_seed", 9),
 ])
 def test_sweeps_refuse_settings_they_ignore(experiment, key, value, source, tmp_path,
                                             monkeypatch, capsys):
     out = tmp_path / "out"
     argv = [experiment, "--out", str(out)] + _SMALL_RUNS[experiment]
     if source == "env":
-        monkeypatch.setenv(f"DTCSIM_{key.upper()}", json.dumps(value))
+        # text keys take the raw text from the environment
+        monkeypatch.setenv(f"DTCSIM_{key.upper()}",
+                           value if isinstance(value, str) else json.dumps(value))
     else:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({key: value}))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from dtcsim import (
@@ -112,6 +114,42 @@ def test_matrix_exp_matches_scipy_on_disordered_segment_generators(monkeypatch):
     assert len(generators) == 1 + 15  # the kick and the blocks with kl <= kr
     for A in generators:
         assert _close_to(matrix_exp(A), scipy.linalg.expm(A)) < 1e-12
+
+
+def test_zero_disorder_exponentiates_one_block_per_spin_flip_orbit(monkeypatch):
+    # the kick and one block per orbit (kl, kr) -> (4 - kr, 4 - kl) of the
+    # 15 blocks with kl <= kr: the three with kl + kr = 4 are their own image
+    cfg = SpinNetworkConfig(n_sites=4, gamma=0.05)
+    calls = []
+
+    def record(A):
+        calls.append(A.shape)
+        return matrix_exp(A)
+
+    monkeypatch.setattr(floquet, "matrix_exp", record)
+    floquet.block_propagator(cfg)
+    assert len(calls) == 1 + 9
+    sizes = [a * a for a, _ in calls[:-1]]
+    assert sizes == sorted(sizes, reverse=True)  # the largest exponential first
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("norm", [0.5, 600.0])  # no squaring, and seven squarings
+def test_matrix_exp_leaves_its_argument_unchanged(dtype, norm):
+    A = _random_generator(np.random.default_rng(12), 20, dtype, norm)
+    before = A.copy()
+    matrix_exp(A)
+    assert np.array_equal(A, before)
+
+
+@given(n=st.integers(2, 24), complex_entries=st.booleans(),
+       norm=st.floats(1e-4, 50.0), seed=st.integers(0, 2**32 - 1))
+def test_matrix_exp_matches_scipy_on_random_generators(n, complex_entries, norm, seed):
+    # exp(A) is conditioned like ||A||_1, so two accurate kernels differ by
+    # about ||A||_1 * 1e-14 here (2.6e-13 at 40); up to 50 the bound holds
+    dtype = complex if complex_entries else float
+    A = _random_generator(np.random.default_rng(seed), n, dtype, norm)
+    assert _close_to(matrix_exp(A), scipy.linalg.expm(A)) < 1e-12
 
 
 @pytest.mark.parametrize("A", [

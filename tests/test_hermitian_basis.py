@@ -12,7 +12,7 @@ import pytest
 from helpers import perfect_pulse_configs
 from hypothesis import given
 
-from dtcsim import floquet_2T_sector_blocks, hamiltonian_interaction
+from dtcsim import floquet_2T_sector_blocks
 from dtcsim.floquet import _segment_blocks
 from dtcsim.spectra import sector_eigenvalues
 from dtcsim.superop import (
@@ -68,7 +68,7 @@ def imaginary_residue(block):
 
 @given(perfect_pulse_configs())
 def test_diagonal_blocks_are_real_in_the_hermitian_basis(cfg):
-    segment, sectors = _segment_blocks(hamiltonian_interaction(cfg), cfg, cfg.t2)
+    segment, sectors = _segment_blocks(cfg)
     phi_2T = floquet_2T_sector_blocks(cfg)
     rng = np.random.default_rng(cfg.n_sites)
     for k, sector in enumerate(sectors):

@@ -1,10 +1,13 @@
 """The symmetry-reduced sector route against brute force over every block.
 
-The reduced route exponentiates only the segment blocks with kl <= kr, takes
-the negated-disorder segment from the spin-flip relation and diagonalises one
+The reduced route builds only the segment blocks with kl <= kr, without
+disorder exponentiates one of them per spin-flip orbit, takes the
+negated-disorder segment from the spin-flip relation and diagonalises one
 Phi_2T block per orbit; the brute-force route in ``helpers`` does none of
 that.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from dtcsim import (
     hamiltonian_interaction,
     sector_gap,
 )
-from dtcsim.floquet import _segment_blocks
+from dtcsim.floquet import _adjoint_block, _segment_blocks
 from dtcsim.spectra import gap_from_eigenvalues, sector_eigenvalues
 
 CASES = [(n, gamma) for n in (1, 2, 3, 4) for gamma in (0.0, 0.07)]
@@ -42,17 +45,37 @@ def random_config(n_sites: int, gamma: float) -> SpinNetworkConfig:
     )
 
 
+def assert_segment_and_2T_blocks_match_brute_force(cfg):
+    """The stored segment blocks (kl <= kr) and their adjoint partners, and
+    every Phi_2T block, against the brute-force blocks."""
+    stored, sectors = _segment_blocks(cfg)
+    direct = brute_force_segment_blocks(hamiltonian_interaction(cfg), cfg)
+    assert list(stored) == [key for key in direct if key[0] <= key[1]]
+    for (kl, kr), block in stored.items():
+        assert np.abs(block - direct[(kl, kr)]).max() < 1e-12, (kl, kr)
+        partner = _adjoint_block(block, len(sectors[kl]), len(sectors[kr]))
+        assert np.abs(partner - direct[(kr, kl)]).max() < 1e-12, (kr, kl)
+    if cfg.perfect_pulse:
+        blocks = floquet_2T_sector_blocks(cfg)
+        for key, block in brute_force_2T_blocks(cfg).items():
+            assert np.abs(blocks[key] - block).max() < 1e-12, key
+
+
 @pytest.mark.parametrize("n_sites,gamma", CASES)
 def test_derived_blocks_match_direct_exponentials(n_sites, gamma):
-    cfg = random_config(n_sites, gamma)
-    derived, _ = _segment_blocks(hamiltonian_interaction(cfg), cfg, cfg.t2)
-    direct = brute_force_segment_blocks(hamiltonian_interaction(cfg), cfg)
-    assert list(derived) == list(direct)
-    for key in direct:
-        assert np.abs(derived[key] - direct[key]).max() < 1e-12, key
-    blocks = floquet_2T_sector_blocks(cfg)
-    for key, block in brute_force_2T_blocks(cfg).items():
-        assert np.abs(blocks[key] - block).max() < 1e-12, key
+    assert_segment_and_2T_blocks_match_brute_force(random_config(n_sites, gamma))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+@pytest.mark.parametrize("gamma", [0.0, 0.07])
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
+def test_spin_flip_orbit_blocks_match_direct_exponentials(n_sites, gamma, epsilon):
+    # without disorder one block per orbit (kl, kr) -> (N - kr, N - kl) is
+    # exponentiated and the other one derived; the segment does not see
+    # epsilon, and Phi_2T needs a perfect pulse, so it is checked at 0 only
+    cfg = replace(random_config(n_sites, gamma), epsilon=epsilon, disorder=np.zeros(n_sites))
+    assert cfg.t1 != cfg.t2
+    assert_segment_and_2T_blocks_match_brute_force(cfg)
 
 
 @pytest.mark.parametrize("n_sites,gamma", CASES)
