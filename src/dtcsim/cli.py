@@ -10,9 +10,14 @@ validate   run the fast invariant suite and exit nonzero on failure
 
 Configuration is resolved in precedence order: built-in defaults, then a JSON
 config file (--config), then DTCSIM_* environment variables, then explicit
-flags.  All numeric output uses 17 significant digits so that reruns with the
-same config and seeds, on the same numpy/BLAS build and thread environment,
-are byte identical (manifest wall time aside).
+flags.  Each subcommand reads the settings ``_READS`` lists for it: it has a
+flag for each, and its manifest records exactly those.  A setting it does
+not read but that differs from its default, an unknown key (every unknown
+DTCSIM_* name among them) and a non-finite or out-of-range value are each
+refused with exit status 2, naming the key.  All numeric output uses 17
+significant digits so that reruns with the same config and seeds, on the
+same numpy/BLAS build and thread environment, are byte identical (manifest
+wall time aside).
 
 Example:
     dtcsim evolve --gamma-t 0.02 --n-periods 200 --out runs/fig2
@@ -22,7 +27,6 @@ Example:
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import numbers
 import os
@@ -142,29 +146,17 @@ _VALIDATORS = {
     "disorder_seed": lambda v: v >= 0,
 }
 
-#: Settings an experiment does not model: whether the value is one it runs,
-#: and what it runs instead.
-_UNMODELLED = {
-    "twosite": {
-        "t1": (lambda c: c.t1 == c.t2, "the two-site model has t1 = t2"),
-        "epsilon": (lambda c: c.epsilon == 0.0, "the two-site model has a perfect pi pulse"),
-        "g": (lambda c: c.g is None, "the two-site model has a perfect pi pulse"),
-        "w_t_over_2pi": (lambda c: c.w_t_over_2pi == 0.0,
-                         "twosite scans the disorder gap on its own grid"),
-        "disorder_seed": (lambda c: c.disorder_seed == RunConfig.disorder_seed,
-                          "twosite scans the disorder gap on its own grid"),
-        "alpha": (lambda c: c.alpha == RunConfig.alpha,
-                  "the two-site model has a single coupling J0"),
-        "n": (lambda c: c.n == RunConfig.n, "the two-site model has two sites"),
-        "initial_state": (lambda c: c.initial_state == RunConfig.initial_state,
-                          "twosite computes couplings and gaps, not a trajectory"),
-    },
-    "gap-sweep": {
-        "w_t_over_2pi": (lambda c: c.w_t_over_2pi == 0.0,
-                         "gap-sweep draws its own disorder from w_over_j0_values"),
-        "disorder_seed": (lambda c: c.disorder_seed == RunConfig.disorder_seed,
-                          "gap-sweep seeds its realizations from base_seed"),
-    },
+#: The RunConfig fields each subcommand reads.  Its flags are registered from
+#: this table and its manifest records exactly these fields; parse_config
+#: refuses any other field whose value is not the RunConfig default.
+_READS = {
+    "evolve": ("n", "j0_t_over_2pi", "alpha", "gamma_t", "epsilon", "w_t_over_2pi", "t1",
+               "t2", "g", "initial_state", "n_periods", "disorder_seed", "out"),
+    "spectrum": ("n", "j0_t_over_2pi", "alpha", "gamma_t", "epsilon", "w_t_over_2pi", "t1",
+                 "t2", "g", "disorder_seed", "out"),
+    "gap-sweep": ("n", "j0_t_over_2pi", "alpha", "gamma_t", "epsilon", "t1", "t2", "g",
+                  "w_over_j0_values", "n_realizations", "base_seed", "out"),
+    "twosite": ("j0_t_over_2pi", "gamma_t", "t1", "t2", "twosite_points", "out"),
 }
 
 #: Value types accepted for the numeric RunConfig fields, by annotation.
@@ -179,13 +171,14 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
                  env: dict | None = None) -> RunConfig:
     """Resolve a RunConfig from file, environment and flag overrides.
 
-    Unknown keys are rejected; non-numeric values of numeric keys and
-    out-of-range values raise ConfigError naming the offending key.  Flags
-    win over environment, environment over file.  Environment values are
+    Unknown keys, every unknown ``DTCSIM_*`` name included, are rejected;
+    non-numeric, non-finite and out-of-range values raise ConfigError naming
+    the offending key, and so does a field the experiment does not read
+    (see ``_READS``) set to other than its default.  Flags win over
+    environment, environment over file.  Environment values are
     JSON-decoded, except for text keys, which keep the raw text.  An unset
     initial_state resolves from n (see :func:`_default_initial_state`); an
-    ``out`` that is, or lies under, an existing file and a setting the
-    experiment does not model are refused.
+    ``out`` that is, or lies under, an existing file is refused.
     """
     known = {f.name for f in fields(RunConfig)}
     text_keys = {f.name for f in fields(RunConfig) if f.type in ("str", "str | None")}
@@ -206,13 +199,10 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
         if not key.startswith(ENV_PREFIX):
             continue
         name = key[len(ENV_PREFIX):].lower()
-        if name in text_keys:
+        try:
+            merged[name] = raw if name in text_keys else json.loads(raw)
+        except json.JSONDecodeError:
             merged[name] = raw
-        elif name in known:
-            try:
-                merged[name] = json.loads(raw)
-            except json.JSONDecodeError:
-                merged[name] = raw
 
     for key, value in (overrides or {}).items():
         if value is not None:
@@ -237,6 +227,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
         value = getattr(config, f.name)
         if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
             raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+        if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
     for key, check in _VALIDATORS.items():
         value = getattr(config, key)
         if not check(value):
@@ -245,10 +237,17 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
     if not w or not all(np.isfinite(w)) or any(v < 0 for v in w):
         raise ConfigError("w_over_j0_values must be a non-empty list of finite, "
                           f"non-negative numbers: {list(w)!r}")
-    for key, (runs, instead) in _UNMODELLED.get(config.experiment, {}).items():
-        if not runs(config):
-            raise ConfigError(f"{key} = {getattr(config, key)!r} is not modelled by "
-                              f"{config.experiment}: {instead}")
+    reads = _READS.get(config.experiment)
+    if reads is None:
+        raise ConfigError(f"unknown experiment {config.experiment!r}")
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name not in reads and f.name != "experiment" and value != f.default:
+            raise ConfigError(f"{f.name} = {value!r} is not read by {config.experiment}, "
+                              f"which reads only {', '.join(reads)}")
+    if config.experiment == "twosite" and config.t1 != config.t2:
+        raise ConfigError(f"t1 = {config.t1!r} differs from t2 = {config.t2!r}: "
+                          "the two-site model has t1 = t2")
     out = Path(config.out)
     blocker = next((p for p in (out, *out.parents) if p.exists()), None)
     if blocker is not None and not blocker.is_dir():
@@ -274,11 +273,12 @@ def _write_table(path: Path, experiment: str, header: list[str], rows) -> None:
 
 def _write_manifest(path: Path, config: RunConfig, outputs: list[str],
                     wall_time: float, extra: dict | None = None) -> None:
+    reads = ("experiment", *_READS[config.experiment])
     manifest = {
         "schema": OUTPUT_SCHEMA,
         "package_version": __version__,
         "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in asdict(config).items()},
+                   for k, v in asdict(config).items() if k in reads},
         "outputs": outputs,
         "wall_time_seconds": wall_time,
     }
@@ -291,8 +291,6 @@ def _write_manifest(path: Path, config: RunConfig, outputs: list[str],
 
 def run(config: RunConfig) -> int:
     """Execute one experiment; write its table and manifest; return exit status."""
-    if config.experiment == "twosite":  # the model has two sites; record no other count
-        config = replace(config, n=2, initial_state=_default_initial_state(2))
     start = time.perf_counter()
 
     try:
@@ -316,6 +314,7 @@ def run(config: RunConfig) -> int:
 
 
 def _run_evolve(config: RunConfig):
+    """Stroboscopic observable traces."""
     spin = config.spin_config()
     rho0 = build_initial_state(config.initial_state_spec(), spin.n_sites)
     trace = run_stroboscopic(rho0, spin, config.n_periods)
@@ -335,6 +334,7 @@ def _run_evolve(config: RunConfig):
 
 
 def _run_spectrum(config: RunConfig):
+    """Two-period generator eigenvalues."""
     lams = spectrum_2T(config.spin_config())
     underflowed = int(np.sum(~np.isfinite(lams)))
     if underflowed:
@@ -345,6 +345,7 @@ def _run_spectrum(config: RunConfig):
 
 
 def _run_gap_sweep(config: RunConfig):
+    """Disorder-averaged Liouvillian gap."""
     spin = config.spin_config()
     j0 = spin.j0
     sweep = SweepSpec(
@@ -367,6 +368,7 @@ def _run_gap_sweep(config: RunConfig):
 
 
 def _run_twosite(config: RunConfig):
+    """Two-site coupling and gap curves."""
     spin = config.spin_config()
     j0, gamma, t2 = spin.j0, spin.gamma, spin.t2
     period = config.period()
@@ -495,54 +497,37 @@ def run_validation_suite() -> int:
     return 1 if failed else 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--j0-t-over-2pi", type=float, dest="j0_t_over_2pi")
-    parser.add_argument("--gamma-t", type=float, dest="gamma_t")
-    parser.add_argument("--t1", type=float, dest="t1")
-    parser.add_argument("--t2", type=float, dest="t2")
-    parser.add_argument("--out", dest="out")
+#: Flags not spelled like their field, and flag help beyond the field name.
+_FLAGS = {
+    "initial_state": ("--initial-state", "site pattern like 111+++, or mixed_b, or seed:K"),
+    "w_over_j0_values": ("--w-over-j0", "comma-separated disorder strengths in units of J0"),
+    "n_realizations": ("--realizations", None),
+    "twosite_points": ("--points", None),
+}
+_FLAG_TYPES = {"int": int, "float": float, "float | None": float}
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    """One subparser per experiment, with a flag for each field it reads."""
     parser = argparse.ArgumentParser(
         prog="dtcsim",
         description="Floquet-Lindblad spin-network simulator (tables + manifests)",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    # no abbreviated flags: twosite would read --g as --gamma-t
-    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
+    for experiment, reads in _READS.items():
+        # no abbreviated flags: twosite would read --g as --gamma-t
+        p = sub.add_parser(experiment, help=_RUNNERS[experiment].__doc__, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for f in fields(RunConfig):
+            if f.name in reads:
+                flag, text = _FLAGS.get(f.name, ("--" + f.name.replace("_", "-"), None))
+                p.add_argument(flag, dest=f.name, type=_FLAG_TYPES.get(f.type), help=text)
+    sub.add_parser("validate", help=run_validation_suite.__doc__)
+    return parser
 
-    p_evolve = add_parser("evolve", help="stroboscopic observable traces")
-    p_evolve.add_argument("--initial-state", dest="initial_state",
-                          help="site pattern like 111+++, or mixed_b, or seed:K")
-    p_evolve.add_argument("--n-periods", type=int, dest="n_periods")
 
-    p_spectrum = add_parser("spectrum", help="two-period generator eigenvalues")
-
-    p_sweep = add_parser("gap-sweep", help="disorder-averaged Liouvillian gap")
-    p_sweep.add_argument("--w-over-j0", dest="w_over_j0_values",
-                         help="comma-separated disorder strengths in units of J0")
-    p_sweep.add_argument("--realizations", type=int, dest="n_realizations")
-    p_sweep.add_argument("--base-seed", type=int, dest="base_seed")
-
-    p_twosite = add_parser("twosite", help="two-site coupling and gap curves")
-    p_twosite.add_argument("--points", type=int, dest="twosite_points")
-
-    add_parser("validate", help="run the fast invariant suite")
-
-    for p in (p_evolve, p_spectrum, p_sweep, p_twosite):
-        _add_common_flags(p)
-    for p in (p_evolve, p_spectrum, p_sweep):  # twosite models two sites and a perfect pulse
-        p.add_argument("--n", type=int, dest="n")
-        p.add_argument("--alpha", type=float, dest="alpha")
-        p.add_argument("--epsilon", type=float, dest="epsilon")
-        p.add_argument("--g", type=float, dest="g")
-    for p in (p_evolve, p_spectrum):  # gap-sweep and twosite set the disorder themselves
-        p.add_argument("--w-t-over-2pi", type=float, dest="w_t_over_2pi")
-        p.add_argument("--disorder-seed", type=int, dest="disorder_seed")
-
-    args = vars(parser.parse_args(argv))
+def main(argv=None) -> int:
+    args = vars(_parser().parse_args(argv))
     experiment = args.pop("experiment")
     if experiment == "validate":
         return run_validation_suite()

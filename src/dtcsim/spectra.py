@@ -294,6 +294,11 @@ def spectrum_2T(config: SpinNetworkConfig) -> np.ndarray:
 
     Uses the sector-block path for a perfect pi pulse and the dense map
     otherwise; either way the result is the complete eigenvalue cloud.
+    The rates are sorted on (-Re, Im), but many real parts are equal up to
+    rounding, so a last-digit change reorders them: compare results of two
+    builds or thread settings as multisets (e.g. with
+    :func:`spectral_distance`); the order is reproducible only on one build
+    and thread setting.
     """
     if config.perfect_pulse:
         lam = sector_eigenvalues(floquet_2T_sector_blocks(config), 2.0 * config.period)

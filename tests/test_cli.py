@@ -1,12 +1,22 @@
 """Config resolution, table emission, determinism and the validate suite."""
 
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from dtcsim import floquet
-from dtcsim.cli import ConfigError, RunConfig, main, parse_config, run, run_validation_suite
+from dtcsim.cli import (
+    ConfigError,
+    RunConfig,
+    _parser,
+    main,
+    parse_config,
+    run,
+    run_validation_suite,
+)
 
 
 def test_defaults_match_reference_parameters():
@@ -332,11 +342,93 @@ def test_twosite_takes_no_site_count(tmp_path, capsys):
     manifest = tmp_path / "twosite_manifest.json"
     assert main(["twosite", "--points", "9", "--out", str(tmp_path)]) == 0
     config = json.loads(manifest.read_text())["config"]
-    assert (config["n"], config["initial_state"]) == (2, "1+")
+    assert "n" not in config and "initial_state" not in config
     manifest.unlink()
     assert run(RunConfig(experiment="twosite", n=5, twosite_points=9, out=str(tmp_path))) == 0
     config = json.loads(manifest.read_text())["config"]
-    assert (config["n"], config["initial_state"]) == (2, "1+")
+    assert "n" not in config and "initial_state" not in config
+
+
+# The fields each subcommand reads, written out from its flags.
+_READ_FIELDS = {
+    "evolve": {"n", "j0_t_over_2pi", "alpha", "gamma_t", "epsilon", "w_t_over_2pi", "t1", "t2",
+               "g", "initial_state", "n_periods", "disorder_seed", "out"},
+    "spectrum": {"n", "j0_t_over_2pi", "alpha", "gamma_t", "epsilon", "w_t_over_2pi", "t1",
+                 "t2", "g", "disorder_seed", "out"},
+    "gap-sweep": {"n", "j0_t_over_2pi", "alpha", "gamma_t", "epsilon", "t1", "t2", "g",
+                  "w_over_j0_values", "n_realizations", "base_seed", "out"},
+    "twosite": {"j0_t_over_2pi", "gamma_t", "t1", "t2", "twosite_points", "out"},
+}
+# a valid value other than the default for every field some subcommand does not read
+_NON_DEFAULT = {"n": 3, "j0_t_over_2pi": 0.3, "alpha": 2.0, "gamma_t": 0.05, "epsilon": 0.05,
+                "w_t_over_2pi": 0.3, "t1": 0.4, "t2": 0.4, "g": 3.0, "initial_state": "mixed_b",
+                "n_periods": 5, "w_over_j0_values": (0.0, 2.0), "n_realizations": 3,
+                "base_seed": 7, "disorder_seed": 9, "twosite_points": 9}
+
+
+@pytest.mark.parametrize("source", ["file", "env"])
+@pytest.mark.parametrize("experiment, key", [(e, f.name) for e, reads in _READ_FIELDS.items()
+                                             for f in fields(RunConfig)
+                                             if f.name not in reads | {"experiment"}])
+def test_every_unread_setting_is_refused(experiment, key, source, tmp_path):
+    value = _NON_DEFAULT[key]
+    text = value if isinstance(value, str) else json.dumps(value)
+    if source == "env":  # text keys take the raw text from the environment
+        path, env = None, {f"DTCSIM_{key.upper()}": text}
+    else:
+        path, env = tmp_path / "c.json", {}
+        path.write_text(json.dumps({key: value}))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path, overrides={"experiment": experiment}, env=env)
+    assert str(exc.value).startswith(f"{key} = {value!r} ")
+
+
+# The option strings of each subcommand, written out: none added, dropped or renamed.
+_COMMON_OPTIONS = {"-h", "--help", "--config", "--j0-t-over-2pi", "--gamma-t", "--t1", "--t2",
+                   "--out"}
+_OPTIONS = {
+    "evolve": _COMMON_OPTIONS | {"--n", "--alpha", "--epsilon", "--g", "--w-t-over-2pi",
+                                 "--disorder-seed", "--initial-state", "--n-periods"},
+    "spectrum": _COMMON_OPTIONS | {"--n", "--alpha", "--epsilon", "--g", "--w-t-over-2pi",
+                                   "--disorder-seed"},
+    "gap-sweep": _COMMON_OPTIONS | {"--n", "--alpha", "--epsilon", "--g", "--w-over-j0",
+                                    "--realizations", "--base-seed"},
+    "twosite": _COMMON_OPTIONS | {"--points"},
+    "validate": {"-h", "--help"},
+}
+
+
+def test_each_subcommand_keeps_its_options():
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: {s for a in p._actions for s in a.option_strings}
+            for name, p in sub.choices.items()} == _OPTIONS
+
+
+@pytest.mark.parametrize("name", ["DTCSIM_WORKERS", "DTCSIM_GAMMA"])
+def test_unknown_environment_name_is_refused(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(name, "0.5")
+    out = tmp_path / "out"
+    assert main(["evolve", "--n", "2", "--n-periods", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown configuration keys") and repr(name[7:].lower()) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("value, json_value", [("nan", "NaN"), ("inf", "Infinity"),
+                                               ("-inf", "-Infinity")])
+@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig) if f.type.startswith("float")])
+def test_non_finite_value_names_key(key, value, json_value, source, tmp_path, monkeypatch,
+                                    capsys):
+    out = tmp_path / "out"
+    argv = ["evolve", "--n", "2", "--n-periods", "2", "--out", str(out)]
+    if source == "flag":
+        argv.append(f"--{key.replace('_', '-')}={value}")
+    else:
+        monkeypatch.setenv(f"DTCSIM_{key.upper()}", json_value)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must be finite")
+    assert not out.exists()
 
 
 def test_main_validate_subcommand_passes(capsys):

@@ -9,11 +9,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import dtcsim
+from dtcsim.cli import _READS, RunConfig
 from dtcsim.spectra import spectral_distance
 from dtcsim.twosite import coupling_gamma_crossings
 
@@ -67,6 +69,14 @@ def test_no_module_imports_a_private_name_of_another():
                 if alias.name.startswith("_") and alias.name != "__version__":
                     offenders.append(f"{path.name}:{node.lineno} imports {alias.name}")
     assert offenders == []
+
+
+def test_subcommands_read_only_real_settings_and_every_setting_is_read():
+    names = {f.name for f in fields(RunConfig)}
+    for experiment, reads in _READS.items():
+        assert len(set(reads)) == len(reads), experiment
+        assert set(reads) <= names - {"experiment"}, experiment
+    assert set().union(*_READS.values()) == names - {"experiment"}
 
 
 def _references(tree, targets):
