@@ -46,6 +46,7 @@ from .experiments import (
     SweepSpec,
     build_initial_state,
     disorder_gap_sweep,
+    dtc_settling_period,
     ode_oracle_evolve,
     run_stroboscopic,
 )
@@ -195,10 +196,12 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
         merged.update(data)
 
     env = os.environ if env is None else env
+    variables = {}  # key -> the environment variable that set it last
     for key, raw in env.items():
         if not key.startswith(ENV_PREFIX):
             continue
         name = key[len(ENV_PREFIX):].lower()
+        variables[name] = key
         try:
             merged[name] = raw if name in text_keys else json.loads(raw)
         except json.JSONDecodeError:
@@ -207,10 +210,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
+            variables.pop(key, None)
 
     unknown = set(merged) - known
     if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
+        named = sorted(variables[k] for k in unknown if k in variables)
+        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}"
+                          + (f" (set by {', '.join(named)})" if named else ""))
 
     if "w_over_j0_values" in merged:
         values = merged["w_over_j0_values"]
@@ -327,6 +333,7 @@ def _run_evolve(config: RunConfig):
     ]
     extra = {"numerics": {
         **asdict(trace.worst_margins),
+        "settling_period": dtc_settling_period(trace),
         "tolerances": {"trace": TRACE_TOL, "hermiticity": HERM_TOL,
                        "positivity": POSITIVITY_TOL},
     }}

@@ -61,7 +61,7 @@ sectors k -> N - k, so the spectrum of block (kl, kr) of Phi_2T equals that of
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil, factorial, log2
 
 import numpy as np
@@ -100,12 +100,26 @@ class BlockPropagator:
 
     ``blocks[(kl, kr)]``, stored for kl <= kr only, acts on the row-stacked
     sub-matrix ``rho[np.ix_(sectors[kl], sectors[kr])]``; block (kr, kl) is
-    its partner under :func:`_adjoint_block` and is never formed.
+    its partner under :func:`_adjoint_block` and is never formed.  The kick
+    adjoint, the sector order and each block's slices are fixed at
+    construction, so :meth:`apply` does arithmetic only.
     """
 
     kick: np.ndarray
     blocks: dict
     sectors: list
+    _kick_adjoint: np.ndarray = field(init=False, repr=False, compare=False)
+    _order: tuple = field(init=False, repr=False, compare=False)
+    _steps: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        order = np.concatenate(self.sectors)
+        edges = np.cumsum([0] + [len(s) for s in self.sectors])
+        span = [slice(edges[k], edges[k + 1]) for k in range(len(self.sectors))]
+        object.__setattr__(self, "_kick_adjoint", self.kick.conj().T)
+        object.__setattr__(self, "_order", np.ix_(order, order))
+        object.__setattr__(self, "_steps", tuple(
+            (span[kl], span[kr], block, kl != kr) for (kl, kr), block in self.blocks.items()))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """U1 rho U1^dagger, then every stored sector-pair block on its
@@ -116,18 +130,15 @@ class BlockPropagator:
         propagator preserves Hermiticity and rho is Hermitian, so the (kr, kl)
         sub-matrix of the result is the adjoint of the (kl, kr) one.
         """
-        order = np.concatenate(self.sectors)
-        edges = np.cumsum([0] + [len(s) for s in self.sectors])
-        kicked = (self.kick @ rho @ self.kick.conj().T)[np.ix_(order, order)]
+        kicked = (self.kick @ rho @ self._kick_adjoint)[self._order]
         stepped = np.zeros_like(kicked)
-        for (kl, kr), block in self.blocks.items():
-            rows, cols = slice(edges[kl], edges[kl + 1]), slice(edges[kr], edges[kr + 1])
+        for rows, cols, block, mirrored in self._steps:
             sub = kicked[rows, cols]
             stepped[rows, cols] = image = (block @ sub.reshape(-1)).reshape(sub.shape)
-            if kl != kr:
+            if mirrored:
                 stepped[cols, rows] = image.conj().T
         out = np.empty_like(stepped)
-        out[np.ix_(order, order)] = stepped
+        out[self._order] = stepped
         return out
 
 

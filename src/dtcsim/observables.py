@@ -50,41 +50,67 @@ class ObservableTrace:
     worst_margins: DensityMatrixMargins | None = None  # over every recorded state
 
 
+def _stacked(rho: np.ndarray) -> np.ndarray:
+    """rho as a stack (m, d, d): one matrix becomes a stack of one."""
+    rho = np.asarray(rho)
+    return rho[np.newaxis] if rho.ndim == 2 else rho
+
+
+def _scalar_or_stack(rho: np.ndarray, values: np.ndarray):
+    """A float for one matrix, one value per state for a stack."""
+    return float(values[0]) if np.ndim(rho) == 2 else values
+
+
 def all_magnetizations(rho: np.ndarray) -> np.ndarray:
-    """Per-site magnetizations Tr(rho sigma_l^z), l = 0..N-1."""
-    n_sites = int(round(np.log2(rho.shape[0])))
-    values = z_sign_table(n_sites) @ np.diagonal(rho)
+    """Per-site magnetizations Tr(rho sigma_l^z), l = 0..N-1; shape (N,) for
+    one matrix and (m, N) for a stack of m."""
+    states = _stacked(rho)
+    n_sites = int(round(np.log2(states.shape[-1])))
+    diagonals = np.diagonal(states, axis1=1, axis2=2)
+    values = (diagonals[:, np.newaxis, :] * z_sign_table(n_sites)).sum(axis=-1)
     if np.abs(values.imag).max() > 1e-10:
         raise ValueError("magnetization has imaginary residue above 1e-10")
-    return values.real
+    return values.real[0] if np.ndim(rho) == 2 else values.real
 
 
 def partial_transpose(rho: np.ndarray, partition: Partition) -> np.ndarray:
-    """Transpose the region-B indices of rho; an involution."""
-    n = partition.n_sites
-    tensor = np.asarray(rho).reshape((2,) * (2 * n))
+    """Transpose the region-B indices of rho, or of every state of a stack
+    (m, d, d); an involution."""
+    rho = np.asarray(rho)
+    n, lead = partition.n_sites, rho.ndim - 2
+    tensor = rho.reshape(rho.shape[:lead] + (2,) * (2 * n))
     for site in partition.sites_b:
-        tensor = np.swapaxes(tensor, site, n + site)
-    return tensor.reshape(2**n, 2**n)
+        tensor = np.swapaxes(tensor, lead + site, lead + n + site)
+    return tensor.reshape(rho.shape)
 
 
-def negativity(rho: np.ndarray, partition: Partition) -> float:
+def negativity(rho: np.ndarray, partition: Partition):
     """Entanglement negativity (trace norm of the partial transpose - 1) / 2.
 
-    The trace norm is taken from singular values, which is robust for the
-    nearly Hermitian inputs produced by long evolutions.
+    The partial transpose of a Hermitian state is Hermitian, so its singular
+    values are the absolute values of its eigenvalues; they are taken from
+    eigvalsh of the Hermitian part, which discards the anti-Hermitian
+    rounding residue of long evolutions.  A float for one matrix, one value
+    per state for a stack (m, d, d).
     """
-    pt = partial_transpose(rho, partition)
-    singular = np.linalg.svd(pt, compute_uv=False)
-    return float((singular.sum() - np.trace(rho).real) / 2.0)
+    states = _stacked(rho)
+    pt = partial_transpose(states, partition)
+    eigenvalues = np.linalg.eigvalsh((pt + pt.conj().transpose(0, 2, 1)) / 2.0)
+    trace = np.trace(states, axis1=1, axis2=2).real
+    return _scalar_or_stack(rho, (np.abs(eigenvalues).sum(axis=1) - trace) / 2.0)
 
 
-def purity(rho: np.ndarray) -> float:
-    """Tr(rho^2), computed as sum_ij rho_ij rho_ji."""
-    return float(np.sum(rho * rho.T).real)
+def purity(rho: np.ndarray):
+    """Tr(rho^2), computed as sum_ij rho_ij rho_ji; a float for one matrix,
+    one value per state for a stack (m, d, d)."""
+    states = _stacked(rho)
+    return _scalar_or_stack(rho, np.sum(states * states.transpose(0, 2, 1), axis=(1, 2)).real)
 
 
-def total_excitations(rho: np.ndarray) -> float:
-    """Expectation of the excitation number operator."""
-    n_sites = int(round(np.log2(rho.shape[0])))
-    return float(np.sum(excitation_counts(n_sites) * np.diagonal(rho)).real)
+def total_excitations(rho: np.ndarray):
+    """Expectation of the excitation number operator; a float for one matrix,
+    one value per state for a stack (m, d, d)."""
+    states = _stacked(rho)
+    n_sites = int(round(np.log2(states.shape[-1])))
+    diagonals = np.diagonal(states, axis1=1, axis2=2)
+    return _scalar_or_stack(rho, np.sum(excitation_counts(n_sites) * diagonals, axis=1).real)

@@ -180,22 +180,49 @@ class DensityMatrixMargins:
         )
 
 
+def _leading(passed: np.ndarray) -> int:
+    """Number of leading True entries."""
+    return len(passed) if passed.all() else int(np.argmin(passed))
+
+
 def validate_density_matrix(
     rho: np.ndarray,
     trace_tol: float = 1e-10,
     herm_tol: float = 1e-10,
     positivity_tol: float = 1e-8,
-) -> DensityMatrixMargins:
+) -> DensityMatrixMargins | list[DensityMatrixMargins]:
     """Raise ValueError if rho is not a valid density matrix within tolerance;
-    otherwise return the errors that were checked."""
+    otherwise return the errors that were checked.
+
+    The checks run in order: finite entries, trace, Hermiticity, then the
+    lowest eigenvalue of the Hermitian part, so a non-finite state never
+    reaches the eigen-solve.  A stack of shape (m, d, d) is checked as its
+    states would be one at a time: the first invalid state raises, with its
+    index in the message, and neither it nor a later state reaches the
+    eigen-solve; otherwise one margins object per state is returned.
+    """
     rho = np.asarray(rho)
-    tr_err = float(abs(np.trace(rho) - 1.0))
-    if tr_err > trace_tol:
-        raise ValueError(f"trace deviates from 1 by {tr_err:.3e}")
-    herm_err = float(np.abs(rho - rho.conj().T).max())
-    if herm_err > herm_tol:
-        raise ValueError(f"Hermiticity violated by {herm_err:.3e}")
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min())
-    if min_eig < -positivity_tol:
-        raise ValueError(f"minimum eigenvalue {min_eig:.3e} below -{positivity_tol:.0e}")
-    return DensityMatrixMargins(tr_err, herm_err, min_eig)
+    states = rho if rho.ndim == 3 else rho[np.newaxis]
+    finite = np.isfinite(states).all(axis=(1, 2))
+    ok = states[:_leading(finite)]
+    tr_err = np.abs(np.trace(ok, axis1=1, axis2=2) - 1.0)
+    herm_err = np.abs(ok - ok.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    ok = ok[:_leading((tr_err <= trace_tol) & (herm_err <= herm_tol))]
+    min_eig = np.linalg.eigvalsh((ok + ok.conj().transpose(0, 2, 1)) / 2.0).min(
+        axis=1, initial=np.inf)
+    i = _leading(min_eig >= -positivity_tol)  # the first invalid state, if any
+    if i < len(states):
+        if not finite[i]:
+            where = np.argwhere(~np.isfinite(states[i]))
+            reason = (f"{len(where)} non-finite entries, the first at "
+                      f"{tuple(int(j) for j in where[0])}")
+        elif tr_err[i] > trace_tol:
+            reason = f"trace deviates from 1 by {tr_err[i]:.3e}"
+        elif herm_err[i] > herm_tol:
+            reason = f"Hermiticity violated by {herm_err[i]:.3e}"
+        else:
+            reason = f"minimum eigenvalue {min_eig[i]:.3e} below -{positivity_tol:.0e}"
+        raise ValueError(reason if rho.ndim == 2 else f"state {i}: {reason}")
+    margins = [DensityMatrixMargins(float(t), float(h), float(e))
+               for t, h, e in zip(tr_err, herm_err, min_eig)]
+    return margins[0] if rho.ndim == 2 else margins

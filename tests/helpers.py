@@ -4,7 +4,19 @@ import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
-from dtcsim import SpinNetworkConfig, hamiltonian_interaction, liouvillian
+from dtcsim import (
+    ObservableTrace,
+    SpinNetworkConfig,
+    all_magnetizations,
+    default_partition,
+    hamiltonian_interaction,
+    liouvillian,
+    purity,
+    total_excitations,
+    validate_density_matrix,
+)
+from dtcsim.experiments import HERM_TOL, POSITIVITY_TOL, TRACE_TOL, StateInvariantError
+from dtcsim.observables import partial_transpose
 from dtcsim.operators import coupling_matrix, embed, excitation_sectors, pauli
 from dtcsim.spectra import spectral_distance
 
@@ -97,3 +109,37 @@ def perfect_pulse_configs(draw, gammas=(0.0, 0.07, 50.0)):
         gamma=draw(st.sampled_from(gammas)),
         disorder=np.array(draw(st.lists(st.floats(0.0, 30.0), min_size=n, max_size=n))),
     )
+
+
+def negativity_svd(rho, partition):
+    """Negativity from the singular values of the partial transpose, the
+    reference for the eigenvalue route of ``dtcsim.negativity``."""
+    singular = np.linalg.svd(partial_transpose(rho, partition), compute_uv=False)
+    return float((singular.sum() - np.trace(rho).real) / 2.0)
+
+
+def per_period_run(rho0, config, n_periods, step):
+    """run_stroboscopic as a loop that checks and measures every period on
+    its own before stepping on, with the negativity from :func:`negativity_svd`.
+
+    The reference for the chunked loop: the same StateInvariantError at the
+    same period, and the same worst margins.
+    """
+    part = default_partition(config.n_sites)
+    rho = np.asarray(rho0, dtype=complex).reshape(config.dim, config.dim)
+    rows, worst = [], None
+    for n in range(n_periods + 1):
+        try:
+            margins = validate_density_matrix(rho, trace_tol=TRACE_TOL, herm_tol=HERM_TOL,
+                                              positivity_tol=POSITIVITY_TOL)
+        except ValueError as exc:
+            raise StateInvariantError(n, str(exc)) from exc
+        worst = margins if worst is None else worst.worst(margins)
+        rows.append((all_magnetizations(rho), negativity_svd(rho, part), purity(rho),
+                     total_excitations(rho)))
+        if n < n_periods:
+            rho = step.apply(rho)
+    mags, negs, purs, excs = zip(*rows)
+    return ObservableTrace(periods=np.arange(n_periods + 1), magnetization=np.array(mags),
+                           negativity=np.array(negs), purity=np.array(purs),
+                           excitations=np.array(excs), worst_margins=worst)

@@ -40,3 +40,9 @@ def test_quick_evolve_benchmark_matches_stored_reference():
 def test_traced_quick_crosscheck_run_finds_every_traced_function():
     result = _assert_quick_run_correct("crosscheck-n5", trace=1)
     assert result["metrics"]["spectra.liouvillian_gap.calls"]["value"] > 0
+
+
+def test_traced_quick_evolve_run_sees_the_stacked_observables():
+    metrics = _assert_quick_run_correct("evolve-n6", trace=1)["metrics"]
+    assert metrics["observables.negativity.calls"]["value"] > 0
+    assert metrics["superop.validate_density_matrix.calls"]["value"] > 0

@@ -161,6 +161,13 @@ def test_evolve_manifest_records_numerical_margins(tmp_path):
     assert 0.0 <= numerics["trace_error"] <= TRACE_TOL
     assert 0.0 <= numerics["hermiticity_error"] <= HERM_TOL
     assert numerics["min_eigenvalue"] >= -POSITIVITY_TOL
+    assert numerics["settling_period"] is None  # 8 periods cannot hold 10 quiet steps
+
+
+def test_evolve_manifest_records_settling_period_at_defaults(tmp_path):
+    assert main(["evolve", "--out", str(tmp_path)]) == 0
+    numerics = json.loads((tmp_path / "evolve_manifest.json").read_text())["numerics"]
+    assert numerics["settling_period"] == 98
 
 
 def test_evolve_output_byte_identical_across_reruns(tmp_path):
@@ -412,6 +419,19 @@ def test_unknown_environment_name_is_refused(name, tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: unknown configuration keys") and repr(name[7:].lower()) in err
     assert not out.exists()
+
+
+def test_unknown_key_from_the_environment_names_the_variable(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DTCSIM_GAMMA", "0.5")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"gamma_tt": 0.02}))
+    out = tmp_path / "out"
+    assert main(["evolve", "--n", "2", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == ("error: unknown configuration keys: ['gamma', 'gamma_tt'] "
+                           "(set by DTCSIM_GAMMA)")
+    with pytest.raises(ConfigError, match=r"\['gamma_tt'\]$"):
+        parse_config(str(path), env={})
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])

@@ -15,9 +15,11 @@ from dtcsim import (
     negativity,
     purity,
     total_excitations,
+    validate_density_matrix,
     vectorize,
 )
 from dtcsim.observables import partial_transpose
+from helpers import negativity_svd
 
 PART6 = Partition((0, 1, 2), (3, 4, 5))
 
@@ -140,3 +142,50 @@ def test_trace_negativity_nonnegative(default_trace):
 def test_trace_purity_bounds(default_trace):
     assert default_trace.purity.max() <= 1.0 + 1e-10
     assert default_trace.purity.min() > 0.0
+
+
+def _random_mixed_states(n_sites, count, seed):
+    """Random density matrices of random rank 1..dim, as a stack."""
+    rng = np.random.default_rng(seed)
+    dim = 2**n_sites
+    states = []
+    for _ in range(count):
+        rank = int(rng.integers(1, dim + 1))
+        a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        rho = a @ a.conj().T
+        states.append(rho / np.trace(rho).real)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6])
+def test_negativity_eigenvalue_route_matches_svd_route(n_sites):
+    part = default_partition(n_sites)
+    for rho in _random_mixed_states(n_sites, 12, seed=n_sites):
+        assert abs(negativity(rho, part) - negativity_svd(rho, part)) < 1e-12
+
+
+@pytest.mark.parametrize("n_sites", [1, 3, 6])
+def test_stacked_observables_equal_single_state_values(n_sites):
+    part = default_partition(n_sites)
+    stack = _random_mixed_states(n_sites, 5, seed=100 + n_sites)
+    per_state = {
+        "all_magnetizations": all_magnetizations,
+        "negativity": lambda rho: negativity(rho, part),
+        "purity": purity,
+        "total_excitations": total_excitations,
+        "partial_transpose": lambda rho: partial_transpose(rho, part),
+        "validate_density_matrix": validate_density_matrix,
+    }
+    for name, fn in per_state.items():
+        stacked = fn(stack)
+        assert len(stacked) == len(stack), name
+        for i, rho in enumerate(stack):
+            alone = fn(rho)
+            assert np.shape(alone) == np.shape(stacked[i]), name
+            if name == "validate_density_matrix":
+                assert stacked[i] == alone
+            else:
+                assert np.array_equal(stacked[i], alone), name
+    assert isinstance(negativity(stack[0], part), float)
+    assert isinstance(purity(stack[0]), float)
+    assert isinstance(total_excitations(stack[0]), float)

@@ -1,5 +1,7 @@
 """Vectorisation conventions and the Lindblad generator."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,29 @@ def test_validate_density_matrix_returns_margins():
     assert margins.trace_error == pytest.approx(1e-12, rel=1e-3)
     assert margins.hermiticity_error == pytest.approx(1e-13, rel=1e-3)
     assert margins.min_eigenvalue == pytest.approx(0.3, abs=1e-11)
+
+
+@pytest.mark.parametrize("entry, value", [((1, 1), np.nan), ((0, 1), np.nan), ((1, 0), np.inf)],
+                         ids=["nan_diagonal", "nan_off_diagonal", "inf"])
+def test_validate_density_matrix_refuses_non_finite_entries(entry, value):
+    rho = np.eye(3, dtype=complex) / 3.0
+    rho[entry] = value
+    with pytest.raises(ValueError, match=re.escape(f"1 non-finite entries, the first at {entry}")):
+        validate_density_matrix(rho)
+    stack = np.array([np.eye(3) / 3.0, rho], dtype=complex)
+    with pytest.raises(ValueError, match="state 1: 1 non-finite entries"):
+        validate_density_matrix(stack)
+
+
+def test_validate_density_matrix_stack_reports_first_invalid_state():
+    good = np.eye(2, dtype=complex) / 2.0
+    bad_trace, bad_positivity = good * 2.0, np.diag([1.5, -0.5]).astype(complex)
+    non_finite = good.copy()
+    non_finite[0, 1] = np.nan
+    stack = np.array([good, good, bad_positivity, bad_trace, non_finite])
+    with pytest.raises(ValueError, match="^state 2: minimum eigenvalue"):
+        validate_density_matrix(stack)
+    with pytest.raises(ValueError, match="^state 1: trace deviates"):
+        validate_density_matrix(stack[[0, 3, 4]])
+    margins = validate_density_matrix(stack[:2])
+    assert margins == [validate_density_matrix(good)] * 2
