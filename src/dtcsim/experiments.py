@@ -105,8 +105,9 @@ def run_stroboscopic(rho0: np.ndarray, config: SpinNetworkConfig, n_periods: int
     :class:`DynamicalMap` is accepted in its place; a two-period map is
     refused, since each of its steps would be recorded as one period.
     Density-matrix invariants (trace, Hermiticity, positivity) are asserted
-    every period; a violation aborts with the offending period index, and the
-    worst margins seen are returned in the trace.
+    every period, and so is a real magnetization; a violation aborts with the
+    offending period index, and the worst margins seen are returned in the
+    trace.
 
     The states of CHUNK_PERIODS periods are stepped into one buffer, then
     checked and measured as a stack.  The outcome is that of checking each
@@ -140,14 +141,16 @@ def run_stroboscopic(rho0: np.ndarray, config: SpinNetworkConfig, n_periods: int
                 if start + i > 0:
                     rho = step.apply(rho)
                 states[i] = rho
+        chunk = slice(start, start + len(states))
         try:
-            margins += validate_density_matrix(states, TRACE_TOL, HERM_TOL, POSITIVITY_TOL)
+            checked = validate_density_matrix(states, TRACE_TOL, HERM_TOL, POSITIVITY_TOL)
+            mags[chunk] = all_magnetizations(states)
         except ValueError:
             # state by state, so the error names the period and reads as
             # it would for that state alone
-            margins += [_checked(state, start + i) for i, state in enumerate(states)]
-        chunk = slice(start, start + len(states))
-        mags[chunk] = all_magnetizations(states)
+            checked, mags[chunk] = zip(*(_checked(state, start + i)
+                                         for i, state in enumerate(states)))
+        margins += checked
         negs[chunk] = negativity(states, part)
         purs[chunk] = purity(states)
         excs[chunk] = total_excitations(states)
@@ -161,9 +164,12 @@ def run_stroboscopic(rho0: np.ndarray, config: SpinNetworkConfig, n_periods: int
     )
 
 
-def _checked(rho: np.ndarray, period: int) -> DensityMatrixMargins:
+def _checked(rho: np.ndarray, period: int) -> tuple[DensityMatrixMargins, np.ndarray]:
+    """The margins and magnetizations of one state, checked in that order;
+    StateInvariantError naming ``period`` when either refuses the state."""
     try:
-        return validate_density_matrix(rho, TRACE_TOL, HERM_TOL, POSITIVITY_TOL)
+        return (validate_density_matrix(rho, TRACE_TOL, HERM_TOL, POSITIVITY_TOL),
+                all_magnetizations(rho))
     except ValueError as exc:
         raise StateInvariantError(period, str(exc)) from exc
 

@@ -1,4 +1,4 @@
-"""One- and two-period dynamical maps and the two-period effective Hamiltonian.
+"""One- and two-period dynamical maps, built from the sector blocks of one period.
 
 The drive alternates a purely unitary kick (dephasing is negligible during a
 short pulse) with an interaction segment evolved under the full Lindblad
@@ -20,7 +20,8 @@ of that map is exponentiated (16 of the 28 for six sites).
 :class:`BlockPropagator` keeps one period in the half-stored form and applies
 it to a density matrix directly, writing each (kr, kl) sub-matrix as the
 adjoint of the (kl, kr) one; the dense Phi_T of :func:`floquet_map` is
-assembled from the same blocks and serves cross-checks and spectra.
+the segment assembled from the same blocks (:func:`interaction_propagator`)
+with the kick applied, and serves cross-checks and spectra.
 
 :func:`interaction_propagator`, :func:`floquet_map` and :func:`floquet_map_2T`
 form a dense 4^N x 4^N matrix and refuse N > DENSE_LIMIT before building any
@@ -60,7 +61,6 @@ sectors k -> N - k, so the spectrum of block (kl, kr) of Phi_2T equals that of
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from math import ceil, factorial, log2
 
@@ -74,10 +74,6 @@ from .operators import (
     require_dense,
 )
 from .superop import dephasing_rates, from_hermitian_basis, hermitian_real_form
-
-
-class BranchAmbiguityWarning(UserWarning):
-    """A matrix logarithm was taken with an eigenphase close to +-pi."""
 
 
 @dataclass(frozen=True)
@@ -352,8 +348,8 @@ def block_propagator(config: SpinNetworkConfig) -> BlockPropagator:
 def interaction_propagator(config: SpinNetworkConfig) -> np.ndarray:
     """Dense exp(L2 * t2) for the interaction segment, built blockwise."""
     require_dense(config.n_sites)
-    prop = block_propagator(config)
-    return _assemble_blocks(prop.blocks, prop.sectors, config.dim)
+    blocks, sectors = _segment_blocks(config)
+    return _assemble_blocks(blocks, sectors, config.dim)
 
 
 def floquet_map(config: SpinNetworkConfig) -> DynamicalMap:
@@ -363,11 +359,10 @@ def floquet_map(config: SpinNetworkConfig) -> DynamicalMap:
     as a dim x dim matrix R, to U1^T R conj(U1); the batched product avoids
     forming the 4^N x 4^N Kronecker superoperator and multiplying by it.
     """
-    require_dense(config.n_sites)
-    prop = block_propagator(config)
     dim = config.dim
-    phi = _assemble_blocks(prop.blocks, prop.sectors, dim).reshape(dim * dim, dim, dim)
-    np.matmul(prop.kick.T @ phi, prop.kick.conj(), out=phi)
+    phi = interaction_propagator(config).reshape(dim * dim, dim, dim)
+    kick = kick_unitary(config)
+    np.matmul(kick.T @ phi, kick.conj(), out=phi)
     return DynamicalMap(matrix=phi.reshape(dim * dim, dim * dim), period_multiple=1,
                         horizon=config.period)
 
@@ -425,24 +420,3 @@ def principal_log_hamiltonian(U: np.ndarray, horizon: float):
     phases = np.angle(np.linalg.eigvals(U))
     H = 1j * scipy.linalg.logm(U) / horizon
     return (H + H.conj().T) / 2.0, bool(np.any(np.abs(np.abs(phases) - np.pi) < 1e-6))
-
-
-def effective_hamiltonian_2T(config: SpinNetworkConfig) -> np.ndarray:
-    """Closed-system Hamiltonian generating the double-period unitary.
-
-    Defined through U(2T) = exp(-2i H_eff T).  Without disorder and for a
-    perfect pi pulse this has the closed form of half the interaction
-    Hamiltonian (the kick segment contributes nothing and the interaction
-    acts for half of each period); otherwise the principal matrix logarithm
-    of U(2T) is taken and a warning is emitted if any eigenphase sits within
-    1e-6 of the +-pi branch cut.
-    """
-    if config.perfect_pulse and not np.any(config.disorder):
-        return 0.5 * hamiltonian_interaction(config)
-    U1 = kick_unitary(config)
-    U2 = matrix_exp(-1j * hamiltonian_interaction(config) * config.t2)
-    H, on_cut = principal_log_hamiltonian(U2 @ U1 @ U2 @ U1, 2.0 * config.period)
-    if on_cut:
-        warnings.warn("eigenphase of U(2T) within 1e-6 of +-pi; principal-branch effective "
-                      "Hamiltonian is ambiguous there", BranchAmbiguityWarning, stacklevel=2)
-    return H

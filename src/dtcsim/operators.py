@@ -1,4 +1,4 @@
-"""Pauli operators, many-body embeddings and the drive Hamiltonians.
+"""The network configuration, the drive Hamiltonians and the excitation sectors.
 
 Conventions used throughout the package:
 
@@ -16,15 +16,6 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-# Pauli matrices in the (|0>, |1>) ordering with sigma^z |1> = +|1>.
-_PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex),
-    "z": np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex),
-}
-
-IDENTITY_2 = np.eye(2, dtype=complex)
-
 #: Largest site count of the routes that form a dense 4^N x 4^N matrix.
 DENSE_LIMIT = 6
 #: Largest site count a SpinNetworkConfig accepts; the one-period sector
@@ -39,30 +30,12 @@ def require_dense(n_sites: int) -> None:
                          "of routes that form a 4^N x 4^N matrix")
 
 
-def pauli(mu: str) -> np.ndarray:
-    """Return the 2x2 Pauli matrix for axis ``mu`` in {'x', 'y', 'z'}."""
-    try:
-        return _PAULI[mu].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {mu!r}, expected 'x', 'y' or 'z'") from None
-
-
 def kron_all(factors) -> np.ndarray:
     """Kronecker product of a sequence of matrices, leftmost factor first."""
     out = np.array([[1.0 + 0.0j]])
     for f in factors:
         out = np.kron(out, f)
     return out
-
-
-def embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Embed a single-site operator at ``site`` in an ``n_sites`` register.
-
-    Identity acts on every other site; site 0 is the leftmost tensor factor.
-    """
-    if not 0 <= site < n_sites:
-        raise ValueError(f"site {site} out of range for {n_sites} sites")
-    return kron_all(op if k == site else IDENTITY_2 for k in range(n_sites))
 
 
 def coupling_matrix(n_sites: int, j0: float, alpha: float) -> np.ndarray:
@@ -155,11 +128,16 @@ class SpinNetworkConfig:
 
 
 def hamiltonian_kick(config: SpinNetworkConfig) -> np.ndarray:
-    """Kick Hamiltonian g(1-epsilon) sum_l sigma_l^x."""
+    """Kick Hamiltonian g(1-epsilon) sum_l sigma_l^x.
+
+    Built from the basis bits, as :func:`hamiltonian_interaction` is:
+    sigma_l^x connects basis states i and i ^ bit_l.
+    """
     amp = config.g * (1.0 - config.epsilon)
+    idx = np.arange(config.dim)
     H = np.zeros((config.dim, config.dim), dtype=complex)
-    for l in range(config.n_sites):
-        H += amp * embed(_PAULI["x"], l, config.n_sites)
+    for bit in 1 << np.arange(config.n_sites):
+        H[idx, idx ^ bit] = amp
     return H
 
 

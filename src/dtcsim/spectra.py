@@ -1,4 +1,4 @@
-"""Spectral analysis of dynamical maps and generators.
+"""Spectra, gaps and steady states of the dynamical maps.
 
 Eigenvalues of a map with horizon tau are reported as generator rates
 Lambda = log(mu) / tau (principal branch) so that gaps and relaxation times
@@ -66,15 +66,6 @@ class SpectralData:
     source_horizon: float
     condition_number: float
     map_eigenvalues: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class EffectiveGenerator:
-    """Time-independent generator whose exponential reproduces a map."""
-
-    matrix: np.ndarray
-    horizon: float
-    branch_note: str
 
 
 @dataclass(frozen=True)
@@ -151,27 +142,6 @@ def eigendecompose(operator) -> SpectralData:
         condition_number=cond,
         map_eigenvalues=vals[order] if is_map else None,
     )
-
-
-def effective_liouvillian_2T(dmap: DynamicalMap) -> EffectiveGenerator:
-    """Eigenvalue logarithm of a two-period map, divided by its horizon.
-
-    Built from :func:`eigendecompose` as R diag(Lambda) L^dagger.  Real parts
-    of the generator spectrum are branch free; imaginary parts are only
-    defined modulo 2*pi / horizon, which the branch note records.  A map
-    whose eigenvector matrix is ill conditioned beyond CONDITION_LIMIT is
-    reported as numerically defective.
-    """
-    if dmap.period_multiple != 2:
-        raise ValueError("expected a two-period map")
-    spec = eigendecompose(dmap)
-    gen = (spec.right_vectors * spec.eigenvalues) @ spec.left_vectors.conj().T
-    note = (
-        "principal branch: Im(eigenvalues) defined modulo "
-        f"{2.0 * np.pi / dmap.horizon:.6f} (= 2*pi / horizon); "
-        f"eigenvector condition number {spec.condition_number:.3e}"
-    )
-    return EffectiveGenerator(matrix=gen, horizon=dmap.horizon, branch_note=note)
 
 
 def gap_from_eigenvalues(eigenvalues: np.ndarray) -> GapResult:
@@ -290,7 +260,7 @@ def sector_gap(config: SpinNetworkConfig) -> GapResult:
 
 
 def spectrum_2T(config: SpinNetworkConfig) -> np.ndarray:
-    """All rates Lambda of the two-period effective generator.
+    """All rates Lambda = log(mu) / 2T of the multipliers mu of Phi_2T.
 
     Uses the sector-block path for a perfect pi pulse and the dense map
     otherwise; either way the result is the complete eigenvalue cloud.

@@ -16,8 +16,8 @@ the real form has the same spectrum and exp(T G T^dagger) = T exp(G)
 T^dagger; exponentiating or diagonalising the real form is exact, only
 cheaper.
 
-Only :func:`hamiltonian_superop` and :func:`liouvillian`, which calls it,
-form a dense 4^N x 4^N matrix, and both refuse N > DENSE_LIMIT.
+Only :func:`liouvillian` forms a dense 4^N x 4^N matrix, and it refuses
+N > DENSE_LIMIT.
 """
 
 from __future__ import annotations
@@ -113,16 +113,6 @@ def hermitian_real_form(M: np.ndarray, name: str) -> np.ndarray:
     return R.real.copy()
 
 
-def hamiltonian_superop(H: np.ndarray) -> np.ndarray:
-    """Superoperator of -i [H, .] under row stacking: -i (H x I - I x H^T)."""
-    H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("H must be square")
-    require_dense(H.shape[0].bit_length() - 1)  # floor(log2 dim) sites
-    I = np.eye(H.shape[0], dtype=complex)
-    return -1j * (np.kron(H, I) - np.kron(I, H.T))
-
-
 def dephasing_rates(n_sites: int, gamma: float) -> np.ndarray:
     """Diagonal of the dephasing superoperator, length 4^N.
 
@@ -137,13 +127,16 @@ def dephasing_rates(n_sites: int, gamma: float) -> np.ndarray:
 
 
 def liouvillian(H: np.ndarray, n_sites: int, gamma: float) -> np.ndarray:
-    """Full Lindblad generator: Hamiltonian part plus site dephasing."""
+    """Full Lindblad generator: -i (H x I - I x H^T), the commutator under
+    row stacking, plus site dephasing."""
     H = np.asarray(H, dtype=complex)
     if H.shape != (2**n_sites, 2**n_sites):
         raise ValueError(
             f"H has shape {H.shape}, expected ({2**n_sites}, {2**n_sites}) for {n_sites} sites"
         )
-    L = hamiltonian_superop(H)
+    require_dense(n_sites)
+    I = np.eye(2**n_sites, dtype=complex)
+    L = -1j * (np.kron(H, I) - np.kron(I, H.T))
     L[np.diag_indices_from(L)] += dephasing_rates(n_sites, gamma)
     return L
 

@@ -1,24 +1,61 @@
-"""Shared test utilities."""
+"""Shared test utilities, and the reference routes that only tests use:
+Pauli embeddings, the double-period effective Hamiltonian and the effective
+generator of a two-period map."""
+
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
 from dtcsim import (
+    DynamicalMap,
     ObservableTrace,
     SpinNetworkConfig,
     all_magnetizations,
     default_partition,
+    eigendecompose,
     hamiltonian_interaction,
+    kick_unitary,
     liouvillian,
+    matrix_exp,
     purity,
     total_excitations,
     validate_density_matrix,
 )
 from dtcsim.experiments import HERM_TOL, POSITIVITY_TOL, TRACE_TOL, StateInvariantError
+from dtcsim.floquet import principal_log_hamiltonian
 from dtcsim.observables import partial_transpose
-from dtcsim.operators import coupling_matrix, embed, excitation_sectors, pauli
+from dtcsim.operators import coupling_matrix, excitation_sectors, kron_all
 from dtcsim.spectra import spectral_distance
+
+# Pauli matrices in the (|0>, |1>) ordering with sigma^z |1> = +|1>.
+_PAULI = {
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "y": np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex),
+    "z": np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex),
+}
+
+IDENTITY_2 = np.eye(2, dtype=complex)
+
+
+def pauli(mu: str) -> np.ndarray:
+    """Return the 2x2 Pauli matrix for axis ``mu`` in {'x', 'y', 'z'}."""
+    try:
+        return _PAULI[mu].copy()
+    except KeyError:
+        raise ValueError(f"unknown Pauli axis {mu!r}, expected 'x', 'y' or 'z'") from None
+
+
+def embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
+    """Embed a single-site operator at ``site`` in an ``n_sites`` register.
+
+    Identity acts on every other site; site 0 is the leftmost tensor factor.
+    """
+    if not 0 <= site < n_sites:
+        raise ValueError(f"site {site} out of range for {n_sites} sites")
+    return kron_all(op if k == site else IDENTITY_2 for k in range(n_sites))
 
 
 def assert_spectra_match(a, b, tol):
@@ -55,6 +92,16 @@ def embed_hamiltonian_interaction(config):
     for l in range(n):
         if config.disorder[l] != 0.0:
             H += config.disorder[l] * embed(pauli("z"), l, n)
+    return H
+
+
+def embed_hamiltonian_kick(config):
+    """The kick Hamiltonian as sum_l amp * embed(sigma^x, l), amp = g(1 - epsilon),
+    added site by site; the bit construction should match it bit for bit."""
+    amp = config.g * (1.0 - config.epsilon)
+    H = np.zeros((config.dim, config.dim), dtype=complex)
+    for l in range(config.n_sites):
+        H += amp * embed(pauli("x"), l, config.n_sites)
     return H
 
 
@@ -123,7 +170,8 @@ def per_period_run(rho0, config, n_periods, step):
     its own before stepping on, with the negativity from :func:`negativity_svd`.
 
     The reference for the chunked loop: the same StateInvariantError at the
-    same period, and the same worst margins.
+    same period, for an invariant or a complex magnetization, and the same
+    worst margins.
     """
     part = default_partition(config.n_sites)
     rho = np.asarray(rho0, dtype=complex).reshape(config.dim, config.dim)
@@ -132,14 +180,69 @@ def per_period_run(rho0, config, n_periods, step):
         try:
             margins = validate_density_matrix(rho, trace_tol=TRACE_TOL, herm_tol=HERM_TOL,
                                               positivity_tol=POSITIVITY_TOL)
+            magnetization = all_magnetizations(rho)
         except ValueError as exc:
             raise StateInvariantError(n, str(exc)) from exc
         worst = margins if worst is None else worst.worst(margins)
-        rows.append((all_magnetizations(rho), negativity_svd(rho, part), purity(rho),
-                     total_excitations(rho)))
+        rows.append((magnetization, negativity_svd(rho, part), purity(rho), total_excitations(rho)))
         if n < n_periods:
             rho = step.apply(rho)
     mags, negs, purs, excs = zip(*rows)
     return ObservableTrace(periods=np.arange(n_periods + 1), magnetization=np.array(mags),
                            negativity=np.array(negs), purity=np.array(purs),
                            excitations=np.array(excs), worst_margins=worst)
+
+
+class BranchAmbiguityWarning(UserWarning):
+    """A matrix logarithm was taken with an eigenphase close to +-pi."""
+
+
+def effective_hamiltonian_2T(config):
+    """Closed-system Hamiltonian generating the double-period unitary.
+
+    Defined through U(2T) = exp(-2i H_eff T).  Without disorder and for a
+    perfect pi pulse this has the closed form of half the interaction
+    Hamiltonian (the kick segment contributes nothing and the interaction
+    acts for half of each period); otherwise the principal matrix logarithm
+    of U(2T) is taken and a warning is emitted if any eigenphase sits within
+    1e-6 of the +-pi branch cut.
+    """
+    if config.perfect_pulse and not np.any(config.disorder):
+        return 0.5 * hamiltonian_interaction(config)
+    U1 = kick_unitary(config)
+    U2 = matrix_exp(-1j * hamiltonian_interaction(config) * config.t2)
+    H, on_cut = principal_log_hamiltonian(U2 @ U1 @ U2 @ U1, 2.0 * config.period)
+    if on_cut:
+        warnings.warn("eigenphase of U(2T) within 1e-6 of +-pi; principal-branch effective "
+                      "Hamiltonian is ambiguous there", BranchAmbiguityWarning, stacklevel=2)
+    return H
+
+
+@dataclass(frozen=True)
+class EffectiveGenerator:
+    """Time-independent generator whose exponential reproduces a map."""
+
+    matrix: np.ndarray
+    horizon: float
+    branch_note: str
+
+
+def effective_liouvillian_2T(dmap: DynamicalMap) -> EffectiveGenerator:
+    """Eigenvalue logarithm of a two-period map, divided by its horizon.
+
+    Built from :func:`dtcsim.eigendecompose` as R diag(Lambda) L^dagger.
+    Real parts of the generator spectrum are branch free; imaginary parts are
+    only defined modulo 2*pi / horizon, which the branch note records.  A map
+    whose eigenvector matrix is ill conditioned beyond CONDITION_LIMIT is
+    reported as numerically defective.
+    """
+    if dmap.period_multiple != 2:
+        raise ValueError("expected a two-period map")
+    spec = eigendecompose(dmap)
+    gen = (spec.right_vectors * spec.eigenvalues) @ spec.left_vectors.conj().T
+    note = (
+        "principal branch: Im(eigenvalues) defined modulo "
+        f"{2.0 * np.pi / dmap.horizon:.6f} (= 2*pi / horizon); "
+        f"eigenvector condition number {spec.condition_number:.3e}"
+    )
+    return EffectiveGenerator(matrix=gen, horizon=dmap.horizon, branch_note=note)

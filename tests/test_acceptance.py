@@ -30,7 +30,7 @@ from dtcsim import (
     two_site_numeric_coupling,
     vectorize,
 )
-from dtcsim.floquet import effective_hamiltonian_2T
+from helpers import effective_hamiltonian_2T
 
 J0 = 0.2 * 2 * np.pi
 GAMMA = 0.02

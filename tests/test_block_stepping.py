@@ -165,3 +165,22 @@ def test_map_producing_nan_fails_at_that_period(route):
     with pytest.raises(StateInvariantError, match="non-finite") as err:
         run_stroboscopic(_small_state(), SMALL, C, dynamical_map=step)
     assert err.value.period == 1
+
+
+def test_complex_magnetization_fails_at_its_period():
+    # a phase of 4e-10 on row 0 of block (1, 1) puts an imaginary part on the
+    # population of |01>; at period 3 the state still passes every invariant
+    # check (Hermiticity error 4.1e-10 < HERM_TOL) but its magnetization
+    # carries an imaginary residue of 1.9e-10, above the 1e-10 bound
+    cfg = SpinNetworkConfig(n_sites=2)
+    prop = block_propagator(cfg)
+    blocks = dict(prop.blocks)
+    blocks[(1, 1)] = blocks[(1, 1)].copy()
+    blocks[(1, 1)][0] *= 1.0 + 4e-10j
+    step = replace(prop, blocks=blocks)
+    rho0 = build_initial_state(InitialStateSpec(kind="pure_pattern", pattern="1+"), 2)
+    with pytest.raises(StateInvariantError) as expected:
+        per_period_run(rho0, cfg, 3, step)
+    with pytest.raises(StateInvariantError, match="imaginary residue above 1e-10") as got:
+        run_stroboscopic(rho0, cfg, 3, dynamical_map=step)
+    assert (got.value.period, str(got.value)) == (3, str(expected.value))

@@ -1,4 +1,5 @@
-"""Dynamical maps, effective Hamiltonians and effective generators."""
+"""Dynamical maps, and the effective Hamiltonian and generator of the test
+helpers that cross-check them."""
 
 import numpy as np
 import pytest
@@ -24,15 +25,16 @@ from dtcsim import (
     vectorize,
 )
 from dtcsim import floquet
-from dtcsim.floquet import (
+from dtcsim.floquet import _assemble_blocks, interaction_propagator
+from dtcsim.operators import excitation_sectors
+from helpers import (
     BranchAmbiguityWarning,
-    _assemble_blocks,
+    assert_spectra_match,
     effective_hamiltonian_2T,
-    interaction_propagator,
+    effective_liouvillian_2T,
+    embed,
+    pauli,
 )
-from dtcsim.operators import excitation_sectors, pauli
-from dtcsim.spectra import effective_liouvillian_2T
-from dtcsim.superop import dephasing_rates, hamiltonian_superop
 
 
 def test_matrix_exp_zero():
@@ -129,8 +131,17 @@ def test_zero_disorder_exponentiates_one_block_per_spin_flip_orbit(monkeypatch):
     monkeypatch.setattr(floquet, "matrix_exp", record)
     floquet.block_propagator(cfg)
     assert len(calls) == 1 + 9
-    sizes = [a * a for a, _ in calls[:-1]]
+    segment = calls[:-1]
+    sizes = [a * a for a, _ in segment]
     assert sizes == sorted(sizes, reverse=True)  # the largest exponential first
+    # the dense segment exponentiates the same blocks and no kick; the
+    # dense map adds the kick
+    calls.clear()
+    interaction_propagator(cfg)
+    assert calls == segment
+    calls.clear()
+    floquet_map(cfg)
+    assert calls == segment + [(16, 16)]
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -191,8 +202,6 @@ def test_matrix_exp_of_a_huge_nilpotent_is_not_overscaled():
 
 
 def test_kick_unitary_pi_pulse_conjugation():
-    from dtcsim.operators import embed
-
     cfg = SpinNetworkConfig(n_sites=3)
     U = kick_unitary(cfg)
     for l in range(3):
@@ -356,13 +365,11 @@ def test_effective_liouvillian_matches_closed_form():
     # -i[H_eff, .] + dephasing at rate gamma * t2 / T
     cfg = SpinNetworkConfig(n_sites=3)
     dmap = floquet_map_2T(cfg)
-    closed = hamiltonian_superop(effective_hamiltonian_2T(cfg)) \
-        + np.diag(dephasing_rates(cfg.n_sites, cfg.gamma * cfg.t2 / cfg.period))
+    closed = liouvillian(effective_hamiltonian_2T(cfg), cfg.n_sites,
+                         cfg.gamma * cfg.t2 / cfg.period)
     assert np.abs(matrix_exp(closed * dmap.horizon) - dmap.matrix).max() < 1e-10
     # spectra agree once both are pushed back through the exponential,
     # which removes the branch freedom of the imaginary parts
-    from helpers import assert_spectra_match
-
     gen = effective_liouvillian_2T(dmap)
     assert_spectra_match(np.exp(np.linalg.eigvals(gen.matrix) * dmap.horizon),
                          np.exp(np.linalg.eigvals(closed) * dmap.horizon), 1e-8)

@@ -10,13 +10,8 @@ from dtcsim import (
     hamiltonian_kick,
     sample_disorder,
 )
-from dtcsim.operators import (
-    coupling_matrix,
-    embed,
-    excitation_counts,
-    excitation_sectors,
-    pauli,
-)
+from dtcsim.operators import coupling_matrix, excitation_counts, excitation_sectors
+from helpers import embed, embed_hamiltonian_interaction, embed_hamiltonian_kick, pauli
 
 KET1 = np.array([0.0, 1.0], dtype=complex)
 
@@ -128,10 +123,9 @@ def test_interaction_commutes_with_excitation_number():
 
 def test_interaction_matches_brute_force_and_frozen_eigenvalue():
     """Bitwise equal to the sum of embedded Pauli products for N = 1..7 with
-    random J0, alpha and disorder, some entries zero; the six-site default
-    spectrum keeps its frozen top eigenvalue."""
-    from helpers import embed_hamiltonian_interaction
-
+    random J0, alpha and disorder, some entries zero, and so is the kick
+    Hamiltonian at epsilon = 0 and 0.05; the six-site default spectrum keeps
+    its frozen top eigenvalue."""
     rng = np.random.default_rng(2024)
     for n in range(1, 8):
         for draw in range(3):
@@ -143,6 +137,11 @@ def test_interaction_matches_brute_force_and_frozen_eigenvalue():
             reference = embed_hamiltonian_interaction(cfg)
             assert H.dtype == reference.dtype and H.shape == reference.shape
             assert H.tobytes() == reference.tobytes(), (n, draw)
+        for epsilon in (0.0, 0.05):
+            cfg = SpinNetworkConfig(n_sites=n, epsilon=epsilon)
+            H, reference = hamiltonian_kick(cfg), embed_hamiltonian_kick(cfg)
+            assert H.dtype == reference.dtype and H.shape == reference.shape
+            assert H.tobytes() == reference.tobytes(), (n, epsilon)
     H = hamiltonian_interaction(SpinNetworkConfig())  # six-site defaults
     top = np.linalg.eigvalsh(H)[-1]
     assert top == pytest.approx(11.47519447201677, abs=1e-10)

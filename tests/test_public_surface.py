@@ -3,6 +3,7 @@ quickstart, and module boundaries inside ``src/dtcsim``."""
 
 import ast
 import importlib
+import inspect
 import json
 import math
 import os
@@ -21,13 +22,14 @@ from dtcsim.twosite import coupling_gamma_crossings
 
 PACKAGE = Path(dtcsim.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Importable from their modules, not re-exported by the package.
 MODULE_ONLY = {
-    "operators": ("pauli", "embed", "coupling_matrix"),
-    "superop": ("hamiltonian_superop",),
-    "floquet": ("effective_hamiltonian_2T",),
-    "spectra": ("EffectiveGenerator", "effective_liouvillian_2T", "SpectralData"),
+    "operators": ("coupling_matrix",),
+    "superop": ("dephasing_rates",),
+    "floquet": ("interaction_propagator",),
+    "spectra": ("SpectralData",),
     "observables": ("partial_transpose",),
     "experiments": ("SweepResult", "dtc_settling_period"),
     "twosite": ("TwoSiteEffective",),
@@ -46,6 +48,95 @@ def test_module_only_names_import_from_their_module(module, names):
     for name in names:
         assert hasattr(mod, name), f"dtcsim.{module}.{name}"
         assert name not in dtcsim.__all__
+
+
+def _top_level_bindings(tree):
+    """(statement, names it binds) for each module-level statement: functions,
+    classes, assignment targets and imports bind names, ``__future__`` and
+    the other statements none."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = {node.name}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, ast.Import):
+            names = {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = {a.asname or a.name for a in node.names}
+        else:
+            names = set()
+        yield node, names
+
+
+def _loaded_names(node):
+    """Every name a subtree reads: bare names and attributes; strings, and so
+    docstrings, are not references."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+            and not isinstance(n.ctx, ast.Store)} | \
+        {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def _perfbench_names():
+    """Names the benchmark reads or imports from the package."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names |= _loaded_names(tree)
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                  for a in n.names}
+    return names
+
+
+def test_every_module_level_name_has_a_caller():
+    # a module-level name of src/ is live when it is exported, the benchmark
+    # reads it, or a live statement of src/ reads it; statements that bind no
+    # name (the ``__main__`` guard) and dunder names are live.  So a name read
+    # only by dead code, or only by its own body, is dead as well
+    statements = [(path.name, names, _loaded_names(node))
+                  for path in sorted(PACKAGE.glob("*.py"))
+                  for node, names in _top_level_bindings(ast.parse(path.read_text()))]
+    live = set(dtcsim.__all__) | _perfbench_names() | {
+        name for _, names, _ in statements for name in names
+        if name.startswith("__") and name.endswith("__")}
+    while True:
+        reached = live.union(*(reads for _, names, reads in statements
+                               if not names or names & live))
+        if reached == live:
+            break
+        live = reached
+    dead = [f"{module}: {name}" for module, names, _ in statements for name in names - live]
+    assert sorted(dead) == []
+
+
+def _traced():
+    """perfbench's TRACED table, read from its source without importing it."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [ast.unparse(t) for t in node.targets] == ["TRACED"])
+    return ast.literal_eval(value)
+
+
+def test_every_name_the_benchmark_imports_or_traces_resolves():
+    # so a rename in src/ fails here, not in a traced benchmark run
+    missing = [f"{module}.{name}" for module, names in _traced().items() for name in names
+               if not hasattr(importlib.import_module(f"dtcsim.{module}"), name)]
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> dtcsim module, from ``from dtcsim import floquet``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dtcsim"):
+                source = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(source, alias.name):
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+                    elif inspect.ismodule(getattr(source, alias.name)):
+                        modules[alias.asname or alias.name] = getattr(source, alias.name)
+        missing += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                    for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id in modules
+                    and not hasattr(modules[node.value.id], node.attr)]
+    assert missing == []
 
 
 def test_readme_quickstart_runs(capsys):

@@ -21,7 +21,6 @@ from dtcsim import (
     spectrum_2T,
 )
 from dtcsim.observables import default_partition
-from dtcsim.superop import hamiltonian_superop
 
 SEVEN = SpinNetworkConfig(n_sites=7)
 
@@ -29,7 +28,6 @@ DENSE_ROUTES = {
     "interaction_propagator": lambda: floquet.interaction_propagator(SEVEN),
     "floquet_map": lambda: floquet.floquet_map(SEVEN),
     "floquet_map_2T": lambda: floquet.floquet_map_2T(SEVEN),
-    "hamiltonian_superop": lambda: hamiltonian_superop(hamiltonian_interaction(SEVEN)),
     "liouvillian": lambda: liouvillian(hamiltonian_interaction(SEVEN), 7, SEVEN.gamma),
     "spectrum_2T_epsilon": lambda: spectrum_2T(replace(SEVEN, epsilon=0.05)),
     "commutant_check": lambda: excitation_superop_commutant_check(SEVEN),

@@ -12,7 +12,7 @@ from dtcsim import (
     validate_density_matrix,
     vectorize,
 )
-from dtcsim.superop import dephasing_rates, hamiltonian_superop
+from dtcsim.superop import dephasing_rates
 
 
 def _random_density(dim, seed):
@@ -55,7 +55,7 @@ def test_inner_product_is_trace_pairing():
 
 
 def test_hamiltonian_superop_identity_is_zero():
-    assert np.abs(hamiltonian_superop(np.eye(4))).max() == 0.0
+    assert np.abs(liouvillian(np.eye(4), 2, 0.0)).max() == 0.0
 
 
 def test_hamiltonian_superop_reproduces_commutator():
@@ -63,12 +63,12 @@ def test_hamiltonian_superop_reproduces_commutator():
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     H = raw + raw.conj().T  # complex Hermitian, exercises the transpose
     rho = _random_density(4, 24)
-    via_superop = devectorize(hamiltonian_superop(H) @ vectorize(rho))
+    via_superop = devectorize(liouvillian(H, 2, 0.0) @ vectorize(rho))
     assert np.abs(via_superop - (-1j) * (H @ rho - rho @ H)).max() < 1e-12
 
 
 def test_hamiltonian_superop_spectrum_imaginary():
-    ev = np.linalg.eigvals(hamiltonian_superop(np.diag([1.0, -1.0])))
+    ev = np.linalg.eigvals(liouvillian(np.diag([1.0, -1.0]), 1, 0.0))
     assert np.abs(ev.real).max() < 1e-14
 
 
@@ -107,7 +107,8 @@ def test_liouvillian_trace_preserving():
 
 def test_liouvillian_gamma_zero_is_commutator():
     H = np.diag([0.3, -0.3]).astype(complex)
-    assert np.abs(liouvillian(H, 1, 0.0) - hamiltonian_superop(H)).max() == 0.0
+    I = np.eye(2)
+    assert np.abs(liouvillian(H, 1, 0.0) + 1j * (np.kron(H, I) - np.kron(I, H.T))).max() == 0.0
 
 
 def test_liouvillian_single_qubit_dephasing_spectrum():
