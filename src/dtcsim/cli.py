@@ -383,16 +383,18 @@ def _run_twosite(config: RunConfig):
     w_values = x_values * 2.0 * np.pi / t2
     gaps = two_site_gap_curve(j0, gamma, t2, w_values)
     header = ["w_t2_over_2pi", "w_over_j0", "k_analytic", "k_numeric", "gapT"]
-    rows = []
+    rows, flagged = [], np.zeros(2, dtype=int)  # branch-flagged points per route
     for x, w, gap in zip(x_values, w_values, gaps):
-        ka = analytic_effective_coupling(j0, w, t2).coupling_magnitude
-        kn = two_site_numeric_coupling(j0, w, t2).coupling_magnitude
-        rows.append([x, w / j0, ka, kn,
+        ka, kn = analytic_effective_coupling(j0, w, t2), two_site_numeric_coupling(j0, w, t2)
+        flagged += (ka.branch_flag, kn.branch_flag)
+        rows.append([x, w / j0, ka.coupling_magnitude, kn.coupling_magnitude,
                      (gap.gap if gap.gap is not None else float("nan")) * period])
     crossings = coupling_gamma_crossings(j0, gamma, t2)
     extra = {
         "gamma_crossings_w_over_j0": [c / j0 for c in crossings],
         "critical_disorder_estimate_w_over_j0": critical_disorder_estimate(j0, gamma, t2) / j0,
+        "numerics": {"branch_flag_points_analytic": int(flagged[0]),
+                     "branch_flag_points_numeric": int(flagged[1])},
     }
     return rows, header, extra
 
@@ -470,7 +472,7 @@ def run_validation_suite() -> int:
             assert np.abs(rho_block - rho_dense).max() < 1e-12
 
     def commutant_residual():
-        assert excitation_superop_commutant_check(cfg) < 1e-10
+        assert excitation_superop_commutant_check(floquet_map_2T(cfg)) < 1e-10
 
     def block_vs_dense_spectrum():
         dense = np.linalg.eigvals(floquet_map_2T(cfg).matrix)

@@ -43,9 +43,6 @@ blocks are at most 1225 x 1225 (seven sites), small enough for exact
 1-norms of matrix powers.  The kernel scales the powers in place and builds
 the Pade sums in reused buffers, term by term in the order of the plain
 expressions, so it rounds exactly as they do.
-Only :func:`principal_log_hamiltonian`, which needs ``scipy.linalg.logm``,
-imports scipy here, inside the function, so ``evolve``, ``spectrum`` and
-``gap-sweep`` load no scipy module.
 
 For a perfect pi pulse the two kicks of a double period cancel and
 conjugate the disorder sign, giving the fully block-diagonal form
@@ -414,9 +411,11 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig, diagonal: bool = False):
 
 def principal_log_hamiltonian(U: np.ndarray, horizon: float):
     """Hermitised (i / horizon) log U on the principal branch, and whether an
-    eigenphase of U lies within 1e-6 of the +-pi cut, where the branch is ambiguous."""
-    import scipy.linalg  # here, so evolve, spectrum and gap-sweep never load scipy
-
-    phases = np.angle(np.linalg.eigvals(U))
-    H = 1j * scipy.linalg.logm(U) / horizon
-    return (H + H.conj().T) / 2.0, bool(np.any(np.abs(np.abs(phases) - np.pi) < 1e-6))
+    eigenphase of U lies within 1e-6 of the +-pi cut, where the branch is ambiguous.
+    U is normal, so log U = Q diag(log diag(Q^dagger U Q)) Q^dagger with Q the QR
+    factor of its eigenvectors, orthonormal in degenerate eigenspaces too
+    (Higham, Functions of Matrices, SIAM 2008, section 11)."""
+    mu, vectors = np.linalg.eig(U)
+    Q = np.linalg.qr(vectors)[0]
+    H = (Q * (1j * np.log(np.diagonal(Q.conj().T @ U @ Q)) / horizon)) @ Q.conj().T
+    return (H + H.conj().T) / 2.0, bool(np.any(np.abs(np.abs(np.angle(mu)) - np.pi) < 1e-6))

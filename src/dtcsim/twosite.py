@@ -116,26 +116,24 @@ def coupling_gamma_crossings(j0: float, gamma: float, t2: float) -> np.ndarray:
     """All disorder strengths where |K|(w) crosses gamma from above.
 
     The scan covers w * t2 / 2pi in [0, pi] (the window in which the two-site
-    transition is studied) on CROSSING_SCAN_POINTS points; crossings are
-    refined by root finding.  The first entry is the edge of the first dip
-    (what the rough closed-form estimate targets); the last entry is the
-    transition visible at the upper end of the window, near w / j0 of about
-    29 for the default drive parameters.
+    transition is studied) on CROSSING_SCAN_POINTS points; each bracket is
+    bisected to float resolution, and its end where |K| <= gamma is the
+    crossing.  The first entry is the edge of the first dip (what the rough
+    closed-form estimate targets); the last entry is the transition visible
+    at the upper end of the window, near w / j0 of about 29 for the default
+    drive parameters.
     """
-    from scipy.optimize import brentq  # here, so evolve, spectrum and gap-sweep never load it
+    def excess(w):
+        return analytic_effective_coupling(j0, w, t2).coupling_magnitude - gamma
 
     grid = np.linspace(1e-9, 2.0 * np.pi**2 / t2, CROSSING_SCAN_POINTS)
-    kval = np.array([analytic_effective_coupling(j0, w, t2).coupling_magnitude for w in grid])
-    f = kval - gamma
-    down = np.flatnonzero((f[:-1] > 0) & (f[1:] <= 0))
-    roots = [
-        brentq(
-            lambda w: analytic_effective_coupling(j0, w, t2).coupling_magnitude - gamma,
-            grid[i],
-            grid[i + 1],
-        )
-        for i in down
-    ]
+    f = np.array([excess(w) for w in grid])
+    roots = []
+    for i in np.flatnonzero((f[:-1] > 0) & (f[1:] <= 0)):
+        lo, hi = grid[i], grid[i + 1]
+        while lo < (mid := (lo + hi) / 2.0) < hi:
+            lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+        roots.append(hi)
     return np.array(roots)
 
 

@@ -1,6 +1,6 @@
 """Shared test utilities, and the reference routes that only tests use:
-Pauli embeddings, the double-period effective Hamiltonian and the effective
-generator of a two-period map."""
+Pauli embeddings, the double-period effective Hamiltonian, the effective
+generator of a two-period map and the k-d tree spectral distance."""
 
 import warnings
 from dataclasses import dataclass
@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from dtcsim import (
     DynamicalMap,
@@ -69,6 +70,14 @@ def assert_spectra_match(a, b, tol):
     assert a.size == b.size, f"sizes differ: {a.size} vs {b.size}"
     dist = spectral_distance(a, b)
     assert dist < tol, f"spectra differ by {dist:.3e}"
+
+
+def kdtree_distance(a, b):
+    """Worst nearest-neighbour distance between two eigenvalue clouds, both
+    ways, from scipy's k-d tree: the reference for ``spectral_distance``."""
+    pts_a, pts_b = (np.column_stack([np.real(x).ravel(), np.imag(x).ravel()]) for x in (a, b))
+    return float(max(cKDTree(pts_b).query(pts_a)[0].max(),
+                     cKDTree(pts_a).query(pts_b)[0].max()))
 
 
 def embed_hamiltonian_interaction(config):

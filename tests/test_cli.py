@@ -341,6 +341,21 @@ def test_twosite_table(tmp_path):
     assert manifest["gamma_crossings_w_over_j0"][-1] == pytest.approx(29.0, abs=2.0)
 
 
+def test_twosite_manifest_counts_branch_flagged_points(tmp_path):
+    # j0 T / 2pi = 0.25 puts the double-period rotation at w = 0 at the
+    # antipode (theta = pi), where both routes flag the point; the defaults
+    # flag none of their 129 points
+    numerics = {}
+    for name, flags in (("defaults", []), ("antipodal", ["--j0-t-over-2pi", "0.25"])):
+        assert main(["twosite", *flags, "--out", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / name / "twosite_manifest.json").read_text())
+        numerics[name] = manifest["numerics"]
+    assert numerics == {
+        "defaults": {"branch_flag_points_analytic": 0, "branch_flag_points_numeric": 0},
+        "antipodal": {"branch_flag_points_analytic": 1, "branch_flag_points_numeric": 1},
+    }
+
+
 def test_twosite_takes_no_site_count(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["twosite", "--n", "5", "--out", str(tmp_path)])

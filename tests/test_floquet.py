@@ -25,7 +25,7 @@ from dtcsim import (
     vectorize,
 )
 from dtcsim import floquet
-from dtcsim.floquet import _assemble_blocks, interaction_propagator
+from dtcsim.floquet import _assemble_blocks, interaction_propagator, principal_log_hamiltonian
 from dtcsim.operators import excitation_sectors
 from helpers import (
     BranchAmbiguityWarning,
@@ -345,6 +345,54 @@ def test_effective_hamiltonian_branch_flagged_near_pi():
                             disorder=np.array([0.0, 1e-9]))
     with pytest.warns(BranchAmbiguityWarning):
         effective_hamiltonian_2T(cfg)
+
+
+def _haar_unitary(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return np.linalg.qr(z)[0]
+
+
+def _logm_hamiltonian(U, horizon):
+    """The reference route: Hermitised (i / horizon) scipy.linalg.logm(U)."""
+    H = 1j * scipy.linalg.logm(U) / horizon
+    return (H + H.conj().T) / 2.0
+
+
+@given(n=st.integers(1, 8), horizon=st.floats(0.5, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_principal_log_matches_logm_on_random_unitaries(n, horizon, seed):
+    U = _haar_unitary(np.random.default_rng(seed), n)
+    H, _ = principal_log_hamiltonian(U, horizon)
+    assert np.abs(H - _logm_hamiltonian(U, horizon)).max() < 1e-12
+
+
+@given(theta=st.floats(-3.1, 3.1), phi=st.floats(-3.1, 3.1), seed=st.integers(0, 2**32 - 1))
+def test_principal_log_matches_logm_with_a_repeated_eigenphase(theta, phi, seed):
+    # eig returns an arbitrary, not necessarily orthogonal, basis of the
+    # two-dimensional eigenspace; the QR step makes it orthonormal
+    Q = _haar_unitary(np.random.default_rng(seed), 3)
+    U = (Q * np.exp(1j * np.array([theta, theta, phi]))) @ Q.conj().T
+    H, on_cut = principal_log_hamiltonian(U, 2.0)
+    assert not on_cut
+    assert np.abs(H - _logm_hamiltonian(U, 2.0)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_principal_log_of_identity_is_zero(n):
+    H, on_cut = principal_log_hamiltonian(np.eye(n, dtype=complex), 2.0)
+    assert not on_cut
+    assert np.abs(H).max() == 0.0 == np.abs(_logm_hamiltonian(np.eye(n), 2.0)).max()
+
+
+@pytest.mark.parametrize("distance, flagged", [(1e-7, True), (-1e-7, True), (1e-5, False)])
+def test_principal_log_flags_an_eigenphase_near_the_cut(distance, flagged):
+    # a phase pi - distance (for distance < 0: -pi - distance) next to two
+    # generic ones; the flag's rule is a phase within 1e-6 of +-pi
+    Q = _haar_unitary(np.random.default_rng(3), 3)
+    phase = np.pi - distance if distance > 0 else -np.pi - distance
+    U = (Q * np.exp(1j * np.array([phase, 0.4, -1.3]))) @ Q.conj().T
+    H, on_cut = principal_log_hamiltonian(U, 2.0)
+    assert on_cut is flagged
+    assert np.abs(H - _logm_hamiltonian(U, 2.0)).max() < 1e-12
 
 
 def test_effective_liouvillian_trivial_dynamics():

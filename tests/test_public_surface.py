@@ -5,7 +5,6 @@ import ast
 import importlib
 import inspect
 import json
-import math
 import os
 import re
 import subprocess
@@ -16,9 +15,8 @@ from pathlib import Path
 import pytest
 
 import dtcsim
-from dtcsim.cli import _READS, RunConfig
+from dtcsim.cli import _READS, RunConfig, main
 from dtcsim.spectra import spectral_distance
-from dtcsim.twosite import coupling_gamma_crossings
 
 PACKAGE = Path(dtcsim.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -217,86 +215,82 @@ def test_subcommands_take_no_dense_route():
     assert offenders == []
 
 
-# Third-party modules a dtcsim module may import when it is itself imported;
-# every other third-party import sits inside the function that needs it.
-EAGER_THIRD_PARTY = ("numpy",)
-
-
-def _module_level_imports(tree):
-    """(line, dotted name) of every import outside a function body, so run at
-    import time; ``from a import b`` counts as ``a.b``, relative imports not."""
+def _imports(tree):
+    """(line, dotted name) of every import, function bodies included;
+    ``from a import b`` counts as ``a.b``, relative imports not at all."""
     found = []
-
-    def visit(node):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            found.extend((node.lineno, alias.name) for alias in node.names)
+            found += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            found.extend((node.lineno, f"{node.module}.{alias.name}") for alias in node.names)
-        for child in ast.iter_child_nodes(node):
-            visit(child)
-
-    visit(tree)
+            found += [(node.lineno, f"{node.module}.{alias.name}") for alias in node.names]
     return found
 
 
-def test_module_level_imports_are_stdlib_numpy_or_scipy_linalg():
-    def eager_ok(name):
-        return (name.split(".")[0] in sys.stdlib_module_names | {"dtcsim"}
-                or any(name == ok or name.startswith(ok + ".") for ok in EAGER_THIRD_PARTY))
-
+def test_every_import_is_stdlib_numpy_or_dtcsim():
+    # the library needs numpy alone; scipy is the tests' reference
+    allowed = sys.stdlib_module_names | {"numpy", "dtcsim"}
     offenders = [f"{path.name}:{line} imports {name}"
                  for path in sorted(PACKAGE.glob("*.py"))
-                 for line, name in _module_level_imports(ast.parse(path.read_text()))
-                 if not eager_ok(name)]
+                 for line, name in _imports(ast.parse(path.read_text()))
+                 if name.split(".")[0] not in allowed]
     assert offenders == []
 
 
-DEFERRED = ("scipy.spatial", "scipy.optimize")
+# Every subcommand at N <= 3, as its argv without --out; validate writes no
+# table and is compared by its printed report.
+RUNS = {
+    "evolve": ["evolve", "--n", "3", "--initial-state", "1+1", "--n-periods", "2"],
+    "spectrum0": ["spectrum", "--n", "3", "--epsilon", "0"],
+    "spectrum0.05": ["spectrum", "--n", "2", "--epsilon", "0.05"],
+    "gap-sweep": ["gap-sweep", "--n", "3", "--w-over-j0", "0,5", "--realizations", "2"],
+    "twosite": ["twosite", "--points", "9"],
+}
 SPECTRA = ([0.0, 1j, -0.5 + 0.2j], [0.01, 1.02j, -0.5 + 0.25j])
-CROSSING_ARGS = (0.2 * 2 * math.pi, 0.02, 0.5)  # j0, gamma, t2 of the twosite defaults
 
-# A fresh interpreter runs evolve, spectrum and gap-sweep, then each function
-# that needs a deferred library, and prints which of them were loaded after
-# each step; after the runs it prints every scipy module loaded.
-COLD_START = f"""
-import json, sys
+# A fresh interpreter in which any import of scipy, or of a submodule of it,
+# raises ImportError runs every subcommand and one spectral distance, and
+# prints the exit codes, validate's report and the distance.
+BLOCKED = f"""
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
 from dtcsim.cli import main
-
-def loaded():
-    return [name for name in {DEFERRED!r} if name in sys.modules]
+from dtcsim.spectra import spectral_distance
 
 out = sys.argv[1]
-assert main(["evolve", "--n", "2", "--initial-state", "1+", "--n-periods", "2",
-             "--out", out + "/evolve"]) == 0
-for epsilon in ("0", "0.05"):
-    assert main(["spectrum", "--n", "2", "--epsilon", epsilon,
-                 "--out", out + "/spectrum" + epsilon]) == 0
-assert main(["gap-sweep", "--n", "2", "--w-over-j0", "0", "--realizations", "1",
-             "--out", out + "/sweep"]) == 0
-after_runs = sorted(name for name in sys.modules
-                    if name == "scipy" or name.startswith("scipy."))
-from dtcsim.spectra import spectral_distance
-distance = spectral_distance(*{SPECTRA!r})
-after_distance = loaded()
-from dtcsim.twosite import coupling_gamma_crossings
-crossings = coupling_gamma_crossings(*{CROSSING_ARGS!r}).tolist()
-print(json.dumps([after_runs, after_distance, loaded(), distance, crossings]))
+codes = {{name: main(argv + ["--out", out + "/" + name]) for name, argv in {RUNS!r}.items()}}
+with contextlib.redirect_stdout(io.StringIO()) as report:
+    codes["validate"] = main(["validate"])
+print(json.dumps([codes, report.getvalue(), spectral_distance(*{SPECTRA!r})]))
 """
 
 
-def test_cli_runs_load_neither_spatial_nor_optimize(tmp_path):
+def _outputs(out_dir):
+    """Each run's table bytes, and its manifest without wall time and out."""
+    found = {}
+    for name, argv in RUNS.items():
+        stem = argv[0].replace("-", "_")
+        manifest = json.loads((out_dir / name / f"{stem}_manifest.json").read_text())
+        del manifest["wall_time_seconds"], manifest["config"]["out"]
+        found[name] = ((out_dir / name / f"{stem}.csv").read_bytes(), manifest)
+    return found
+
+
+def test_subcommands_run_with_scipy_blocked(tmp_path, capsys):
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
+    done = subprocess.run([sys.executable, "-c", BLOCKED, str(tmp_path / "blocked")],
                           capture_output=True, text=True, timeout=300,
                           env=dict(os.environ, PYTHONPATH=path))
     assert done.returncode == 0, done.stderr
-    after_runs, after_distance, after_all, distance, crossings = \
-        json.loads(done.stdout.splitlines()[-1])
-    assert after_runs == []
-    assert after_distance == ["scipy.spatial"]
-    assert after_all == list(DEFERRED)
+    codes, report, distance = json.loads(done.stdout.splitlines()[-1])
+    assert codes == dict.fromkeys([*RUNS, "validate"], 0), report
+    # the same runs in this process, where scipy is importable
+    for name, argv in RUNS.items():
+        assert main(argv + ["--out", str(tmp_path / "here" / name)]) == 0
+    capsys.readouterr()
+    assert main(["validate"]) == 0
+    assert capsys.readouterr().out == report
+    here = _outputs(tmp_path / "here")
+    assert _outputs(tmp_path / "blocked") == here
+    assert len(here["twosite"][1]["gamma_crossings_w_over_j0"]) == 6
     assert distance == spectral_distance(*SPECTRA)
-    assert crossings == coupling_gamma_crossings(*CROSSING_ARGS).tolist()
-    assert len(crossings) > 0

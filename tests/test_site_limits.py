@@ -30,7 +30,7 @@ DENSE_ROUTES = {
     "floquet_map_2T": lambda: floquet.floquet_map_2T(SEVEN),
     "liouvillian": lambda: liouvillian(hamiltonian_interaction(SEVEN), 7, SEVEN.gamma),
     "spectrum_2T_epsilon": lambda: spectrum_2T(replace(SEVEN, epsilon=0.05)),
-    "commutant_check": lambda: excitation_superop_commutant_check(SEVEN),
+    "commutant_check": lambda: excitation_superop_commutant_check(floquet.floquet_map_2T(SEVEN)),
 }
 
 

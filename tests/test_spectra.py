@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dtcsim import (
     SpinNetworkConfig,
@@ -20,6 +22,7 @@ from dtcsim import (
     vectorize,
 )
 from dtcsim.spectra import sector_eigenvalues, spectral_distance
+from helpers import kdtree_distance
 
 
 def test_unitary_map_spectrum_on_unit_circle():
@@ -116,17 +119,30 @@ def test_near_zero_epsilon_takes_the_dense_route(monkeypatch):
 
 
 def test_commutant_residual_small_at_zero_error(small_config):
-    assert excitation_superop_commutant_check(small_config) < 1e-10
+    assert excitation_superop_commutant_check(floquet_map_2T(small_config)) < 1e-10
 
 
 def test_commutant_residual_large_with_rotation_error():
     cfg = SpinNetworkConfig(n_sites=3, epsilon=0.05)
-    assert excitation_superop_commutant_check(cfg) > 1e-3
+    assert excitation_superop_commutant_check(floquet_map_2T(cfg)) > 1e-3
 
 
 def test_commutant_residual_diagonal_dynamics():
     cfg = SpinNetworkConfig(n_sites=2, j0=0.0)
-    assert excitation_superop_commutant_check(cfg) < 1e-12
+    assert excitation_superop_commutant_check(floquet_map_2T(cfg)) < 1e-12
+
+
+@given(n_a=st.integers(1, 1100), n_b=st.integers(1, 1100), repeats=st.integers(0, 30),
+       scale=st.sampled_from([0.0, 1e-9, 0.1]), seed=st.integers(0, 2**32 - 1))
+def test_spectral_distance_matches_the_kdtree_reference(n_a, n_b, repeats, scale, seed):
+    # clouds of unequal size (past one and two 512-point chunks) in the
+    # disc of radius 1 that holds every multiplier; a repeats some of its
+    # points exactly, and b is drawn from a, exactly (scale 0) or moved
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-0.7, 0.7, n_a) + 1j * rng.uniform(-0.7, 0.7, n_a)
+    a = np.concatenate([a, rng.choice(a, repeats)])
+    b = rng.choice(a, n_b) + scale * (rng.uniform(-1, 1, n_b) + 1j * rng.uniform(-1, 1, n_b))
+    assert abs(spectral_distance(a, b) - kdtree_distance(a, b)) <= 1e-15
 
 
 def test_sector_block_shapes(small_config):

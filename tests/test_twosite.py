@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from dtcsim import (
     analytic_effective_coupling,
@@ -15,7 +16,7 @@ from dtcsim import (
     two_site_numeric_coupling,
 )
 from dtcsim.operators import SpinNetworkConfig
-from dtcsim.twosite import two_site_config
+from dtcsim.twosite import CROSSING_SCAN_POINTS, two_site_config
 
 J0 = 0.2 * 2 * np.pi   # j0 * T / 2pi = 0.2 with T = 1
 T2 = 0.5
@@ -93,6 +94,24 @@ def test_gamma_crossings_first_and_last():
     assert abs(estimate - first) / first < 0.15
     # the transition at the top of the studied window sits near w/j0 = 29
     assert crossings[-1] / J0 == pytest.approx(29.0, abs=2.0)
+
+
+def test_gamma_crossings_match_brentq_on_their_brackets():
+    # scipy's brentq on the scan bracket of each crossing is the reference;
+    # the bisection lands within brentq's own tolerance of it (xtol 2e-12
+    # plus rtol 4 eps, its defaults), on the float where |K| - gamma turns <= 0
+    def excess(w):
+        return analytic_effective_coupling(J0, w, T2).coupling_magnitude - GAMMA
+
+    grid = np.linspace(1e-9, 2.0 * np.pi**2 / T2, CROSSING_SCAN_POINTS)
+    crossings = coupling_gamma_crossings(J0, GAMMA, T2)
+    assert len(crossings) == 6
+    for w in crossings:
+        k = np.searchsorted(grid, w)  # w lies in (grid[k - 1], grid[k]]
+        assert excess(grid[k - 1]) > 0 >= excess(grid[k])
+        assert excess(np.nextafter(w, 0.0)) > 0 >= excess(w)
+        reference = brentq(excess, grid[k - 1], grid[k])
+        assert abs(w - reference) <= 2e-12 + 4 * np.finfo(float).eps * abs(reference)
 
 
 def test_gap_curve_plateau_below_first_crossing():
