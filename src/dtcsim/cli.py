@@ -121,7 +121,8 @@ class RunConfig:
         if text == "mixed_b":
             return InitialStateSpec(kind="mixed_B")
         if text.startswith("seed:"):
-            return InitialStateSpec(kind="seed_size", seed_sites=int(text[5:]))
+            count = int(text[5:]) if text[5:].isdigit() else None  # None is refused
+            return InitialStateSpec(kind="seed_size", seed_sites=count)
         return InitialStateSpec(kind="pure_pattern", pattern=text)
 
 
@@ -179,7 +180,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
     environment, environment over file.  Environment values are
     JSON-decoded, except for text keys, which keep the raw text.  An unset
     initial_state resolves from n (see :func:`_default_initial_state`); an
-    ``out`` that is, or lies under, an existing file is refused.
+    ``out`` that is, or lies under, an existing file is refused, and so is an
+    initial_state that does not describe a state of n sites.
     """
     known = {f.name for f in fields(RunConfig)}
     text_keys = {f.name for f in fields(RunConfig) if f.type in ("str", "str | None")}
@@ -260,6 +262,10 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
         raise ConfigError(f"out must name a directory, but {str(blocker)!r} is not a directory")
     if config.initial_state is None:
         config = replace(config, initial_state=_default_initial_state(config.n))
+    try:
+        build_initial_state(config.initial_state_spec(), config.n)
+    except ValueError as exc:
+        raise ConfigError(f"initial_state = {config.initial_state!r} is invalid: {exc}") from None
     return config
 
 
@@ -460,7 +466,7 @@ def run_validation_suite() -> int:
         spec = InitialStateSpec(kind="seed_size", seed_sites=1)
         rho0 = build_initial_state(spec, cfg.n_sites)
         via_map = devectorize(floquet_map(cfg).matrix @ vectorize(rho0))
-        via_ode = ode_oracle_evolve(rho0, cfg, 1, dt=cfg.period / 2000.0)
+        via_ode = ode_oracle_evolve(rho0, cfg, 1)
         assert np.abs(via_map - via_ode).max() < 1e-6
 
     def block_step_vs_dense_map():
@@ -476,8 +482,7 @@ def run_validation_suite() -> int:
 
     def block_vs_dense_spectrum():
         dense = np.linalg.eigvals(floquet_map_2T(cfg).matrix)
-        pooled = np.exp(sector_eigenvalues(floquet_2T_sector_blocks(cfg), 2.0 * cfg.period)
-                        * 2.0 * cfg.period)
+        pooled = np.exp(sector_eigenvalues(floquet_2T_sector_blocks(cfg), cfg) * 2.0 * cfg.period)
         assert spectral_distance(dense, pooled) < 1e-8
 
     def twosite_routes_agree():

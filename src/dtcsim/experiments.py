@@ -310,45 +310,27 @@ def disorder_gap_sweep(sweep: SweepSpec) -> SweepResult:
     for a fixed spec.
     """
     cfg = sweep.config
-    n_w, n_r = len(sweep.w_values), sweep.n_realizations
-    gaps = np.full((n_w, n_r), np.nan)
-    failures = []
-
-    def realization(iw: int, r: int) -> SpinNetworkConfig:
-        seed = realization_seed(sweep.base_seed, r)
-        return cfg.with_disorder(sample_disorder(cfg.n_sites, sweep.w_values[iw], seed))
-
-    tasks = [(iw, r) for iw in range(n_w) for r in range(n_r)]
-    drawn = [_guarded(realization, iw, r) for iw, r in tasks]  # config or failure message
-    distinct = list(dict.fromkeys(c for c in drawn if isinstance(c, SpinNetworkConfig)))
-    by_config = {c: _guarded(sector_gap, c) for c in distinct}
-    results = [by_config.get(c, c) for c in drawn]
-
-    for (iw, r), outcome in zip(tasks, results):
-        if isinstance(outcome, GapResult) and outcome.gap is not None:
-            gaps[iw, r] = outcome.gap
-        else:
-            message = outcome if isinstance(outcome, str) else "no gap defined"
-            failures.append((iw, r, message))
+    gaps = np.full((len(sweep.w_values), sweep.n_realizations), np.nan)
+    failures, memo = [], {}  # memo: config -> GapResult or failure message
+    for iw, w in enumerate(sweep.w_values):
+        for r in range(sweep.n_realizations):
+            seed = realization_seed(sweep.base_seed, r)
+            config = cfg.with_disorder(sample_disorder(cfg.n_sites, w, seed))
+            if config not in memo:
+                try:
+                    memo[config] = sector_gap(config)
+                except Exception as exc:  # recorded per realization, never dropped
+                    memo[config] = f"{type(exc).__name__}: {exc}"
+            outcome = memo[config]
+            if isinstance(outcome, GapResult) and outcome.gap is not None:
+                gaps[iw, r] = outcome.gap
+            else:
+                message = outcome if isinstance(outcome, str) else "no gap defined"
+                failures.append((iw, r, message))
 
     def _stat(fn):
         return np.array([fn(row[~np.isnan(row)]) if (~np.isnan(row)).any() else np.nan
                          for row in gaps])
 
-    mean, gmin, gmax = _stat(np.mean), _stat(np.min), _stat(np.max)
-    return SweepResult(
-        w_values=sweep.w_values,
-        gaps=gaps,
-        mean=mean,
-        min=gmin,
-        max=gmax,
-        failures=tuple(failures),
-        base_seed=sweep.base_seed,
-    )
-
-
-def _guarded(fn, *args):
-    try:
-        return fn(*args)
-    except Exception as exc:  # recorded per realization, never dropped
-        return f"{type(exc).__name__}: {exc}"
+    return SweepResult(w_values=sweep.w_values, gaps=gaps, mean=_stat(np.mean), min=_stat(np.min),
+                       max=_stat(np.max), failures=tuple(failures), base_seed=sweep.base_seed)

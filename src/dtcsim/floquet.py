@@ -53,7 +53,8 @@ which is what :func:`floquet_2T_sector_blocks` evaluates blockwise.  The
 global spin flip maps the negated-disorder segment onto the original one with
 sectors k -> N - k, so the spectrum of block (kl, kr) of Phi_2T equals that of
 (N - kl, N - kr) and is the complex conjugate of that of (kr, kl)
-(Buca & Prosen, NJP 14, 073007 (2012); Albert & Jiang, PRA 89, 022118 (2014)).
+(Buca & Prosen, NJP 14, 073007 (2012); Albert & Jiang, PRA 89, 022118 (2014)),
+and each block is built and diagonalised once per orbit (:func:`sector_orbits`).
 """
 
 from __future__ import annotations
@@ -271,6 +272,24 @@ def _adjoint_block(block: np.ndarray, a: int, c: int) -> np.ndarray:
     return block.reshape(a, c, a, c).transpose(1, 0, 3, 2).conj().reshape(a * c, a * c)
 
 
+def sector_orbits(n_sites: int, diagonal: bool = False) -> dict:
+    """The orbits of the sector pairs (kl, kr) under the swap (kr, kl) and the
+    spin flip (N - kl, N - kr), keyed in sorted order by their representatives,
+    the pairs with kl <= kr and kl + kr <= N (and kl = kr with ``diagonal``).
+
+    Each orbit maps its members to whether their Phi_2T block has the conjugate
+    spectrum of the representative's: true where only the swap, alone or
+    after the flip, reaches the member, so not for the swap when kl + kr = N.
+    """
+    n, orbits = n_sites, {}
+    for kl in range(n // 2 + 1):
+        for kr in ((kl,) if diagonal else range(kl, n - kl + 1)):
+            unswapped = ((kl, kr), (n - kl, n - kr))
+            orbits[(kl, kr)] = {key: key not in unswapped
+                                for key in (*unswapped, (kr, kl), (n - kr, n - kl))}
+    return orbits
+
+
 def _segment_blocks(config: SpinNetworkConfig, diagonal: bool = False):
     """exp(L2 * t2) per sector-pair block with kl <= kr, L2 = -i[H, .] +
     dephasing, H the interaction Hamiltonian of ``config``.
@@ -280,13 +299,13 @@ def _segment_blocks(config: SpinNetworkConfig, diagonal: bool = False):
     exactly from (kl, kr) by :func:`_adjoint_block`; it is not returned, and
     the caller derives it where it needs it.  When the disorder is all zero
     the global spin flip commutes with L2, so block (kl, kr) is the partner
-    of (N - kr, N - kl) with rows and columns reversed: only one block per
-    orbit of (kl, kr) -> (N - kr, N - kl) is exponentiated, and the other
-    derived from it.  The exponentials run in descending block size, so the
-    largest runs while the fewest blocks are held.  Each diagonal block
-    (k, k) is exponentiated as the real matrix its generator is in the
-    Hermitian basis and mapped back.  With ``diagonal`` only the N + 1
-    diagonal blocks are built.  Returns the blocks, keyed in sorted order,
+    of (N - kr, N - kl) with rows and columns reversed: only the
+    representatives of :func:`sector_orbits` are exponentiated, and the
+    others derived from them.  The exponentials run in descending block
+    size, so the largest runs while the fewest blocks are held.  Each
+    diagonal block (k, k) is exponentiated as the real matrix its generator
+    is in the Hermitian basis and mapped back.  With ``diagonal`` only the
+    N + 1 diagonal blocks are built.  Returns the blocks, keyed in sorted order,
     and the sectors.
     """
     n = config.n_sites
@@ -295,8 +314,7 @@ def _segment_blocks(config: SpinNetworkConfig, diagonal: bool = False):
     sizes = [len(s) for s in sectors]
     rates = dephasing_rates(n, config.gamma).reshape(config.dim, config.dim)
     keys = [(kl, kr) for kl in range(n + 1) for kr in ((kl,) if diagonal else range(kl, n + 1))]
-    flip = not np.any(config.disorder)
-    exponentiated = [(kl, kr) for kl, kr in keys if not flip or kl + kr <= n]
+    exponentiated = keys if np.any(config.disorder) else sector_orbits(n, diagonal)
     blocks = {}
     for kl, kr in sorted(exponentiated, key=lambda key: -sizes[key[0]] * sizes[key[1]]):
         il, ir = sectors[kl], sectors[kr]
@@ -386,10 +404,11 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig, diagonal: bool = False):
     one set of segment blocks is exponentiated; each factor with kl > kr is
     derived from its stored partner by :func:`_adjoint_block` when its
     product is formed.
-    Returns a dict mapping (k_left, k_right) to the corresponding block; the
-    union of block spectra is the full Phi_2T spectrum.  The largest block
-    for six sites is 400 x 400, so this is the fast path for disorder sweeps.
-    With ``diagonal`` only the N + 1 blocks (k, k) are built.
+    Returns a dict mapping each representative (k_left, k_right) of
+    :func:`sector_orbits` to its block, 16 of the 49 for six sites; every
+    block of an orbit shares its spectrum, up to conjugation.  The largest
+    block for six sites is 400 x 400, so this is the fast path for disorder
+    sweeps.  With ``diagonal`` only the blocks (k, k) with 2k <= N are built.
     """
     if not config.perfect_pulse:
         raise ValueError(
@@ -403,10 +422,8 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig, diagonal: bool = False):
             return plus[(kl, kr)]
         return _adjoint_block(plus[(kr, kl)], len(sectors[kr]), len(sectors[kl]))
 
-    keys = [(k, k) for k in range(n + 1)] if diagonal else \
-        [(kl, kr) for kl in range(n + 1) for kr in range(n + 1)]
     return {(kl, kr): segment(kl, kr) @ segment(n - kl, n - kr)[::-1, ::-1]
-            for kl, kr in keys}
+            for kl, kr in sector_orbits(n, diagonal)}
 
 
 def principal_log_hamiltonian(U: np.ndarray, horizon: float):

@@ -18,8 +18,8 @@ import numpy as np
 
 #: Largest site count of the routes that form a dense 4^N x 4^N matrix.
 DENSE_LIMIT = 6
-#: Largest site count a SpinNetworkConfig accepts; the one-period sector
-#: blocks of N = 8 would need about 1.7 GB, and all 81 blocks of Phi_2T 2.6 GB.
+#: Largest site count a SpinNetworkConfig accepts; at N = 8 the one-period
+#: sector blocks would need 1.7 GB, the 25 Phi_2T orbit representatives 1.04 GiB.
 MAX_SITES = 7
 
 

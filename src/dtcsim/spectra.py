@@ -11,9 +11,9 @@ The perfect-pulse two-period map is block diagonal over excitation sector
 pairs (k_left, k_right), and its block spectra obey two exact relations:
 block (k, k') has the complex-conjugate spectrum of (k', k), because the map
 preserves Hermiticity, and the same spectrum as (N - k, N - k'), because of
-the global spin flip.  :func:`sector_eigenvalues` therefore diagonalises one
-block per orbit of these relations (16 of the 49 blocks for six sites) and
-still returns all 4^N rates.
+the global spin flip.  Each block is therefore built and diagonalised once
+per orbit of these relations (16 of the 49 blocks for six sites), and
+:func:`sector_eigenvalues` still returns all 4^N rates.
 
 A diagonal block (k, k) maps the c x c sub-matrix of sector k to itself and
 preserves Hermiticity, so its form in the Hermitian basis of c x c matrices
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import DynamicalMap, floquet_2T_sector_blocks, floquet_map_2T
+from .floquet import DynamicalMap, floquet_2T_sector_blocks, floquet_map_2T, sector_orbits
 from .operators import SpinNetworkConfig, excitation_counts
 from .superop import devectorize, hermitian_real_form
 
@@ -76,8 +76,8 @@ class GapResult:
     n_steady: int
 
     @property
-    def relaxation_periods(self) -> float | None:
-        """tau / T estimate, 1 / (gap * T); None when no gap is defined."""
+    def relaxation_time(self) -> float | None:
+        """tau = 1 / gap, in the time units of t1 and t2; None without a gap."""
         return None if self.gap in (None, 0.0) else 1.0 / self.gap
 
 
@@ -207,44 +207,32 @@ def excitation_superop_commutant_check(dmap: DynamicalMap) -> float:
     return float(max(res_left, res_right))
 
 
-def sector_eigenvalues(blocks, horizon: float) -> np.ndarray:
-    """Pooled generator rates from the sector-pair blocks of Phi_2T.
+def sector_eigenvalues(blocks, config: SpinNetworkConfig) -> np.ndarray:
+    """Pooled rates log(mu) / 2T from the Phi_2T sector blocks of ``config``.
 
-    ``blocks`` maps every (k_left, k_right) of an N-site network to its
-    block, as :func:`floquet_2T_sector_blocks` returns them.  Only the first
-    block of each orbit under (k, k') -> (k', k) and (k, k') -> (N - k, N - k')
-    is diagonalised; every other block takes the multipliers mu of its orbit,
-    conjugated when the relation that reaches it includes the swap.  The
-    conjugation acts on mu and the logarithm is taken afterwards, so every
-    rate is the principal-branch log of a multiplier, as for a block
-    diagonalised directly.  The rates come out in the block order of
-    ``blocks``, one per basis element.  A diagonal block (k, k) is
-    diagonalised as its real Hermitian-basis form, whose complex multipliers
-    come in exact conjugate pairs.  Raises ValueError when the block traces
-    break either relation, or when the Hermitian-basis form of a diagonal
-    block is not real, i.e. the blocks are not those of a perfect-pulse
-    Phi_2T.
+    ``blocks`` maps orbit representatives to their blocks, as
+    :func:`floquet_2T_sector_blocks` returns them; any other key raises
+    ValueError.  The multipliers mu of each block go to every member of its
+    orbit (:func:`dtcsim.floquet.sector_orbits`), conjugated where marked,
+    before the principal-branch log is taken.  The rates come out in the
+    sorted order of the sector pairs, one per basis element.  A diagonal
+    block (k, k) is diagonalised as its real Hermitian-basis form, whose
+    complex multipliers come in exact conjugate pairs; ValueError when that
+    form is not real, i.e. the block is not that of a perfect-pulse Phi_2T.
     """
-    n = max(kl for kl, _ in blocks)
-    mus, pooled = {}, []
+    orbits = sector_orbits(config.n_sites)
+    mus = {}
     for (kl, kr), block in blocks.items():
-        images = (((n - kl, n - kr), False), ((kr, kl), True), ((n - kr, n - kl), True))
-        for key, conj in images:
-            if key in mus:
-                mu = mus[key].conj() if conj else mus[key]
-                expected = np.trace(blocks[key]).conj() if conj else np.trace(blocks[key])
-                if abs(np.trace(block) - expected) > 1e-9 * len(block):
-                    raise ValueError(
-                        f"sector blocks {(kl, kr)} and {key} break the Phi_2T "
-                        "block symmetries; their traces differ"
-                    )
-                break
-        else:
-            if kl == kr:
-                block = hermitian_real_form(block, f"Phi_2T sector block {(kl, kr)}")
-            mu = mus[(kl, kr)] = np.linalg.eigvals(block)
-        pooled.append(mu)
-    return _rates(np.concatenate(pooled), horizon)
+        if (kl, kr) not in orbits:
+            raise ValueError(
+                f"sector block {(kl, kr)} is not an orbit representative: "
+                "pass the blocks of floquet_2T_sector_blocks")
+        if kl == kr:
+            block = hermitian_real_form(block, f"Phi_2T sector block {(kl, kr)}")
+        mu = np.linalg.eigvals(block)
+        for key, swapped in orbits[(kl, kr)].items():
+            mus[key] = mu.conj() if swapped else mu
+    return _rates(np.concatenate([mus[key] for key in sorted(mus)]), 2.0 * config.period)
 
 
 def sector_gap(config: SpinNetworkConfig) -> GapResult:
@@ -254,7 +242,7 @@ def sector_gap(config: SpinNetworkConfig) -> GapResult:
     -2 gamma t2 / T, unless that floor is within ZERO_THRESHOLD of zero."""
     floor = 2.0 * config.gamma * config.t2 / config.period
     diagonal = floor > ZERO_THRESHOLD
-    lam = sector_eigenvalues(floquet_2T_sector_blocks(config, diagonal), 2.0 * config.period)
+    lam = sector_eigenvalues(floquet_2T_sector_blocks(config, diagonal), config)
     return gap_from_eigenvalues(np.append(lam, -floor) if diagonal else lam)
 
 
@@ -270,7 +258,7 @@ def spectrum_2T(config: SpinNetworkConfig) -> np.ndarray:
     and thread setting.
     """
     if config.perfect_pulse:
-        lam = sector_eigenvalues(floquet_2T_sector_blocks(config), 2.0 * config.period)
+        lam = sector_eigenvalues(floquet_2T_sector_blocks(config), config)
     else:
         dmap = floquet_map_2T(config)
         lam = _rates(np.linalg.eigvals(dmap.matrix), dmap.horizon)

@@ -41,12 +41,13 @@ def _report(number, text):
     print(f"PASS criterion {number}: {text}")
 
 
-def test_criterion_1_gap_and_relaxation_time(default_spectral):
+def test_criterion_1_gap_and_relaxation_time(default_config, default_spectral):
     """Dense spectrum at the defaults: gap*T = 0.02 and tau/T = 50."""
     result = liouvillian_gap(default_spectral)
     assert result.gap == pytest.approx(0.02, abs=0.001)
-    assert result.relaxation_periods == pytest.approx(50.0, abs=3.0)
-    _report(1, f"gap*T = {result.gap:.6f}, tau/T = {result.relaxation_periods:.2f}, "
+    assert default_config.period == 1.0
+    assert result.relaxation_time == pytest.approx(50.0, abs=3.0)
+    _report(1, f"gap*T = {result.gap:.6f}, tau/T = {result.relaxation_time:.2f}, "
                f"n_steady = {result.n_steady}")
 
 

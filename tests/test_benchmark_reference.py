@@ -5,7 +5,8 @@ tables computed before block stepping and the symmetry-reduced sector route;
 each run compares the current output to them to 1e-9, and the sweep run also
 checks the gaps by an independent route through Phi_T.  A traced quick run
 of crosscheck-n5 checks that the benchmark's tracer still finds every
-function it wraps by name.
+function it wraps by name, and a traced quick sweep that the blocks
+sector_eigenvalues is given are the blocks it diagonalises.
 """
 
 import json
@@ -46,3 +47,10 @@ def test_traced_quick_evolve_run_sees_the_stacked_observables():
     metrics = _assert_quick_run_correct("evolve-n6", trace=1)["metrics"]
     assert metrics["observables.negativity.calls"]["value"] > 0
     assert metrics["superop.validate_density_matrix.calls"]["value"] > 0
+
+
+def test_traced_quick_sweep_counts_the_blocks_it_diagonalises():
+    # the quick sweep takes two distinct three-site configs through sector_gap,
+    # each diagonalising the representatives (0, 0) and (1, 1) of the diagonal orbits
+    metrics = _assert_quick_run_correct("sweep-n6", trace=1)["metrics"]
+    assert metrics["spectra.sector_eigenvalues.blocks"]["value"] == 4

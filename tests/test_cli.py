@@ -71,6 +71,16 @@ def test_non_numeric_value_names_key(source, key, value, tmp_path, monkeypatch, 
     assert capsys.readouterr().err.startswith(f"error: {key} ")
 
 
+@pytest.mark.parametrize("state", ["11", "11a+++", "seed:x", "seed:9"])
+def test_malformed_initial_state_names_key(state, tmp_path, capsys):
+    with pytest.raises(ConfigError, match="initial_state"):
+        parse_config(overrides={"n": 6, "initial_state": state}, env={})
+    argv = ["evolve", "--n", "6", "--initial-state", state, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: initial_state = {state!r} ")
+    assert list(tmp_path.iterdir()) == []
+
+
 # base_seed seeds the realizations of a sweep, disorder_seed the disorder of one network
 _SEEDED_RUNS = {"base_seed": ["gap-sweep", "--w-over-j0", "0,3", "--realizations", "2"],
                 "disorder_seed": ["spectrum", "--w-t-over-2pi", "0.3"]}
@@ -474,15 +484,14 @@ def test_main_validate_subcommand_passes(capsys):
 
 
 def test_validate_catches_corrupted_2T_blocks(monkeypatch, capsys):
-    # Scaling one orbit of off-diagonal blocks keeps their trace relations, so
-    # only a dense side built without the block builder can notice.
+    # Scaling the representative of one orbit of off-diagonal blocks scales
+    # the whole orbit's spectrum, so only a dense side built without the block
+    # builder can notice.
     original = floquet.floquet_2T_sector_blocks
 
     def corrupted(config, *args, **kwargs):
         blocks = original(config, *args, **kwargs)
-        n = config.n_sites
-        for key in ((0, 1), (1, 0), (n, n - 1), (n - 1, n)):
-            blocks[key] = 0.9 * blocks[key]
+        blocks[(0, 1)] = 0.9 * blocks[(0, 1)]
         return blocks
 
     monkeypatch.setattr(floquet, "floquet_2T_sector_blocks", corrupted)
@@ -502,7 +511,7 @@ def test_text_keys_keep_raw_environment_text(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("DTCSIM_INITIAL_STATE", "111")
     monkeypatch.setenv("DTCSIM_OUT", "123")
-    config = parse_config()
+    config = parse_config(overrides={"n": 3})  # a three-site pattern needs n = 3
     assert config.initial_state == "111" and config.out == "123"
     monkeypatch.delenv("DTCSIM_OUT")
     assert main(["evolve", "--n", "3", "--n-periods", "2", "--out", "123"]) == 0

@@ -30,7 +30,7 @@ from dtcsim.spectra import (
 def all_block_gap(config):
     """The gap from every Phi_2T block, one eigvals per orbit."""
     blocks = floquet_2T_sector_blocks(config)
-    return gap_from_eigenvalues(sector_eigenvalues(blocks, 2.0 * config.period))
+    return gap_from_eigenvalues(sector_eigenvalues(blocks, config))
 
 
 @given(perfect_pulse_configs(gammas=(0.07, 2.0)))

@@ -160,22 +160,6 @@ def test_sweep_records_failures_instead_of_dropping():
     assert np.isnan(result.gaps).all()
 
 
-def test_sweep_records_failed_disorder_draws_per_realization(monkeypatch):
-    import dtcsim.experiments
-
-    def seed_or_fail(base_seed, realization):
-        if realization == 1:
-            raise RuntimeError("no seed")
-        return realization_seed(base_seed, realization)
-
-    monkeypatch.setattr(dtcsim.experiments, "realization_seed", seed_or_fail)
-    spec = SweepSpec(config=_quick_sweep_config(), w_values=(0.0, 2.0), n_realizations=3)
-    result = disorder_gap_sweep(spec)
-    assert result.failures == ((0, 1, "RuntimeError: no seed"), (1, 1, "RuntimeError: no seed"))
-    assert np.isnan(result.gaps[:, 1]).all()
-    assert np.isfinite(result.gaps[:, [0, 2]]).all()
-
-
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(config=_quick_sweep_config(), w_values=(1.0,), n_realizations=0)

@@ -25,7 +25,7 @@ from dtcsim import (
     vectorize,
 )
 from dtcsim import floquet
-from dtcsim.floquet import _assemble_blocks, interaction_propagator, principal_log_hamiltonian
+from dtcsim.floquet import interaction_propagator, principal_log_hamiltonian
 from dtcsim.operators import excitation_sectors
 from helpers import (
     BranchAmbiguityWarning,
@@ -306,10 +306,12 @@ def test_perfect_pulse_exact_in_epsilon_tolerant_in_pulse_area():
 
 def test_sector_blocks_assemble_to_the_squared_map():
     cfg = SpinNetworkConfig(n_sites=3, disorder=np.array([0.5, 1.5, 0.2]))
-    blocks = floquet_2T_sector_blocks(cfg)
-    assembled = _assemble_blocks(blocks, excitation_sectors(3), cfg.dim)
     phi = floquet_map(cfg).matrix
-    assert np.abs(assembled - phi @ phi).max() < 1e-12
+    phi_2T = phi @ phi
+    sectors = excitation_sectors(3)
+    for (kl, kr), block in floquet_2T_sector_blocks(cfg).items():
+        rows = (sectors[kl][:, None] * cfg.dim + sectors[kr][None, :]).reshape(-1)
+        assert np.abs(block - phi_2T[np.ix_(rows, rows)]).max() < 1e-12, (kl, kr)
 
 
 def test_effective_hamiltonian_closed_form():

@@ -53,12 +53,12 @@ def test_basis_change_matches_dense_unitary(c):
 
 def test_non_hermiticity_preserving_block_makes_sector_eigenvalues_raise(small_config):
     blocks = floquet_2T_sector_blocks(small_config)
-    sector_eigenvalues(blocks, 2.0 * small_config.period)  # the intact blocks pass
+    sector_eigenvalues(blocks, small_config)  # the intact blocks pass
     bumped = blocks[(1, 1)].copy()
     bumped[0, 1] += 1e-9  # moves X[0, 1] into the population X[0, 0]
     blocks[(1, 1)] = bumped
     with pytest.raises(ValueError, match=r"block \(1, 1\) does not preserve Hermiticity"):
-        sector_eigenvalues(blocks, 2.0 * small_config.period)
+        sector_eigenvalues(blocks, small_config)
 
 
 def imaginary_residue(block):
@@ -74,7 +74,9 @@ def test_diagonal_blocks_are_real_in_the_hermitian_basis(cfg):
     for k, sector in enumerate(sectors):
         c2 = len(sector) ** 2
         M = rng.normal(size=(c2, c2)) + 1j * rng.normal(size=(c2, c2))
-        for block in (segment[(k, k)], phi_2T[(k, k)], M):
+        # Phi_2T block (k, k) is built for the orbit representatives 2k <= N only
+        diagonal = [segment[(k, k)]] + ([phi_2T[(k, k)]] if (k, k) in phi_2T else [])
+        for block in (*diagonal, M):
             assert np.abs(from_hermitian_basis(to_hermitian_basis(block)) - block).max() < 1e-14
-        assert imaginary_residue(segment[(k, k)]) <= HERMITIAN_REAL_TOL, k
-        assert imaginary_residue(phi_2T[(k, k)]) <= HERMITIAN_REAL_TOL, k
+        for block in diagonal:
+            assert imaginary_residue(block) <= HERMITIAN_REAL_TOL, k

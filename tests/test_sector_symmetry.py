@@ -2,12 +2,14 @@
 
 The reduced route builds only the segment blocks with kl <= kr, without
 disorder exponentiates one of them per spin-flip orbit, takes the
-negated-disorder segment from the spin-flip relation and diagonalises one
-Phi_2T block per orbit; the brute-force route in ``helpers`` does none of
-that.
+negated-disorder segment from the spin-flip relation and builds and
+diagonalises one Phi_2T block per orbit; the brute-force route in
+``helpers`` does none of that.  The orbit rule itself is checked
+combinatorially, without building a block.
 """
 
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from dtcsim import (
     hamiltonian_interaction,
     sector_gap,
 )
-from dtcsim.floquet import _adjoint_block, _segment_blocks
+from dtcsim.floquet import _adjoint_block, _segment_blocks, sector_orbits
 from dtcsim.spectra import gap_from_eigenvalues, sector_eigenvalues
 
 CASES = [(n, gamma) for n in (1, 2, 3, 4) for gamma in (0.0, 0.07)]
@@ -47,7 +49,7 @@ def random_config(n_sites: int, gamma: float) -> SpinNetworkConfig:
 
 def assert_segment_and_2T_blocks_match_brute_force(cfg):
     """The stored segment blocks (kl <= kr) and their adjoint partners, and
-    every Phi_2T block, against the brute-force blocks."""
+    every Phi_2T block built, one per orbit, against the brute-force blocks."""
     stored, sectors = _segment_blocks(cfg)
     direct = brute_force_segment_blocks(hamiltonian_interaction(cfg), cfg)
     assert list(stored) == [key for key in direct if key[0] <= key[1]]
@@ -57,8 +59,10 @@ def assert_segment_and_2T_blocks_match_brute_force(cfg):
         assert np.abs(partner - direct[(kr, kl)]).max() < 1e-12, (kr, kl)
     if cfg.perfect_pulse:
         blocks = floquet_2T_sector_blocks(cfg)
-        for key, block in brute_force_2T_blocks(cfg).items():
-            assert np.abs(blocks[key] - block).max() < 1e-12, key
+        direct_2T = brute_force_2T_blocks(cfg)
+        assert list(blocks) == list(sector_orbits(cfg.n_sites))
+        for key, block in blocks.items():
+            assert np.abs(block - direct_2T[key]).max() < 1e-12, key
 
 
 @pytest.mark.parametrize("n_sites,gamma", CASES)
@@ -82,7 +86,7 @@ def test_spin_flip_orbit_blocks_match_direct_exponentials(n_sites, gamma, epsilo
 def test_reduced_spectrum_matches_all_blocks(n_sites, gamma):
     cfg = random_config(n_sites, gamma)
     horizon = 2.0 * cfg.period
-    reduced = sector_eigenvalues(floquet_2T_sector_blocks(cfg), horizon)
+    reduced = sector_eigenvalues(floquet_2T_sector_blocks(cfg), cfg)
     brute = brute_force_2T_rates(cfg)
     assert reduced.size == cfg.dim**2
     assert_spectra_match(np.exp(reduced * horizon), np.exp(brute * horizon), 1e-10)
@@ -95,11 +99,32 @@ def test_reduced_spectrum_matches_all_blocks(n_sites, gamma):
 
 
 def test_sector_eigenvalues_refuses_blocks_without_the_symmetries():
+    # every block of an orbit shares its spectrum, so only the representatives
+    # are taken; a dict of all (N + 1)^2 blocks is refused at the first other key
     cfg = random_config(3, 0.07)
-    blocks = floquet_2T_sector_blocks(cfg)
-    blocks[(1, 2)] = 1.001 * blocks[(1, 2)]
-    with pytest.raises(ValueError, match="block symmetries"):
-        sector_eigenvalues(blocks, 2.0 * cfg.period)
+    with pytest.raises(ValueError, match=r"block \(1, 0\) is not an orbit representative"):
+        sector_eigenvalues(brute_force_2T_blocks(cfg), cfg)
+
+
+@pytest.mark.parametrize("n_sites", range(1, 9))
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_orbits_partition_the_sector_pairs(n_sites, diagonal):
+    pairs = [(kl, kr) for kl in range(n_sites + 1) for kr in range(n_sites + 1)]
+    wanted = [(kl, kr) for kl, kr in pairs if kl == kr or not diagonal]
+    orbits = sector_orbits(n_sites, diagonal)
+    members = [key for orbit in orbits.values() for key in orbit]
+    assert sorted(members) == wanted  # every pair exactly once
+    n = n_sites
+    for (kl, kr), orbit in orbits.items():
+        assert kl <= kr and kl + kr <= n
+        unswapped = {(kl, kr), (n - kl, n - kr)}
+        assert set(orbit) == unswapped | {(kr, kl), (n - kr, n - kl)}
+        # conjugated exactly where only a relation with the swap reaches the member
+        assert all(orbit[key] == (key not in unswapped) for key in orbit)
+    # block (kl, kr) has one rate per element of a C(N, kl) x C(N, kr) matrix
+    size = [comb(n, k) for k in range(n + 1)]
+    rates = sum(size[kl] * size[kr] for orbit in orbits.values() for kl, kr in orbit)
+    assert rates == (sum(c**2 for c in size) if diagonal else 4**n)
 
 
 def test_sweep_builds_each_distinct_realization_once(monkeypatch):

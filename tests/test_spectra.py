@@ -69,16 +69,26 @@ def test_gap_single_qubit_dephasing():
     result = liouvillian_gap(eigendecompose(L))
     assert result.gap == pytest.approx(0.02, abs=1e-12)
     assert result.n_steady == 2
-    assert result.relaxation_periods == pytest.approx(50.0, rel=1e-9)
+    assert result.relaxation_time == pytest.approx(50.0, rel=1e-9)
 
 
 def test_gap_unitary_dynamics_has_no_gap():
     cfg = SpinNetworkConfig(n_sites=2, gamma=0.0)
     result = liouvillian_gap(eigendecompose(floquet_map_2T(cfg)))
     assert result.gap is None
-    assert result.relaxation_periods is None
+    assert result.relaxation_time is None
     assert result.n_steady == 16
 
+
+
+def test_relaxation_time_is_a_time_not_a_count_of_periods():
+    # T = 0.6: the gap 2 gamma t2 / T = 0.02 gives tau = 50 time units, 83.3 periods
+    cfg = SpinNetworkConfig(n_sites=2, t1=0.3, t2=0.3, g=np.pi / 0.6)
+    result = sector_gap(cfg)
+    assert cfg.period == pytest.approx(0.6)
+    assert result.relaxation_time == pytest.approx(1.0 / result.gap, rel=1e-15)
+    assert result.relaxation_time == pytest.approx(50.0, rel=1e-9)
+    assert result.relaxation_time / cfg.period == pytest.approx(250.0 / 3.0, rel=1e-9)
 
 def test_steady_states_single_qubit_dephasing():
     L = liouvillian(np.zeros((2, 2), dtype=complex), 1, 0.3)
@@ -149,7 +159,8 @@ def test_sector_block_shapes(small_config):
     from math import comb
 
     blocks = floquet_2T_sector_blocks(small_config)
-    assert sorted(blocks) == [(kl, kr) for kl in range(4) for kr in range(4)]
+    assert list(blocks) == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2)]
+    assert list(floquet_2T_sector_blocks(small_config, diagonal=True)) == [(0, 0), (1, 1)]
     for (kl, kr), block in blocks.items():
         size = comb(3, kl) * comb(3, kr)
         assert block.shape == (size, size)
@@ -161,7 +172,7 @@ def test_block_and_dense_spectra_agree(small_config):
     dense = np.linalg.eigvals(floquet_map_2T(small_config).matrix)
     blocks = floquet_2T_sector_blocks(small_config)
     horizon = 2.0 * small_config.period
-    pooled = np.exp(sector_eigenvalues(blocks, horizon) * horizon)
+    pooled = np.exp(sector_eigenvalues(blocks, small_config) * horizon)
     assert_spectra_match(dense, pooled, 1e-8)
 
 
@@ -188,7 +199,7 @@ def test_default_block_vs_dense_eigenvalues(default_config, default_spectral):
 
     blocks = floquet_2T_sector_blocks(default_config)
     horizon = 2.0 * default_config.period
-    pooled = np.exp(sector_eigenvalues(blocks, horizon) * horizon)
+    pooled = np.exp(sector_eigenvalues(blocks, default_config) * horizon)
     assert_spectra_match(default_spectral.map_eigenvalues, pooled, 1e-8)
 
 
@@ -215,4 +226,7 @@ def test_default_block_path_matches_dense_gap(default_config, default_spectral):
 
 
 def test_default_block_sizes(default_config):
-    assert floquet_2T_sector_blocks(default_config)[(3, 3)].shape == (400, 400)
+    blocks = floquet_2T_sector_blocks(default_config)
+    assert len(blocks) == 16  # one per orbit of the 49
+    assert blocks[(3, 3)].shape == (400, 400)
+    assert len(floquet_2T_sector_blocks(default_config, diagonal=True)) == 4
