@@ -50,6 +50,7 @@ from .experiments import (
     ode_oracle_evolve,
     run_stroboscopic,
 )
+from .floquet import block_propagator
 from .observables import default_partition
 from .operators import MAX_SITES, SpinNetworkConfig, sample_disorder
 from .spectra import spectrum_2T
@@ -329,7 +330,8 @@ def _run_evolve(config: RunConfig):
     """Stroboscopic observable traces."""
     spin = config.spin_config()
     rho0 = build_initial_state(config.initial_state_spec(), spin.n_sites)
-    trace = run_stroboscopic(rho0, spin, config.n_periods)
+    prop = block_propagator(spin, rho0)
+    trace = run_stroboscopic(rho0, spin, config.n_periods, dynamical_map=prop)
     header = (["n"] + [f"mz_{l}" for l in range(spin.n_sites)]
               + ["negativity", "purity", "excitations"])
     rows = [
@@ -340,6 +342,10 @@ def _run_evolve(config: RunConfig):
     extra = {"numerics": {
         **asdict(trace.worst_margins),
         "settling_period": dtc_settling_period(trace),
+        # (kl, kr) and its partner (kr, kl) are stepped by one stored block
+        "sector_pairs_stepped": sum(1 if kl == kr else 2 for kl, kr in prop.blocks),
+        "sector_pairs": (spin.n_sites + 1) ** 2,
+        "blocks_exponentiated": prop.exponentiated,
         "tolerances": {"trace": TRACE_TOL, "hermiticity": HERM_TOL,
                        "positivity": POSITIVITY_TOL},
     }}
@@ -420,7 +426,7 @@ def run_validation_suite() -> int:
         except Exception as exc:  # report, do not abort the suite
             checks.append((name, False, f"{type(exc).__name__}: {exc}"))
 
-    from .floquet import block_propagator, floquet_2T_sector_blocks, floquet_map, floquet_map_2T
+    from .floquet import floquet_2T_sector_blocks, floquet_map, floquet_map_2T
     from .operators import (
         excitation_number_operator,
         hamiltonian_interaction,
@@ -470,9 +476,10 @@ def run_validation_suite() -> int:
         assert np.abs(via_map - via_ode).max() < 1e-6
 
     def block_step_vs_dense_map():
+        # the propagator evolve builds: the 9 of 10 stored pairs the state reaches
         rho_dense = rho_block = build_initial_state(
             InitialStateSpec(kind="seed_size", seed_sites=1), cfg.n_sites)
-        prop, dmap = block_propagator(cfg), floquet_map(cfg)
+        prop, dmap = block_propagator(cfg, rho_block), floquet_map(cfg)
         for _ in range(4):
             rho_block, rho_dense = prop.apply(rho_block), dmap.apply(rho_dense)
             assert np.abs(rho_block - rho_dense).max() < 1e-12

@@ -101,7 +101,8 @@ def run_stroboscopic(rho0: np.ndarray, config: SpinNetworkConfig, n_periods: int
     """Apply the one-period map repeatedly and record observables at each n.
 
     The map is built once and reused for every period; by default it is the
-    block propagator of ``config``, and a dense one-period
+    block propagator of ``config`` for the sector pairs a run from ``rho0``
+    reaches (:func:`dtcsim.floquet.block_propagator`), and a dense one-period
     :class:`DynamicalMap` is accepted in its place; a two-period map is
     refused, since each of its steps would be recorded as one period.
     Density-matrix invariants (trace, Hermiticity, positivity) are asserted
@@ -123,7 +124,6 @@ def run_stroboscopic(rho0: np.ndarray, config: SpinNetworkConfig, n_periods: int
             f"{dynamical_map.period_multiple} periods"
         )
     part = default_partition(config.n_sites)
-    step = dynamical_map or block_propagator(config)
 
     n_records = n_periods + 1
     mags = np.zeros((n_records, config.n_sites))
@@ -133,6 +133,7 @@ def run_stroboscopic(rho0: np.ndarray, config: SpinNetworkConfig, n_periods: int
     margins = []
 
     rho = np.asarray(rho0, dtype=complex).reshape(config.dim, config.dim)
+    step = dynamical_map or block_propagator(config, rho)
     buffer = np.empty((min(CHUNK_PERIODS, n_records), config.dim, config.dim), dtype=complex)
     for start in range(0, n_records, CHUNK_PERIODS):
         states = buffer[:min(CHUNK_PERIODS, n_records - start)]

@@ -178,6 +178,26 @@ def _leading(passed: np.ndarray) -> int:
     return len(passed) if passed.all() else int(np.argmin(passed))
 
 
+def _min_eigenvalues(herm: np.ndarray) -> np.ndarray:
+    """The lowest eigenvalue of each Hermitian matrix of the stack ``herm``.
+
+    Row and column i of a Hermitian matrix being zero makes e_i an
+    eigenvector with eigenvalue 0, and the other eigenvalues those of the
+    principal sub-matrix of the remaining rows.  So each matrix is solved on
+    the rows that are not identically zero, with 0 joined to its spectrum
+    when a row is dropped, and the matrices sharing a zero pattern are
+    solved as one stack.
+    """
+    groups = {}  # zero pattern -> (its live rows, the matrices that have it)
+    for i, rows in enumerate(herm.any(axis=2)):
+        groups.setdefault(rows.tobytes(), (rows, []))[1].append(i)
+    low = np.empty(len(herm))
+    for rows, members in groups.values():
+        sub = herm[np.ix_(members, rows, rows)]
+        low[members] = np.linalg.eigvalsh(sub).min(axis=1, initial=np.inf if rows.all() else 0.0)
+    return low
+
+
 def validate_density_matrix(
     rho: np.ndarray,
     trace_tol: float = 1e-10,
@@ -188,7 +208,8 @@ def validate_density_matrix(
     otherwise return the errors that were checked.
 
     The checks run in order: finite entries, trace, Hermiticity, then the
-    lowest eigenvalue of the Hermitian part, so a non-finite state never
+    lowest eigenvalue of the Hermitian part, taken on the rows that are not
+    identically zero (:func:`_min_eigenvalues`), so a non-finite state never
     reaches the eigen-solve.  A stack of shape (m, d, d) is checked as its
     states would be one at a time: the first invalid state raises, with its
     index in the message, and neither it nor a later state reaches the
@@ -201,8 +222,7 @@ def validate_density_matrix(
     tr_err = np.abs(np.trace(ok, axis1=1, axis2=2) - 1.0)
     herm_err = np.abs(ok - ok.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
     ok = ok[:_leading((tr_err <= trace_tol) & (herm_err <= herm_tol))]
-    min_eig = np.linalg.eigvalsh((ok + ok.conj().transpose(0, 2, 1)) / 2.0).min(
-        axis=1, initial=np.inf)
+    min_eig = _min_eigenvalues((ok + ok.conj().transpose(0, 2, 1)) / 2.0)
     i = _leading(min_eig >= -positivity_tol)  # the first invalid state, if any
     if i < len(states):
         if not finite[i]:

@@ -25,6 +25,7 @@ from dtcsim import (
     total_excitations,
     validate_density_matrix,
 )
+from dtcsim import floquet
 from dtcsim.experiments import HERM_TOL, POSITIVITY_TOL, TRACE_TOL, StateInvariantError
 from dtcsim.floquet import principal_log_hamiltonian
 from dtcsim.observables import partial_transpose
@@ -165,6 +166,19 @@ def perfect_pulse_configs(draw, gammas=(0.0, 0.07, 50.0)):
         gamma=draw(st.sampled_from(gammas)),
         disorder=np.array(draw(st.lists(st.floats(0.0, 30.0), min_size=n, max_size=n))),
     )
+
+
+def recorded_exponentials(monkeypatch, config, rho=None):
+    """The arguments of every matrix_exp call that block_propagator(config,
+    rho) makes, in order, and the propagator; later calls are recorded too."""
+    generators = []
+
+    def record(A):
+        generators.append(A)
+        return matrix_exp(A)
+
+    monkeypatch.setattr(floquet, "matrix_exp", record)
+    return generators, floquet.block_propagator(config, rho)
 
 
 def negativity_svd(rho, partition):

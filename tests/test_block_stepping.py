@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dtcsim import (
     InitialStateSpec,
@@ -14,7 +16,8 @@ from dtcsim import (
 )
 from dtcsim.experiments import CHUNK_PERIODS, TRACE_TOL, StateInvariantError
 from dtcsim.floquet import block_propagator
-from helpers import per_period_run
+from dtcsim.operators import excitation_sectors
+from helpers import per_period_run, perfect_pulse_configs, recorded_exponentials
 
 OBSERVABLES = ("magnetization", "negativity", "purity", "excitations")
 
@@ -184,3 +187,69 @@ def test_complex_magnetization_fails_at_its_period():
     with pytest.raises(StateInvariantError, match="imaginary residue above 1e-10") as got:
         run_stroboscopic(rho0, cfg, 3, dynamical_map=step)
     assert (got.value.period, str(got.value)) == (3, str(expected.value))
+
+
+@st.composite
+def partial_support_runs(draw):
+    """A config of perfect_pulse_configs, at epsilon 0 or 0.05, and a mixture
+    of one or two random kets, each on a random set of excitation sectors."""
+    cfg = replace(draw(perfect_pulse_configs()), epsilon=draw(st.sampled_from([0.0, 0.05])))
+    n, sectors = cfg.n_sites, excitation_sectors(cfg.n_sites)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = np.zeros((cfg.dim, cfg.dim), dtype=complex)
+    for _ in range(draw(st.integers(1, 2))):
+        psi = np.zeros(cfg.dim, dtype=complex)
+        for k in draw(st.sets(st.integers(0, n), min_size=1)):
+            psi[sectors[k]] = rng.normal(size=len(sectors[k])) + 1j * rng.normal(size=len(sectors[k]))
+        rho += rng.uniform(0.1, 1.0) * np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    return cfg, rho / np.trace(rho).real
+
+
+@given(partial_support_runs())
+def test_reachable_pair_stepping_matches_dense_map(run):
+    cfg, rho0 = run
+    blockwise = run_stroboscopic(rho0, cfg, 6)
+    dense = run_stroboscopic(rho0, cfg, 6, dynamical_map=floquet_map(cfg))
+    assert _max_trace_difference(blockwise, dense) < 1e-12
+    if cfg.epsilon == 0.0:
+        # the pi kick sends sector pair (kl, kr) to (N - kl, N - kr), and the
+        # segment keeps it: the state stays exactly zero off those pairs
+        n, sectors = cfg.n_sites, excitation_sectors(cfg.n_sites)
+        pairs = [(a, b) for a in range(n + 1) for b in range(n + 1)]
+        support = {(a, b) for a, b in pairs if rho0[np.ix_(sectors[a], sectors[b])].any()}
+        outside = np.ones((cfg.dim, cfg.dim), dtype=bool)
+        for a, b in support | {(n - a, n - b) for a, b in support}:
+            outside[np.ix_(sectors[a], sectors[b])] = False
+        prop, rho = block_propagator(cfg, rho0), rho0
+        for _ in range(6):
+            rho = prop.apply(rho)
+            assert not rho[outside].any()
+
+
+def test_default_run_steps_the_pairs_its_state_reaches(seeded_state, default_config,
+                                                      monkeypatch):
+    # 111+++ has weight in sectors 3..6 and its kicked images in 0..3: 31 of
+    # the 49 pairs, 19 stored with kl <= kr, and 10 of them are spin-flip
+    # orbit representatives; the kick takes no exponential
+    generators, prop = recorded_exponentials(monkeypatch, default_config, seeded_state)
+    assert prop.kick is None
+    assert list(prop.blocks) == [(kl, kr) for kl in range(7) for kr in range(kl, 7)
+                                 if max(kl, kr) <= 3 or min(kl, kr) >= 3]
+    assert len(generators) == prop.exponentiated == 10
+    assert sum(1 if kl == kr else 2 for kl, kr in prop.blocks) == 31
+
+
+def test_apply_refuses_a_state_outside_its_pairs(seeded_state, default_config):
+    prop = block_propagator(default_config, seeded_state)
+    everywhere = build_initial_state(InitialStateSpec(kind="pure_pattern", pattern="++++++"), 6)
+    # the kick sends the weight of ++++++ in pair (6, 2) to (0, 4)
+    with pytest.raises(ValueError, match=r"sector pair \(0, 4\), for which this propagator "
+                                         r"holds no block"):
+        prop.apply(everywhere)
+    with pytest.raises(ValueError, match=r"sector pair \(0, 4\)"):
+        run_stroboscopic(everywhere, default_config, 1, dynamical_map=prop)
+    # every pair is held without a state, or when the kick mixes sectors
+    for prop in (block_propagator(default_config),
+                 block_propagator(replace(default_config, epsilon=0.05), seeded_state)):
+        assert len(prop.blocks) == 28
+        prop.apply(everywhere)

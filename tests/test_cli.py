@@ -178,6 +178,23 @@ def test_evolve_manifest_records_settling_period_at_defaults(tmp_path):
     assert main(["evolve", "--out", str(tmp_path)]) == 0
     numerics = json.loads((tmp_path / "evolve_manifest.json").read_text())["numerics"]
     assert numerics["settling_period"] == 98
+    # 111+++ reaches 31 of the 49 sector pairs, from 10 exponentiated blocks
+    assert (numerics["sector_pairs_stepped"], numerics["sector_pairs"],
+            numerics["blocks_exponentiated"]) == (31, 49, 10)
+
+
+@pytest.mark.parametrize("flags, counts", [
+    (["--initial-state", "1++"], (14, 16, 5)),  # all but (0, 3) and (3, 0)
+    (["--initial-state", "+++"], (16, 16, 6)),
+    (["--initial-state", "1++", "--epsilon", "0.05"], (16, 16, 6)),
+    (["--initial-state", "1++", "--w-t-over-2pi", "0.4"], (14, 16, 9)),
+], ids=["partial", "full", "imperfect_kick", "disordered"])
+def test_evolve_manifest_records_the_sector_pairs_stepped(tmp_path, flags, counts):
+    argv = ["evolve", "--n", "3", "--n-periods", "4", *flags, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    numerics = json.loads((tmp_path / "evolve_manifest.json").read_text())["numerics"]
+    assert (numerics["sector_pairs_stepped"], numerics["sector_pairs"],
+            numerics["blocks_exponentiated"]) == counts
 
 
 def test_evolve_output_byte_identical_across_reruns(tmp_path):

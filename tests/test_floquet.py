@@ -1,6 +1,8 @@
 """Dynamical maps, and the effective Hamiltonian and generator of the test
 helpers that cross-check them."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -34,6 +36,7 @@ from helpers import (
     effective_liouvillian_2T,
     embed,
     pauli,
+    recorded_exponentials,
 )
 
 
@@ -104,44 +107,47 @@ def test_matrix_exp_matches_scipy_at_every_pade_degree(dtype, norm, degree, squa
 
 
 def test_matrix_exp_matches_scipy_on_disordered_segment_generators(monkeypatch):
+    # the blocks with kl <= kr; a perfect pi pulse is an index reversal and
+    # takes no exponential
     cfg = SpinNetworkConfig(n_sites=4, gamma=0.05, disorder=np.array([0.3, 1.2, 2.0, 0.7]))
-    generators = []
-
-    def record(A):
-        generators.append(A)
-        return matrix_exp(A)
-
-    monkeypatch.setattr(floquet, "matrix_exp", record)
-    floquet.block_propagator(cfg)
-    assert len(generators) == 1 + 15  # the kick and the blocks with kl <= kr
+    generators, prop = recorded_exponentials(monkeypatch, cfg)
+    assert len(generators) == prop.exponentiated == 15
     for A in generators:
         assert _close_to(matrix_exp(A), scipy.linalg.expm(A)) < 1e-12
 
 
 def test_zero_disorder_exponentiates_one_block_per_spin_flip_orbit(monkeypatch):
-    # the kick and one block per orbit (kl, kr) -> (4 - kr, 4 - kl) of the
-    # 15 blocks with kl <= kr: the three with kl + kr = 4 are their own image
+    # one block per orbit (kl, kr) -> (4 - kr, 4 - kl) of the 15 blocks with
+    # kl <= kr: the three with kl + kr = 4 are their own image
     cfg = SpinNetworkConfig(n_sites=4, gamma=0.05)
-    calls = []
-
-    def record(A):
-        calls.append(A.shape)
-        return matrix_exp(A)
-
-    monkeypatch.setattr(floquet, "matrix_exp", record)
-    floquet.block_propagator(cfg)
-    assert len(calls) == 1 + 9
-    segment = calls[:-1]
+    generators, prop = recorded_exponentials(monkeypatch, cfg)
+    segment = [A.shape for A in generators]
+    assert len(segment) == prop.exponentiated == 9
     sizes = [a * a for a, _ in segment]
     assert sizes == sorted(sizes, reverse=True)  # the largest exponential first
     # the dense segment exponentiates the same blocks and no kick; the
     # dense map adds the kick
-    calls.clear()
+    generators.clear()
     interaction_propagator(cfg)
-    assert calls == segment
-    calls.clear()
+    assert [A.shape for A in generators] == segment
+    generators.clear()
     floquet_map(cfg)
-    assert calls == segment + [(16, 16)]
+    assert [A.shape for A in generators] == segment + [(16, 16)]
+
+
+@pytest.mark.parametrize("disorder, blocks", [
+    (np.zeros(4), 9), (np.array([0.3, 1.2, 2.0, 0.7]), 15)], ids=["clean", "disordered"])
+def test_imperfect_kick_is_exponentiated_before_the_segment_blocks(monkeypatch, disorder, blocks):
+    # at epsilon != 0 the kick mixes sectors: every pair is built, and the
+    # kick unitary is exponentiated first, then the same blocks as at epsilon = 0
+    cfg = SpinNetworkConfig(n_sites=4, gamma=0.05, epsilon=0.05, disorder=disorder)
+    generators, prop = recorded_exponentials(monkeypatch, cfg)
+    assert prop.kick is not None and prop.exponentiated == blocks
+    assert [A.shape for A in generators] == [(16, 16)] + [
+        A.shape for A in recorded_exponentials(monkeypatch, replace(cfg, epsilon=0.0))[0]]
+    assert len(prop.blocks) == 15
+    for A in generators:
+        assert _close_to(matrix_exp(A), scipy.linalg.expm(A)) < 1e-12
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

@@ -46,9 +46,11 @@ def test_dense_routes_refuse_seven_sites_before_building_blocks(route, monkeypat
 
 
 def test_seven_site_block_stepping_matches_rk4():
-    # the one N = 7 propagator build of the suite (about 4 s, 116 MiB of blocks)
+    # the one N = 7 propagator build of the suite, for the 20 of 36 stored
+    # pairs that a run from 1111+++ reaches, as evolve builds it
     rho0 = build_initial_state(InitialStateSpec(kind="pure_pattern", pattern="1111+++"), 7)
-    prop = floquet.block_propagator(SEVEN)
+    prop = floquet.block_propagator(SEVEN, rho0)
+    assert len(prop.blocks) == 20 and (3, 4) not in prop.blocks
     trace = run_stroboscopic(rho0, SEVEN, 2, dynamical_map=prop)
     rho = ode_oracle_evolve(rho0, SEVEN, 2, dt=SEVEN.period / 500, richardson_check=False)
     assert np.abs(prop.apply(prop.apply(rho0)) - rho).max() < 1e-6

@@ -12,6 +12,7 @@ from dtcsim import (
     validate_density_matrix,
     vectorize,
 )
+from dtcsim.operators import excitation_sectors
 from dtcsim.superop import dephasing_rates
 
 
@@ -199,3 +200,58 @@ def test_validate_density_matrix_stack_reports_first_invalid_state():
         validate_density_matrix(stack[[0, 3, 4]])
     margins = validate_density_matrix(stack[:2])
     assert margins == [validate_density_matrix(good)] * 2
+
+
+def _on_sectors(rho, sectors):
+    """rho placed on the basis states of ``sectors`` of six sites, zero elsewhere."""
+    rows = np.concatenate([excitation_sectors(6)[k] for k in sectors])
+    out = np.zeros((64, 64), dtype=complex)
+    out[np.ix_(rows, rows)] = rho
+    return out
+
+
+def _support_stack():
+    """Six-site states: full support, low rank, and two zero patterns (the
+    sectors 3..6 and 0..3 that a run from 111+++ alternates between, 42 rows
+    each), interleaved so that each pattern's states are not contiguous."""
+    rng = np.random.default_rng(11)
+    raw = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
+    low_rank = raw @ raw.conj().T
+    return np.array([
+        _on_sectors(_random_density(42, 1), (3, 4, 5, 6)),
+        _random_density(64, 2),
+        _on_sectors(_random_density(42, 3), (0, 1, 2, 3)),
+        _on_sectors(_random_density(42, 4), (3, 4, 5, 6)),
+        low_rank / np.trace(low_rank),
+        _on_sectors(_random_density(42, 5), (0, 1, 2, 3)),
+    ])
+
+
+def test_min_eigenvalue_on_the_support_matches_the_full_solve():
+    # a zero row and column of a Hermitian matrix is an eigenvector with
+    # eigenvalue 0; the rest of the spectrum is that of the remaining rows
+    stack = _support_stack()
+    full = np.linalg.eigvalsh(stack).min(axis=1)
+    margins = validate_density_matrix(stack)
+    assert np.abs([m.min_eigenvalue for m in margins] - full).max() < 1e-14
+    assert [margins[i].min_eigenvalue for i in (0, 2, 3, 5)] == [0.0] * 4  # rows dropped
+    assert margins == [validate_density_matrix(rho) for rho in stack]
+
+
+def test_first_invalid_state_on_the_support_is_unchanged():
+    # a trace failure, then a state whose live rows carry an eigenvalue of
+    # -1e-6: the first invalid state, its index and its message are those the
+    # full eigen-solve gives
+    stack = _support_stack()
+    a, b = np.zeros(64, dtype=complex), np.zeros(64, dtype=complex)
+    a[excitation_sectors(6)[4][0]] = b[excitation_sectors(6)[5][0]] = 1.0
+    negative = (1 + 1e-6) * np.outer(a, a) - 1e-6 * np.outer(b, b)
+    low = np.linalg.eigvalsh(negative).min()
+    assert low == pytest.approx(-1e-6)
+    with pytest.raises(ValueError, match=re.escape(
+            f"state 6: minimum eigenvalue {low:.3e} below -1e-08")):
+        validate_density_matrix(np.concatenate([stack, [negative, stack[1] * 2.0]]))
+    with pytest.raises(ValueError, match="^state 3: trace deviates from 1 by 1.000e\\+00$"):
+        validate_density_matrix(np.concatenate([stack[:3], [stack[1] * 2.0, negative]]))
+    with pytest.raises(ValueError, match=re.escape(f"minimum eigenvalue {low:.3e} below")):
+        validate_density_matrix(negative)
