@@ -38,11 +38,16 @@ block; :func:`block_propagator` and :func:`floquet_2T_sector_blocks` never do.
 
 The generator of a diagonal block (k, k) maps the c x c sub-matrix of sector
 k to itself and preserves Hermiticity, so in the Hermitian basis of c x c
-matrices (:func:`dtcsim.superop.to_hermitian_basis`) it is a real matrix.
-Those blocks, the largest ones and the populations among them, are
-exponentiated in real arithmetic; the basis change is a similarity, so the
-result is the same exponential up to rounding.  The off-diagonal blocks stay
-complex: their real form would have twice the dimension.
+matrices it is a real matrix, which :func:`dtcsim.superop.hermitian_generator`
+builds directly from the real Hamiltonian of the sector and the dephasing
+rates.  Those blocks, the largest ones and the populations among them, are
+exponentiated in real arithmetic and stay in that basis; the spin flip is a
+signed permutation there (:func:`_flipped`).  Only the propagators that step a
+state or assemble the dense map take them back to the basis of matrix
+elements, once per block (:func:`dtcsim.superop.from_hermitian_basis`); the
+basis change is a similarity, so the result is the same exponential up to
+rounding.  The off-diagonal blocks stay complex: their real form would have
+twice the dimension.
 
 Every exponential in the package goes through :func:`matrix_exp`, numpy
 scaling and squaring with the [13/13] Pade approximant with Al-Mohy &
@@ -63,6 +68,9 @@ sectors k -> N - k, so the spectrum of block (kl, kr) of Phi_2T equals that of
 (N - kl, N - kr) and is the complex conjugate of that of (kr, kl)
 (Buca & Prosen, NJP 14, 073007 (2012); Albert & Jiang, PRA 89, 022118 (2014)),
 and each block is built and diagonalised once per orbit (:func:`sector_orbits`).
+A diagonal block (k, k) is the real product R_k P R_(N-k) P of two real
+segment blocks, P the flip's signed permutation, and is returned real, in
+the Hermitian basis.
 """
 
 from __future__ import annotations
@@ -79,7 +87,12 @@ from .operators import (
     hamiltonian_kick,
     require_dense,
 )
-from .superop import dephasing_rates, from_hermitian_basis, hermitian_real_form
+from .superop import (
+    dephasing_rates,
+    from_hermitian_basis,
+    hermitian_generator,
+    hermitian_permutation,
+)
 
 
 @dataclass(frozen=True)
@@ -341,7 +354,7 @@ def _exponentiated(config: SpinNetworkConfig, pairs) -> list:
     return [(kl, kr) for kl, kr in pairs if kl + kr <= config.n_sites]
 
 
-def _segment_blocks(config: SpinNetworkConfig, pairs=None):
+def _segment_blocks(config: SpinNetworkConfig, pairs=None, hermitian: bool = True):
     """exp(L2 * t2) per sector-pair block (kl, kr) of ``pairs``, by default
     every pair with kl <= kr; L2 = -i[H, .] + dephasing, H the interaction
     Hamiltonian of ``config``.
@@ -356,12 +369,18 @@ def _segment_blocks(config: SpinNetworkConfig, pairs=None):
     others derived from them, so ``pairs``, given with kl <= kr in sorted
     order, must then be closed under (kl, kr) -> (N - kr, N - kl).  The
     exponentials run in descending block size, so the largest runs while the
-    fewest blocks are held.  Each diagonal block (k, k) is exponentiated as
-    the real matrix its generator is in the Hermitian basis and mapped back.
+    fewest blocks are held.  Each diagonal block (k, k) is built and
+    exponentiated as the real matrix it is in the Hermitian basis
+    (:func:`dtcsim.superop.hermitian_generator`), and returned so, where the
+    spin flip is a signed permutation (:func:`_flipped`).  Without
+    ``hermitian`` it is mapped back to the row-stacked matrix elements right
+    after its exponential (:func:`dtcsim.superop.from_hermitian_basis`), so
+    the conversion runs while the fewest blocks are held, and a derived
+    diagonal block is then the reversed partner, as an off-diagonal one is.
     Returns the blocks, keyed in the order of ``pairs``, and the sectors.
     """
     n = config.n_sites
-    H = hamiltonian_interaction(config)
+    H = hamiltonian_interaction(config).real  # real symmetric, stored complex
     sectors = excitation_sectors(n)
     sizes = [len(s) for s in sectors]
     rates = dephasing_rates(n, config.gamma).reshape(config.dim, config.dim)
@@ -371,23 +390,37 @@ def _segment_blocks(config: SpinNetworkConfig, pairs=None):
     for kl, kr in sorted(_exponentiated(config, keys),
                          key=lambda key: -sizes[key[0]] * sizes[key[1]]):
         il, ir = sectors[kl], sectors[kr]
-        gen = -1j * (
-            np.kron(H[np.ix_(il, il)], np.eye(len(ir)))
-            - np.kron(np.eye(len(il)), H[np.ix_(ir, ir)].T)
-        )
-        gen[np.diag_indices_from(gen)] += rates[np.ix_(il, ir)].reshape(-1)
-        gen *= config.t2
         if kl == kr:
-            # rebinding frees the complex generator before the real exponential
-            gen = hermitian_real_form(gen, f"segment generator block {(kl, kr)}")
-            blocks[(kl, kr)] = from_hermitian_basis(matrix_exp(gen))
+            gen = hermitian_generator(H[np.ix_(il, il)], rates[np.ix_(il, il)])
         else:
-            blocks[(kl, kr)] = matrix_exp(gen)
+            gen = -1j * (
+                np.kron(H[np.ix_(il, il)], np.eye(len(ir)))
+                - np.kron(np.eye(len(il)), H[np.ix_(ir, ir)].T)
+            )
+            gen[np.diag_indices_from(gen)] += rates[np.ix_(il, ir)].reshape(-1)
+        gen *= config.t2
+        blocks[(kl, kr)] = matrix_exp(gen)
+        del gen  # freed before the conversion and the next generator
+        if kl == kr and not hermitian:
+            blocks[(kl, kr)] = from_hermitian_basis(blocks[(kl, kr)])
     for kl, kr in keys:
-        if (kl, kr) not in blocks:  # the spin-flip image of an exponentiated block
+        if (kl, kr) in blocks:
+            continue
+        # the spin-flip image of an exponentiated block
+        if kl == kr and hermitian:
+            blocks[(kl, kr)] = _flipped(blocks[(n - kl, n - kl)])
+        else:
             partner = _adjoint_block(blocks[(n - kr, n - kl)], sizes[n - kr], sizes[n - kl])
             blocks[(kl, kr)] = np.ascontiguousarray(partner[::-1, ::-1])
     return {key: blocks[key] for key in keys}, sectors
+
+
+def _flipped(R: np.ndarray) -> np.ndarray:
+    """P R P for a diagonal block R in the Hermitian basis, P the spin flip,
+    which reverses the sorted basis order of a sector: the signed
+    permutation of :func:`dtcsim.superop.hermitian_permutation`."""
+    source, sign = hermitian_permutation(np.arange(int(round(np.sqrt(len(R)))))[::-1])
+    return sign[:, None] * R[np.ix_(source, source)] * sign
 
 
 def _assemble_blocks(blocks, sectors, dim: int) -> np.ndarray:
@@ -425,15 +458,14 @@ def block_propagator(config: SpinNetworkConfig, rho: np.ndarray | None = None
         pairs = [(kl, kr) for kl, kr in pairs
                  if any(np.any(rho[np.ix_(sectors[a], sectors[b])])
                         for a, b in ((kl, kr), (kr, kl), (n - kl, n - kr), (n - kr, n - kl)))]
-    return BlockPropagator(kick, *_segment_blocks(config, pairs),
+    return BlockPropagator(kick, *_segment_blocks(config, pairs, hermitian=False),
                            exponentiated=len(_exponentiated(config, pairs)))
 
 
 def interaction_propagator(config: SpinNetworkConfig) -> np.ndarray:
     """Dense exp(L2 * t2) for the interaction segment, built blockwise."""
     require_dense(config.n_sites)
-    blocks, sectors = _segment_blocks(config)
-    return _assemble_blocks(blocks, sectors, config.dim)
+    return _assemble_blocks(*_segment_blocks(config, hermitian=False), config.dim)
 
 
 def floquet_map(config: SpinNetworkConfig) -> DynamicalMap:
@@ -475,7 +507,11 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig, diagonal: bool = False):
     product is formed.
     Returns a dict mapping each representative (k_left, k_right) of
     :func:`sector_orbits` to its block, 16 of the 49 for six sites; every
-    block of an orbit shares its spectrum, up to conjugation.  The largest
+    block of an orbit shares its spectrum, up to conjugation.  A diagonal
+    block (k, k) is the real matrix it is in the Hermitian basis of
+    :mod:`dtcsim.superop`, the product of the real segment blocks with the
+    flip's signed permutation; the others are complex, on the row-stacked
+    matrix elements.  The largest
     block for six sites is 400 x 400, so this is the fast path for disorder
     sweeps.  With ``diagonal`` only the blocks (k, k) with 2k <= N are built.
     """
@@ -491,8 +527,12 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig, diagonal: bool = False):
             return plus[(kl, kr)]
         return _adjoint_block(plus[(kr, kl)], len(sectors[kr]), len(sectors[kl]))
 
-    return {(kl, kr): segment(kl, kr) @ segment(n - kl, n - kr)[::-1, ::-1]
-            for kl, kr in sector_orbits(n, diagonal)}
+    def product(kl, kr):
+        if kl == kr:  # real, in the Hermitian basis
+            return plus[(kl, kl)] @ _flipped(plus[(n - kl, n - kl)])
+        return segment(kl, kr) @ segment(n - kl, n - kr)[::-1, ::-1]
+
+    return {key: product(*key) for key in sector_orbits(n, diagonal)}
 
 
 def principal_log_hamiltonian(U: np.ndarray, horizon: float):

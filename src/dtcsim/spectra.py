@@ -17,10 +17,19 @@ per orbit of these relations (16 of the 49 blocks for six sites), and
 
 A diagonal block (k, k) maps the c x c sub-matrix of sector k to itself and
 preserves Hermiticity, so its form in the Hermitian basis of c x c matrices
-(:func:`dtcsim.superop.to_hermitian_basis`) is a real matrix with the same
-spectrum.  Those blocks, which hold the steady manifold and the largest
-block, are diagonalised by the real eigensolver, which is exact up to
-rounding and returns the complex multipliers in exact conjugate pairs.
+is a real matrix with the same spectrum, and
+:func:`dtcsim.floquet.floquet_2T_sector_blocks` returns it in that form.
+Those blocks, which hold the steady manifold and the largest block, are
+diagonalised by the real eigensolver with no basis change, which is exact
+up to rounding and returns the complex multipliers in exact conjugate pairs.
+
+When the disorder is a palindrome, zero included, the chain reflection
+l -> N - 1 - l commutes with the coupling, the disorder of both segments and
+the dephasing, so with every Phi_2T block (a weak symmetry; Buca & Prosen,
+NJP 14, 073007 (2012); Albert & Jiang, PRA 89, 022118 (2014)).  On each
+block's basis it is an involutive signed permutation, so its +1 and -1
+eigenvectors are unit vectors and normalised pairs of them, and each block
+is diagonalised as its two parity halves of about half the dimension.
 
 The gap needs only the N + 1 diagonal blocks: dephasing damps block (kl, kr)
 to |mu| <= exp(-4 gamma t2 |kl - kr|) (log-norm bound, Soderlind 2006), with
@@ -38,8 +47,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floquet import DynamicalMap, floquet_2T_sector_blocks, floquet_map_2T, sector_orbits
-from .operators import SpinNetworkConfig, excitation_counts
-from .superop import devectorize, hermitian_real_form
+from .operators import SpinNetworkConfig, excitation_counts, excitation_sectors
+from .superop import (
+    HERMITIAN_REAL_TOL,
+    devectorize,
+    hermitian_permutation,
+    sector_reflection,
+)
 
 #: |Re Lambda| at or below this counts as part of the steady manifold (units 1/T).
 ZERO_THRESHOLD = 1e-10
@@ -207,6 +221,60 @@ def excitation_superop_commutant_check(dmap: DynamicalMap) -> float:
     return float(max(res_left, res_right))
 
 
+def _real_form(block: np.ndarray, name: str) -> np.ndarray:
+    """A diagonal Phi_2T block, given in the Hermitian basis, as a real matrix.
+
+    Raises ValueError naming ``name`` when an imaginary part exceeds
+    HERMITIAN_REAL_TOL relative to max(1, max |entry|): the block does not
+    preserve Hermiticity to working precision.
+    """
+    if not np.iscomplexobj(block):
+        return block
+    residue = float(np.abs(block.imag).max())
+    if residue > HERMITIAN_REAL_TOL * max(1.0, float(np.abs(block).max())):
+        raise ValueError(
+            f"{name} does not preserve Hermiticity: its Hermitian-basis form "
+            f"has imaginary parts up to {residue:.3e}"
+        )
+    return block.real
+
+
+def _reflection(n_sites: int, sectors, kl: int, kr: int):
+    """The chain reflection l -> N - 1 - l on the index space of Phi_2T block
+    (kl, kr), as the signed permutation (source, sign) with
+    (P v)[i] = sign[i] v[source[i]]: in the Hermitian basis for kl = kr, else
+    the plain permutation of the row-stacked matrix elements."""
+    left, right = (sector_reflection(n_sites, sectors[k]) for k in (kl, kr))
+    if kl == kr:
+        return hermitian_permutation(left)
+    source = (left[:, None] * len(right) + right[None, :]).reshape(-1)
+    return source, np.ones(source.size)
+
+
+def _parity_halves(block: np.ndarray, source: np.ndarray, sign: np.ndarray) -> list:
+    """V^T block V for the orthonormal eigenvectors V of the involution
+    (source, sign) with eigenvalue +1 and then -1, a block that commutes
+    with it having no entries between the two.
+
+    A fixed point i is the eigenvector e_i of eigenvalue sign[i]; a pair
+    i < j = source[i], whose signs agree, gives (e_i + sign[i] e_j)/sqrt2 for
+    +1 and (e_i - sign[i] e_j)/sqrt2 for -1.  So each column of V has one or
+    two nonzeros, and each half is formed by index arithmetic.
+    """
+    i = np.arange(len(source))
+    fixed, paired = source == i, i < source
+    low, high, s = i[paired], source[paired], sign[paired] / np.sqrt(2.0)
+    halves = []
+    for parity in (1.0, -1.0):
+        alone = i[fixed & (sign == parity)]
+        first, second = np.concatenate([alone, low]), np.concatenate([alone, high])
+        a = np.concatenate([np.ones(alone.size), np.full(low.size, 1.0 / np.sqrt(2.0))])
+        b = np.concatenate([np.zeros(alone.size), parity * s])
+        columns = block[:, first] * a + block[:, second] * b
+        halves.append(a[:, None] * columns[first] + b[:, None] * columns[second])
+    return halves
+
+
 def sector_eigenvalues(blocks, config: SpinNetworkConfig) -> np.ndarray:
     """Pooled rates log(mu) / 2T from the Phi_2T sector blocks of ``config``.
 
@@ -215,12 +283,19 @@ def sector_eigenvalues(blocks, config: SpinNetworkConfig) -> np.ndarray:
     ValueError.  The multipliers mu of each block go to every member of its
     orbit (:func:`dtcsim.floquet.sector_orbits`), conjugated where marked,
     before the principal-branch log is taken.  The rates come out in the
-    sorted order of the sector pairs, one per basis element.  A diagonal
-    block (k, k) is diagonalised as its real Hermitian-basis form, whose
-    complex multipliers come in exact conjugate pairs; ValueError when that
-    form is not real, i.e. the block is not that of a perfect-pulse Phi_2T.
+    sorted order of the sector pairs, one per basis element; their order
+    within a block is not part of the contract.  A diagonal block (k, k) is
+    given as the real matrix it is in the Hermitian basis, and its complex
+    multipliers come in exact conjugate pairs; ValueError when it is not
+    real, i.e. not the block of a perfect-pulse Phi_2T.
+
+    When the disorder is a palindrome (zero included) the chain reflection
+    commutes with every block, and each block is diagonalised as its two
+    halves of reflection parity +1 and -1 (:func:`_parity_halves`).
     """
-    orbits = sector_orbits(config.n_sites)
+    n = config.n_sites
+    orbits, sectors = sector_orbits(n), excitation_sectors(n)
+    mirrored = np.array_equal(config.disorder, config.disorder[::-1])
     mus = {}
     for (kl, kr), block in blocks.items():
         if (kl, kr) not in orbits:
@@ -228,8 +303,9 @@ def sector_eigenvalues(blocks, config: SpinNetworkConfig) -> np.ndarray:
                 f"sector block {(kl, kr)} is not an orbit representative: "
                 "pass the blocks of floquet_2T_sector_blocks")
         if kl == kr:
-            block = hermitian_real_form(block, f"Phi_2T sector block {(kl, kr)}")
-        mu = np.linalg.eigvals(block)
+            block = _real_form(block, f"Phi_2T sector block {(kl, kr)}")
+        halves = _parity_halves(block, *_reflection(n, sectors, kl, kr)) if mirrored else [block]
+        mu = np.concatenate([np.linalg.eigvals(half) for half in halves if len(half)])
         for key, swapped in orbits[(kl, kr)].items():
             mus[key] = mu.conj() if swapped else mu
     return _rates(np.concatenate([mus[key] for key in sorted(mus)]), 2.0 * config.period)
@@ -253,9 +329,10 @@ def spectrum_2T(config: SpinNetworkConfig) -> np.ndarray:
     otherwise; either way the result is the complete eigenvalue cloud.
     The rates are sorted on (-Re, Im), but many real parts are equal up to
     rounding, so a last-digit change reorders them: compare results of two
-    builds or thread settings as multisets (e.g. with
-    :func:`spectral_distance`); the order is reproducible only on one build
-    and thread setting.
+    builds, thread settings or versions as multisets (e.g. with
+    :func:`spectral_distance`).  The order, within a sector block as much as
+    across the sorted cloud, is not part of the contract; it is reproducible
+    only on one build, thread setting and version.
     """
     if config.perfect_pulse:
         lam = sector_eigenvalues(floquet_2T_sector_blocks(config), config)

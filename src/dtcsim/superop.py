@@ -10,11 +10,14 @@ A superoperator that maps the c x c matrices of one sector to themselves and
 preserves Hermiticity, as every diagonal sector block (k, k) of the segment
 propagator and of Phi_2T does, is a real matrix in the Hermitian basis of
 c x c matrices: it maps the real span of that basis, the Hermitian matrices,
-to itself.  :func:`to_hermitian_basis` and :func:`from_hermitian_basis` are
-the unitary change to that basis and back.  The change is a similarity, so
-the real form has the same spectrum and exp(T G T^dagger) = T exp(G)
-T^dagger; exponentiating or diagonalising the real form is exact, only
-cheaper.
+to itself.  The change to that basis, r = T vec(X), is unitary and a
+similarity, so the real form has the same spectrum and exp(T G T^dagger) =
+T exp(G) T^dagger; exponentiating or diagonalising the real form is exact,
+only cheaper.  :func:`hermitian_generator` builds the segment generator of
+a sector directly in that basis, :func:`hermitian_permutation` gives an
+involution of the sector's states (the spin flip, the chain reflection) as
+the signed permutation it is there, and :func:`from_hermitian_basis` maps
+a block back to the row-stacked matrix elements.
 
 Only :func:`liouvillian` forms a dense 4^N x 4^N matrix, and it refuses
 N > DENSE_LIMIT.
@@ -75,42 +78,86 @@ def _sandwich(M: np.ndarray, u1: np.ndarray, u2: np.ndarray, swap: np.ndarray) -
     return out
 
 
-def to_hermitian_basis(M: np.ndarray) -> np.ndarray:
-    """T M T^dagger: a superoperator on c x c matrices in the Hermitian basis.
-
-    Every row of T has at most two nonzeros, so this is index arithmetic on
-    M, O(c^4), with no dense T.  The result is real exactly when M preserves
-    Hermiticity.
-    """
-    d1, d2, swap = _hermitian_basis(int(round(np.sqrt(len(M)))))
-    return _sandwich(M, d1, d2, swap)
-
-
 def from_hermitian_basis(R: np.ndarray) -> np.ndarray:
-    """T^dagger R T, the exact inverse of :func:`to_hermitian_basis`.
+    """T^dagger R T: a superoperator on c x c matrices, given in the Hermitian
+    basis, in the row-stacked basis of matrix elements.
 
-    T^dagger = diag(d1*) + S diag(d2*) = diag(d1*) + diag(d2*[swap]) S.
+    T^dagger = diag(d1*) + S diag(d2*) = diag(d1*) + diag(d2*[swap]) S, so
+    this is index arithmetic on R, O(c^4), with no dense T.
     """
     d1, d2, swap = _hermitian_basis(int(round(np.sqrt(len(R)))))
     return _sandwich(R, d1.conj(), d2.conj()[swap], swap)
 
 
-def hermitian_real_form(M: np.ndarray, name: str) -> np.ndarray:
-    """The real matrix T M T^dagger of a Hermiticity-preserving M.
+def hermitian_generator(H: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """The generator X -> -i[H, X] + rates * X on c x c matrices, for a real
+    symmetric H and symmetric ``rates``, as the real matrix it is in the
+    Hermitian basis.
 
-    Raises ValueError naming ``name`` when an imaginary part exceeds
-    HERMITIAN_REAL_TOL relative to max(1, max |entry|), i.e. when M does not
-    preserve Hermiticity to working precision.
+    Write a Hermitian X = S + iA with S = Re X symmetric and A = Im X
+    antisymmetric.  Then dS/dt = [H, A] + rates * S and dA/dt = -[H, S] +
+    rates * A, so the real matrix M = S + A, whose transpose is S - A, obeys
+    dM/dt = M^T H - H M^T + rates * M.  Row-stacked, the commutator part is
+    G[(a, b), (x, y)] = delta_ay H_xb - delta_bx H_ay.  The Hermitian-basis
+    coordinates are M rotated pairwise, r_ab = (M_ab + M_ba)/sqrt2 and
+    r_ba = (M_ab - M_ba)/sqrt2 for a < b, r_aa = M_aa: r = Q m with
+    Q = diag(q1) + diag(q2) S orthogonal and symmetric, S the transpose.  So
+    the generator is Q G Q, plus the rates on the diagonal, which Q leaves
+    unchanged, and Q G Q is nonzero on four planes of c^3 entries:
+
+        alpha (delta_ay H_xb - delta_bx H_ay) + beta (delta_ax H_yb - delta_by H_ax)
+
+    with alpha = q1[ab] q1[xy] - q2[ab] q2[xy] and
+    beta = q1[ab] q2[xy] - q2[ab] q1[xy].  Each plane is written by index
+    arithmetic, with no c^4 temporary.
     """
-    R = to_hermitian_basis(M)
-    residue = float(np.abs(R.imag).max())
-    scale = max(1.0, float(np.abs(R).max()))
-    if residue > HERMITIAN_REAL_TOL * scale:
-        raise ValueError(
-            f"{name} does not preserve Hermiticity: its Hermitian-basis form "
-            f"has imaginary parts up to {residue:.3e}"
-        )
-    return R.real.copy()
+    c = len(H)
+    a, b = np.divmod(np.arange(c * c), c)
+    s = 1.0 / np.sqrt(2.0)
+    q1 = np.where(a < b, s, np.where(a > b, -s, 1.0))
+    q2 = np.where(a == b, 0.0, s)
+    i, j, k = (index.reshape(-1) for index in np.indices((c, c, c)))
+    row = i * c + j
+    R = np.zeros((c * c, c * c))
+    # each plane: (a, b) = (i, j), the column its delta leaves, the H entry,
+    # the sign, and (u, v) with weight q1[ab] u[xy] - q2[ab] v[xy]
+    for col, h, sign, (u, v) in ((k * c + i, H[k, j], 1.0, (q1, q2)),
+                                 (j * c + k, H[i, k], -1.0, (q1, q2)),
+                                 (i * c + k, H[k, j], 1.0, (q2, q1)),
+                                 (k * c + j, H[i, k], -1.0, (q2, q1))):
+        R[row, col] += sign * (q1[row] * u[col] - q2[row] * v[col]) * h
+    R[np.diag_indices_from(R)] += rates.reshape(-1)
+    return R
+
+
+def hermitian_permutation(order: np.ndarray):
+    """X -> X[order][:, order] on c x c matrices, ``order`` an involution of
+    0 .. c - 1, in the Hermitian basis: a signed permutation P with
+    (P r)[i] = sign[i] r[source[i]], returned as (source, sign).
+
+    The map sends X_ab to slot (p, q) with (a, b) = (order[p], order[q]).
+    Where the involution keeps the order of p and q, coordinate (p, q) reads
+    coordinate (a, b).  Where it reverses it, the pair's real part stays in
+    the symmetric slot and its imaginary part changes sign in the
+    antisymmetric one, so (p, q) reads (b, a), negated when p > q.  P is
+    symmetric and its own inverse.
+    """
+    c = len(order)
+    p, q = np.divmod(np.arange(c * c), c)
+    a, b = order[p], order[q]
+    kept = (p < q) == (a < b)
+    source = np.where(kept, a * c + b, b * c + a)
+    sign = np.where(~kept & (p > q), -1.0, 1.0)
+    return source, sign
+
+
+def sector_reflection(n_sites: int, sector: np.ndarray) -> np.ndarray:
+    """The chain reflection l -> N - 1 - l on the basis states of one
+    excitation sector, as the position of each state's mirror image in
+    ``sector`` (sorted basis indices); an involution."""
+    bits = (sector[:, None] >> np.arange(n_sites)) & 1  # bit l is site N - 1 - l
+    mirrored = bits @ (1 << np.arange(n_sites)[::-1])
+    return np.searchsorted(sector, mirrored)
 
 
 def dephasing_rates(n_sites: int, gamma: float) -> np.ndarray:

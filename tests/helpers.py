@@ -1,6 +1,8 @@
 """Shared test utilities, and the reference routes that only tests use:
 Pauli embeddings, the double-period effective Hamiltonian, the effective
-generator of a two-period map and the k-d tree spectral distance."""
+generator of a two-period map, the k-d tree spectral distance, the change
+of a complex superoperator to the Hermitian basis and the Kronecker-product
+segment generator."""
 
 import warnings
 from dataclasses import dataclass
@@ -31,6 +33,7 @@ from dtcsim.floquet import principal_log_hamiltonian
 from dtcsim.observables import partial_transpose
 from dtcsim.operators import coupling_matrix, excitation_sectors, kron_all
 from dtcsim.spectra import spectral_distance
+from dtcsim.superop import _hermitian_basis, _sandwich, dephasing_rates
 
 # Pauli matrices in the (|0>, |1>) ordering with sigma^z |1> = +|1>.
 _PAULI = {
@@ -115,6 +118,30 @@ def embed_hamiltonian_kick(config):
     return H
 
 
+def to_hermitian_basis(M):
+    """T M T^dagger: a superoperator on c x c matrices in the Hermitian basis,
+    the inverse of ``dtcsim.superop.from_hermitian_basis``.  The result is
+    real exactly when M preserves Hermiticity."""
+    d1, d2, swap = _hermitian_basis(int(round(np.sqrt(len(M)))))
+    return _sandwich(M, d1, d2, swap)
+
+
+def kronecker_segment_generator(config, kl, kr):
+    """The segment generator block (kl, kr), -i (H_l kron I - I kron H_r^T)
+    plus the dephasing rates on the diagonal, times t2, in the row-stacked
+    basis of matrix elements: the reference for the real Hermitian-basis
+    generator of the diagonal blocks."""
+    n, dim = config.n_sites, config.dim
+    H = hamiltonian_interaction(config)
+    sectors = excitation_sectors(n)
+    il, ir = sectors[kl], sectors[kr]
+    gen = -1j * (np.kron(H[np.ix_(il, il)], np.eye(len(ir)))
+                 - np.kron(np.eye(len(il)), H[np.ix_(ir, ir)].T))
+    rates = dephasing_rates(n, config.gamma).reshape(dim, dim)
+    gen[np.diag_indices_from(gen)] += rates[np.ix_(il, ir)].reshape(-1)
+    return gen * config.t2
+
+
 def brute_force_segment_blocks(H, config):
     """exp(L t2) on every sector-pair block, each exponentiated directly.
 
@@ -151,20 +178,41 @@ def brute_force_2T_rates(config):
     return np.log(mus) / (2.0 * config.period)
 
 
+#: Site counts of perfect_pulse_configs, each as often as it appears: 2..4
+#: dominate, and the one-site case, which has no coupling, stays reachable.
+SITE_WEIGHTS = (2, 3, 4, 2, 3, 4, 3, 4, 1)
+
+
+@st.composite
+def palindromic_disorder(draw, n):
+    """A disorder vector of length ``n`` equal to its reverse, ``n`` >= 1."""
+    half = draw(st.lists(st.floats(0.0, 30.0), min_size=(n + 1) // 2, max_size=(n + 1) // 2))
+    return np.array(half + half[: n // 2][::-1])
+
+
 @st.composite
 def perfect_pulse_configs(draw, gammas=(0.0, 0.07, 50.0)):
-    """N in 1..4, gamma drawn from ``gammas``, random disorder, J0, alpha and
-    t1 != t2, with g fixed by the pi-pulse condition."""
-    n = draw(st.integers(1, 4))
+    """N from SITE_WEIGHTS, gamma drawn from ``gammas``, disorder that is
+    zero, a random palindrome (so that the chain reflection is a symmetry)
+    or random, random J0 and alpha, and t1 != t2, with g fixed by the
+    pi-pulse condition."""
+    n = draw(st.sampled_from(SITE_WEIGHTS))
     t1 = draw(st.floats(0.2, 0.8))
     t2 = draw(st.floats(0.2, 0.8).filter(lambda t: abs(t - t1) > 1e-3))
+    kind = draw(st.sampled_from(("generic", "palindromic", "zero")))
+    if kind == "zero":
+        disorder = np.zeros(n)
+    elif kind == "palindromic":
+        disorder = draw(palindromic_disorder(n))
+    else:
+        disorder = np.array(draw(st.lists(st.floats(0.0, 30.0), min_size=n, max_size=n)))
     return SpinNetworkConfig(
         n_sites=n,
         j0=draw(st.floats(0.1, 5.0)),
         alpha=draw(st.floats(0.0, 3.0)),
         g=np.pi / (2.0 * t1), t1=t1, t2=t2,
         gamma=draw(st.sampled_from(gammas)),
-        disorder=np.array(draw(st.lists(st.floats(0.0, 30.0), min_size=n, max_size=n))),
+        disorder=disorder,
     )
 
 

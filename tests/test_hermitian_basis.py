@@ -1,24 +1,31 @@
 """The real Hermitian-basis route for the diagonal sector blocks (k, k).
 
 A Hermiticity-preserving block on the c x c matrices of one sector is a real
-matrix in the Hermitian basis; the segment propagator exponentiates and
-``sector_eigenvalues`` diagonalises that real form.  The complex route it
-replaced survives in ``tests/helpers.py`` and is compared against it in
+matrix in the Hermitian basis.  The segment generator is built directly in
+that basis, the segment propagator exponentiates it, ``floquet_2T_sector_blocks``
+multiplies the real blocks through the spin flip's signed permutation and
+``sector_eigenvalues`` diagonalises the product.  The complex route it
+replaced survives in ``tests/helpers.py`` (the basis change, the Kronecker
+generator) and is compared against it here and in
 ``tests/test_sector_symmetry.py``.
 """
 
 import numpy as np
 import pytest
-from helpers import perfect_pulse_configs
+from helpers import kronecker_segment_generator, perfect_pulse_configs, to_hermitian_basis
 from hypothesis import given
 
-from dtcsim import floquet_2T_sector_blocks
-from dtcsim.floquet import _segment_blocks
-from dtcsim.spectra import sector_eigenvalues
+from dtcsim import SpinNetworkConfig, floquet_2T_sector_blocks, hamiltonian_interaction
+from dtcsim.floquet import _flipped, _segment_blocks
+from dtcsim.operators import excitation_sectors
+from dtcsim.spectra import _reflection, sector_eigenvalues
 from dtcsim.superop import (
     HERMITIAN_REAL_TOL,
+    dephasing_rates,
     from_hermitian_basis,
-    to_hermitian_basis,
+    hermitian_generator,
+    hermitian_permutation,
+    sector_reflection,
     vectorize,
 )
 
@@ -51,14 +58,75 @@ def test_basis_change_matches_dense_unitary(c):
     assert np.abs(from_hermitian_basis(M) - T.conj().T @ M @ T).max() < 1e-14
 
 
+def dense_signed_permutation(source, sign):
+    P = np.zeros((len(source), len(source)))
+    P[np.arange(len(source)), source] = sign
+    return P
+
+
 def test_non_hermiticity_preserving_block_makes_sector_eigenvalues_raise(small_config):
     blocks = floquet_2T_sector_blocks(small_config)
     sector_eigenvalues(blocks, small_config)  # the intact blocks pass
-    bumped = blocks[(1, 1)].copy()
-    bumped[0, 1] += 1e-9  # moves X[0, 1] into the population X[0, 0]
+    assert blocks[(1, 1)].dtype == float
+    bumped = blocks[(1, 1)].astype(complex)
+    sector_eigenvalues({**blocks, (1, 1): bumped}, small_config)  # a zero imaginary part passes
+    bumped[0, 1] += 1e-9j  # an imaginary part is a map that breaks Hermiticity
     blocks[(1, 1)] = bumped
     with pytest.raises(ValueError, match=r"block \(1, 1\) does not preserve Hermiticity"):
         sector_eigenvalues(blocks, small_config)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
+def test_direct_real_generator_matches_the_kronecker_generator(n_sites):
+    rng = np.random.default_rng(n_sites)
+    cfg = SpinNetworkConfig(n_sites=n_sites, j0=1.3, alpha=0.8, gamma=0.07, t2=0.6,
+                            disorder=rng.uniform(0.0, 3.0, n_sites))
+    H = hamiltonian_interaction(cfg).real
+    rates = dephasing_rates(n_sites, cfg.gamma).reshape(cfg.dim, cfg.dim)
+    for k, sector in enumerate(excitation_sectors(n_sites)):
+        sub = np.ix_(sector, sector)
+        R = hermitian_generator(H[sub], rates[sub]) * cfg.t2
+        assert R.dtype == float
+        assert np.abs(R - to_hermitian_basis(kronecker_segment_generator(cfg, k, k))).max() < 1e-14
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 5, 10])
+def test_spin_flip_is_the_reversal_in_the_hermitian_basis(c):
+    P = dense_signed_permutation(*hermitian_permutation(np.arange(c)[::-1]))
+    assert np.abs(P - to_hermitian_basis(np.eye(c * c)[::-1])).max() < 1e-15
+    assert np.array_equal(P, P.T) and np.array_equal(P @ P, np.eye(c * c))
+    M = np.random.default_rng(c).normal(size=(c * c, c * c))
+    assert np.array_equal(_flipped(M), P @ M @ P)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5, 6])
+def test_reflection_is_an_involution_and_the_hermitian_form_of_the_site_mirror(n_sites):
+    sectors = excitation_sectors(n_sites)
+    for k, sector in enumerate(sectors):
+        order = sector_reflection(n_sites, sector)
+        assert np.array_equal(order[order], np.arange(len(sector)))
+        mirrored = [int(format(int(i), f"0{n_sites}b")[::-1], 2) for i in sector]
+        assert np.array_equal(sector[order], mirrored)
+        P = dense_signed_permutation(*_reflection(n_sites, sectors, k, k))
+        mirror = np.eye(len(sector))[order]
+        assert np.abs(P - to_hermitian_basis(np.kron(mirror, mirror))).max() < 1e-15
+        assert np.array_equal(P @ P, np.eye(len(sector) ** 2))
+
+
+@pytest.mark.parametrize("disorder, commutes", [
+    (np.zeros(5), True), (np.array([0.4, 2.1, 1.3, 2.1, 0.4]), True),
+    (np.array([0.4, 2.1, 1.3, 2.0, 0.4]), False)], ids=["clean", "palindromic", "generic"])
+def test_reflection_commutes_with_every_block_exactly_when_the_disorder_is_a_palindrome(
+        disorder, commutes):
+    cfg = SpinNetworkConfig(n_sites=5, j0=1.1, alpha=1.3, gamma=0.07, disorder=disorder)
+    sectors = excitation_sectors(5)
+    for (kl, kr), block in floquet_2T_sector_blocks(cfg).items():
+        P = dense_signed_permutation(*_reflection(5, sectors, kl, kr))
+        residual = np.abs(P @ block - block @ P).max()
+        if commutes:
+            assert residual < 1e-13, (kl, kr)
+        elif len(block) > 1:
+            assert residual > 1e-3, (kl, kr)
 
 
 def imaginary_residue(block):
@@ -74,9 +142,11 @@ def test_diagonal_blocks_are_real_in_the_hermitian_basis(cfg):
     for k, sector in enumerate(sectors):
         c2 = len(sector) ** 2
         M = rng.normal(size=(c2, c2)) + 1j * rng.normal(size=(c2, c2))
+        assert np.abs(from_hermitian_basis(to_hermitian_basis(M)) - M).max() < 1e-14
         # Phi_2T block (k, k) is built for the orbit representatives 2k <= N only
         diagonal = [segment[(k, k)]] + ([phi_2T[(k, k)]] if (k, k) in phi_2T else [])
-        for block in (*diagonal, M):
-            assert np.abs(from_hermitian_basis(to_hermitian_basis(block)) - block).max() < 1e-14
         for block in diagonal:
-            assert imaginary_residue(block) <= HERMITIAN_REAL_TOL, k
+            assert block.dtype == float, k
+            complex_form = from_hermitian_basis(block)
+            assert np.abs(to_hermitian_basis(complex_form) - block).max() < 1e-14
+            assert imaginary_residue(complex_form) <= HERMITIAN_REAL_TOL, k

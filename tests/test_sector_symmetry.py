@@ -18,7 +18,10 @@ from helpers import (
     brute_force_2T_blocks,
     brute_force_2T_rates,
     brute_force_segment_blocks,
+    perfect_pulse_configs,
+    to_hermitian_basis,
 )
+from hypothesis import given
 
 import dtcsim.spectra
 from dtcsim import (
@@ -30,7 +33,7 @@ from dtcsim import (
     sector_gap,
 )
 from dtcsim.floquet import _adjoint_block, _segment_blocks, sector_orbits
-from dtcsim.spectra import gap_from_eigenvalues, sector_eigenvalues
+from dtcsim.spectra import gap_from_eigenvalues, sector_eigenvalues, spectral_distance
 
 CASES = [(n, gamma) for n in (1, 2, 3, 4) for gamma in (0.0, 0.07)]
 
@@ -49,11 +52,21 @@ def random_config(n_sites: int, gamma: float) -> SpinNetworkConfig:
 
 def assert_segment_and_2T_blocks_match_brute_force(cfg):
     """The stored segment blocks (kl <= kr) and their adjoint partners, and
-    every Phi_2T block built, one per orbit, against the brute-force blocks."""
+    every Phi_2T block built, one per orbit, against the brute-force blocks;
+    a diagonal block (k, k) is held real in the Hermitian basis, so it is
+    compared with the brute-force block moved there, and the blocks the
+    propagators take, with the diagonal ones mapped back, are compared as
+    they are."""
     stored, sectors = _segment_blocks(cfg)
     direct = brute_force_segment_blocks(hamiltonian_interaction(cfg), cfg)
     assert list(stored) == [key for key in direct if key[0] <= key[1]]
+    for key, block in _segment_blocks(cfg, hermitian=False)[0].items():
+        assert np.abs(block - direct[key]).max() < 1e-12, key
     for (kl, kr), block in stored.items():
+        if kl == kr:
+            assert block.dtype == float
+            assert np.abs(block - to_hermitian_basis(direct[(kl, kr)])).max() < 1e-12, (kl, kr)
+            continue
         assert np.abs(block - direct[(kl, kr)]).max() < 1e-12, (kl, kr)
         partner = _adjoint_block(block, len(sectors[kl]), len(sectors[kr]))
         assert np.abs(partner - direct[(kr, kl)]).max() < 1e-12, (kr, kl)
@@ -61,8 +74,11 @@ def assert_segment_and_2T_blocks_match_brute_force(cfg):
         blocks = floquet_2T_sector_blocks(cfg)
         direct_2T = brute_force_2T_blocks(cfg)
         assert list(blocks) == list(sector_orbits(cfg.n_sites))
-        for key, block in blocks.items():
-            assert np.abs(block - direct_2T[key]).max() < 1e-12, key
+        for (kl, kr), block in blocks.items():
+            want = direct_2T[(kl, kr)]
+            if kl == kr:
+                want = to_hermitian_basis(want)
+            assert np.abs(block - want).max() < 1e-12, (kl, kr)
 
 
 @pytest.mark.parametrize("n_sites,gamma", CASES)
@@ -96,6 +112,23 @@ def test_reduced_spectrum_matches_all_blocks(n_sites, gamma):
         assert fast.gap is None
     else:
         assert fast.gap == pytest.approx(slow.gap, abs=1e-10)
+
+
+@given(perfect_pulse_configs())
+def test_sector_eigenvalues_matches_brute_force_over_random_networks(cfg):
+    # palindromic disorder (zero included) takes the reflection-parity split,
+    # generic disorder the unsplit blocks; the brute-force rates come from
+    # every complex block, unsplit and without the orbit rule
+    horizon = 2.0 * cfg.period
+    reduced = sector_eigenvalues(floquet_2T_sector_blocks(cfg), cfg)
+    brute = brute_force_2T_rates(cfg)
+    assert reduced.size == brute.size == cfg.dim**2
+
+    def multipliers(rates):  # exp(rate * 2T); a multiplier of 0 has the rate -inf + nan i
+        return np.exp(rates.real * horizon) * np.exp(1j * np.nan_to_num(rates.imag) * horizon)
+
+    assert spectral_distance(multipliers(reduced), multipliers(brute)) <= 1e-12
+    assert gap_from_eigenvalues(reduced).n_steady == gap_from_eigenvalues(brute).n_steady
 
 
 def test_sector_eigenvalues_refuses_blocks_without_the_symmetries():
