@@ -426,7 +426,13 @@ def run_validation_suite() -> int:
         except Exception as exc:  # report, do not abort the suite
             checks.append((name, False, f"{type(exc).__name__}: {exc}"))
 
-    from .floquet import floquet_2T_sector_blocks, floquet_map, floquet_map_2T
+    from .floquet import (
+        floquet_2T_sector_blocks,
+        floquet_map,
+        floquet_map_2T,
+        interaction_propagator,
+        matrix_exp,
+    )
     from .operators import (
         excitation_number_operator,
         hamiltonian_interaction,
@@ -492,6 +498,14 @@ def run_validation_suite() -> int:
         pooled = np.exp(sector_eigenvalues(floquet_2T_sector_blocks(cfg), cfg) * 2.0 * cfg.period)
         assert spectral_distance(dense, pooled) < 1e-8
 
+    def split_segment_vs_dense_generator():
+        # palindromic disorder: every segment block is exponentiated on its
+        # two reflection-parity halves; the dense generator has no blocks
+        mirrored = replace(cfg, disorder=np.array([0.3, 0.0, 0.3]))
+        dense = matrix_exp(liouvillian(hamiltonian_interaction(mirrored), mirrored.n_sites,
+                                       mirrored.gamma) * mirrored.t2)
+        assert np.abs(interaction_propagator(mirrored) - dense).max() < 1e-12
+
     def twosite_routes_agree():
         for w in (0.0, 1.7, 9.3, 24.0):
             ka = analytic_effective_coupling(1.2566, w, 0.5)
@@ -508,6 +522,7 @@ def run_validation_suite() -> int:
     check("block_step_vs_dense_map", block_step_vs_dense_map)
     check("excitation_commutant", commutant_residual)
     check("block_vs_dense_spectrum", block_vs_dense_spectrum)
+    check("split_segment_vs_dense_generator", split_segment_vs_dense_generator)
     check("twosite_routes_agree", twosite_routes_agree)
 
     failed = 0

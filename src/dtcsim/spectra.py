@@ -51,8 +51,9 @@ from .operators import SpinNetworkConfig, excitation_counts, excitation_sectors
 from .superop import (
     HERMITIAN_REAL_TOL,
     devectorize,
-    hermitian_permutation,
-    sector_reflection,
+    pair_reflection,
+    parity_halves,
+    reflection_symmetric,
 )
 
 #: |Re Lambda| at or below this counts as part of the steady manifold (units 1/T).
@@ -96,10 +97,17 @@ class GapResult:
 
 
 def _rates(mu: np.ndarray, horizon: float) -> np.ndarray:
-    """Generator rates log(mu) / horizon; mu = 0 gives a non-finite rate
-    without a RuntimeWarning, and callers that report rates check for it."""
+    """Generator rates log(mu) / horizon, complex; mu = 0 gives the rate -inf
+    with imaginary part 0, without a RuntimeWarning, and callers that report
+    rates check for it.  The two parts are scaled by 1 / horizon apart,
+    which rounds as numpy's complex division by a real does, but a complex
+    product or quotient would turn log(0) = -inf + 0i into -inf + nan i."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(mu) / horizon
+        rates = np.log(np.asarray(mu, dtype=complex))
+    scale = 1.0 / horizon
+    rates.real *= scale
+    rates.imag *= scale
+    return rates
 
 
 def spectral_distance(a, b) -> float:
@@ -239,42 +247,6 @@ def _real_form(block: np.ndarray, name: str) -> np.ndarray:
     return block.real
 
 
-def _reflection(n_sites: int, sectors, kl: int, kr: int):
-    """The chain reflection l -> N - 1 - l on the index space of Phi_2T block
-    (kl, kr), as the signed permutation (source, sign) with
-    (P v)[i] = sign[i] v[source[i]]: in the Hermitian basis for kl = kr, else
-    the plain permutation of the row-stacked matrix elements."""
-    left, right = (sector_reflection(n_sites, sectors[k]) for k in (kl, kr))
-    if kl == kr:
-        return hermitian_permutation(left)
-    source = (left[:, None] * len(right) + right[None, :]).reshape(-1)
-    return source, np.ones(source.size)
-
-
-def _parity_halves(block: np.ndarray, source: np.ndarray, sign: np.ndarray) -> list:
-    """V^T block V for the orthonormal eigenvectors V of the involution
-    (source, sign) with eigenvalue +1 and then -1, a block that commutes
-    with it having no entries between the two.
-
-    A fixed point i is the eigenvector e_i of eigenvalue sign[i]; a pair
-    i < j = source[i], whose signs agree, gives (e_i + sign[i] e_j)/sqrt2 for
-    +1 and (e_i - sign[i] e_j)/sqrt2 for -1.  So each column of V has one or
-    two nonzeros, and each half is formed by index arithmetic.
-    """
-    i = np.arange(len(source))
-    fixed, paired = source == i, i < source
-    low, high, s = i[paired], source[paired], sign[paired] / np.sqrt(2.0)
-    halves = []
-    for parity in (1.0, -1.0):
-        alone = i[fixed & (sign == parity)]
-        first, second = np.concatenate([alone, low]), np.concatenate([alone, high])
-        a = np.concatenate([np.ones(alone.size), np.full(low.size, 1.0 / np.sqrt(2.0))])
-        b = np.concatenate([np.zeros(alone.size), parity * s])
-        columns = block[:, first] * a + block[:, second] * b
-        halves.append(a[:, None] * columns[first] + b[:, None] * columns[second])
-    return halves
-
-
 def sector_eigenvalues(blocks, config: SpinNetworkConfig) -> np.ndarray:
     """Pooled rates log(mu) / 2T from the Phi_2T sector blocks of ``config``.
 
@@ -291,11 +263,11 @@ def sector_eigenvalues(blocks, config: SpinNetworkConfig) -> np.ndarray:
 
     When the disorder is a palindrome (zero included) the chain reflection
     commutes with every block, and each block is diagonalised as its two
-    halves of reflection parity +1 and -1 (:func:`_parity_halves`).
+    halves of reflection parity +1 and -1 (:func:`dtcsim.superop.parity_halves`).
     """
     n = config.n_sites
     orbits, sectors = sector_orbits(n), excitation_sectors(n)
-    mirrored = np.array_equal(config.disorder, config.disorder[::-1])
+    mirrored = reflection_symmetric(config.disorder)
     mus = {}
     for (kl, kr), block in blocks.items():
         if (kl, kr) not in orbits:
@@ -304,7 +276,7 @@ def sector_eigenvalues(blocks, config: SpinNetworkConfig) -> np.ndarray:
                 "pass the blocks of floquet_2T_sector_blocks")
         if kl == kr:
             block = _real_form(block, f"Phi_2T sector block {(kl, kr)}")
-        halves = _parity_halves(block, *_reflection(n, sectors, kl, kr)) if mirrored else [block]
+        halves = parity_halves(block, *pair_reflection(n, sectors, kl, kr)) if mirrored else [block]
         mu = np.concatenate([np.linalg.eigvals(half) for half in halves if len(half)])
         for key, swapped in orbits[(kl, kr)].items():
             mus[key] = mu.conj() if swapped else mu

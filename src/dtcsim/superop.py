@@ -19,6 +19,13 @@ involution of the sector's states (the spin flip, the chain reflection) as
 the signed permutation it is there, and :func:`from_hermitian_basis` maps
 a block back to the row-stacked matrix elements.
 
+When the disorder is a palindrome (:func:`reflection_symmetric`) the chain
+reflection commutes with every sector-pair block of the segment generator,
+its exponential and Phi_2T.  :func:`pair_reflection` gives it on a block's
+index space, :func:`parity_halves` projects a block onto its +1 and -1
+eigenspaces, and :func:`from_parity_halves` puts a block back from its two
+halves; all three are index arithmetic.
+
 Only :func:`liouvillian` forms a dense 4^N x 4^N matrix, and it refuses
 N > DENSE_LIMIT.
 """
@@ -158,6 +165,74 @@ def sector_reflection(n_sites: int, sector: np.ndarray) -> np.ndarray:
     bits = (sector[:, None] >> np.arange(n_sites)) & 1  # bit l is site N - 1 - l
     mirrored = bits @ (1 << np.arange(n_sites)[::-1])
     return np.searchsorted(sector, mirrored)
+
+
+def reflection_symmetric(disorder: np.ndarray) -> bool:
+    """Whether the chain reflection l -> N - 1 - l is a weak symmetry of the
+    interaction segment: the coupling depends on |l - m| alone and the
+    dephasing is uniform, so exactly when the disorder is a palindrome, zero
+    included (Buca & Prosen, NJP 14, 073007 (2012))."""
+    return bool(np.array_equal(disorder, disorder[::-1]))
+
+
+def pair_reflection(n_sites: int, sectors, kl: int, kr: int):
+    """The chain reflection on the index space of sector-pair block (kl, kr),
+    as the signed permutation (source, sign) with (P v)[i] = sign[i] v[source[i]]:
+    in the Hermitian basis for kl = kr, else the plain permutation of the
+    row-stacked matrix elements."""
+    left, right = (sector_reflection(n_sites, sectors[k]) for k in (kl, kr))
+    if kl == kr:
+        return hermitian_permutation(left)
+    source = (left[:, None] * len(right) + right[None, :]).reshape(-1)
+    return source, np.ones(source.size)
+
+
+def _parity_bases(source: np.ndarray, sign: np.ndarray):
+    """The orthonormal eigenvectors V of the involution (source, sign), for
+    eigenvalue +1 and then -1, as (first, second, a, b): column m of V is
+    a[m] e_first[m] + b[m] e_second[m].
+
+    A fixed point i is the eigenvector e_i of eigenvalue sign[i] (b = 0); a
+    pair i < j = source[i], whose signs agree, gives (e_i + sign[i] e_j)/sqrt2
+    for +1 and (e_i - sign[i] e_j)/sqrt2 for -1.
+    """
+    i = np.arange(len(source))
+    fixed, paired = source == i, i < source
+    low, high, s = i[paired], source[paired], sign[paired] / np.sqrt(2.0)
+    for parity in (1.0, -1.0):
+        alone = i[fixed & (sign == parity)]
+        yield (np.concatenate([alone, low]), np.concatenate([alone, high]),
+               np.concatenate([np.ones(alone.size), np.full(low.size, 1.0 / np.sqrt(2.0))]),
+               np.concatenate([np.zeros(alone.size), parity * s]))
+
+
+def parity_halves(block: np.ndarray, source: np.ndarray, sign: np.ndarray) -> list:
+    """V^T block V for the eigenvectors V of the involution (source, sign)
+    with eigenvalue +1 and then -1 (:func:`pair_reflection`); a block that
+    commutes with it has no entries between the two.  Each column of V has
+    one or two nonzeros, so each half is formed by index arithmetic."""
+    halves = []
+    for first, second, a, b in _parity_bases(source, sign):
+        columns = block[:, first] * a + block[:, second] * b
+        halves.append(a[:, None] * columns[first] + b[:, None] * columns[second])
+    return halves
+
+
+def from_parity_halves(halves, source: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """V+ h+ V+^T + V- h- V-^T, the block whose :func:`parity_halves` are
+    ``halves``, by index arithmetic.  ``halves`` is iterated once, each half
+    scattered before the next is drawn, so an iterator that computes them
+    holds one at a time."""
+    out = None
+    for (first, second, a, b), half in zip(_parity_bases(source, sign), halves):
+        if out is None:
+            out = np.zeros((len(source), len(source)), dtype=half.dtype)
+        rows = np.zeros((len(source), len(first)), dtype=half.dtype)
+        rows[first] = a[:, None] * half
+        rows[second] += b[:, None] * half
+        out[:, first] += rows * a
+        out[:, second] += rows * b
+    return out
 
 
 def dephasing_rates(n_sites: int, gamma: float) -> np.ndarray:

@@ -230,12 +230,20 @@ def test_default_run_steps_the_pairs_its_state_reaches(seeded_state, default_con
                                                       monkeypatch):
     # 111+++ has weight in sectors 3..6 and its kicked images in 0..3: 31 of
     # the 49 pairs, 19 stored with kl <= kr, and 10 of them are spin-flip
-    # orbit representatives; the kick takes no exponential
+    # orbit representatives; the kick takes no exponential.  Zero disorder is
+    # a palindrome, so each of the 10 is exponentiated as its two
+    # chain-reflection parity halves, largest block first, and the 1 x 1
+    # block (0, 0) as its one +1 half
     generators, prop = recorded_exponentials(monkeypatch, default_config, seeded_state)
     assert prop.kick is None
     assert list(prop.blocks) == [(kl, kr) for kl in range(7) for kr in range(kl, 7)
                                  if max(kl, kr) <= 3 or min(kl, kr) >= 3]
-    assert len(generators) == prop.exponentiated == 10
+    assert prop.exponentiated == 10
+    # (3, 3), (2, 3), (2, 2), (1, 3), (1, 2), (1, 1), (0, 3), (0, 2), (0, 1), (0, 0)
+    halves = [(200, 200), (150, 150), (117, 108), (60, 60), (45, 45), (18, 18), (10, 10),
+              (9, 6), (3, 3), (1,)]
+    assert [sum(pair) for pair in halves] == [400, 300, 225, 120, 90, 36, 20, 15, 6, 1]
+    assert [A.shape for A in generators] == [(d, d) for pair in halves for d in pair]
     assert sum(1 if kl == kr else 2 for kl, kr in prop.blocks) == 31
 
 

@@ -496,7 +496,7 @@ def test_non_finite_value_names_key(key, value, json_value, source, tmp_path, mo
 def test_main_validate_subcommand_passes(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
-    assert "checks passed" in out
+    assert "11/11 checks passed" in out
     assert "FAIL" not in out
 
 
@@ -514,6 +514,22 @@ def test_validate_catches_corrupted_2T_blocks(monkeypatch, capsys):
     monkeypatch.setattr(floquet, "floquet_2T_sector_blocks", corrupted)
     assert run_validation_suite() == 1
     assert "FAIL block_vs_dense_spectrum" in capsys.readouterr().out
+
+
+def test_validate_catches_a_dropped_parity_half(monkeypatch, capsys):
+    # putting a segment block back from its +1 half alone changes only the
+    # split route, which the palindromic check compares with the dense generator
+    original = floquet.from_parity_halves
+
+    def plus_half_only(halves, source, sign):
+        halves = list(halves)
+        return original([halves[0], np.zeros_like(halves[1])], source, sign)
+
+    monkeypatch.setattr(floquet, "from_parity_halves", plus_half_only)
+    assert run_validation_suite() == 1
+    out = capsys.readouterr().out
+    assert "FAIL split_segment_vs_dense_generator" in out
+    assert "10/11 checks passed" in out
 
 
 def test_main_rejects_bad_flag_value(tmp_path):

@@ -119,13 +119,18 @@ def test_matrix_exp_matches_scipy_on_disordered_segment_generators(monkeypatch):
 
 def test_zero_disorder_exponentiates_one_block_per_spin_flip_orbit(monkeypatch):
     # one block per orbit (kl, kr) -> (4 - kr, 4 - kl) of the 15 blocks with
-    # kl <= kr: the three with kl + kr = 4 are their own image
+    # kl <= kr: the three with kl + kr = 4 are their own image.  Zero
+    # disorder is a palindrome, so each block is exponentiated as its two
+    # chain-reflection parity halves, +1 then -1; a 1 x 1 block has no -1 half
     cfg = SpinNetworkConfig(n_sites=4, gamma=0.05)
     generators, prop = recorded_exponentials(monkeypatch, cfg)
     segment = [A.shape for A in generators]
-    assert len(segment) == prop.exponentiated == 9
-    sizes = [a * a for a, _ in segment]
-    assert sizes == sorted(sizes, reverse=True)  # the largest exponential first
+    assert prop.exponentiated == 9
+    # (2, 2), (1, 2), (1, 1), (1, 3), (0, 2), (0, 1), (0, 3), (0, 0), (0, 4)
+    sizes = [36, 24, 16, 16, 6, 4, 4, 1, 1]
+    halves = [(20, 16), (12, 12), (8, 8), (8, 8), (4, 2), (2, 2), (2, 2), (1,), (1,)]
+    assert [sum(pair) for pair in halves] == sizes == sorted(sizes, reverse=True)
+    assert segment == [(d, d) for pair in halves for d in pair]  # the largest block first
     # the dense segment exponentiates the same blocks and no kick; the
     # dense map adds the kick
     generators.clear()

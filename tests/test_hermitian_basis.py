@@ -12,19 +12,27 @@ generator) and is compared against it here and in
 
 import numpy as np
 import pytest
-from helpers import kronecker_segment_generator, perfect_pulse_configs, to_hermitian_basis
+from helpers import (
+    assert_spectra_match,
+    kronecker_segment_generator,
+    perfect_pulse_configs,
+    to_hermitian_basis,
+)
 from hypothesis import given
 
 from dtcsim import SpinNetworkConfig, floquet_2T_sector_blocks, hamiltonian_interaction
 from dtcsim.floquet import _flipped, _segment_blocks
 from dtcsim.operators import excitation_sectors
-from dtcsim.spectra import _reflection, sector_eigenvalues
+from dtcsim.spectra import sector_eigenvalues
 from dtcsim.superop import (
     HERMITIAN_REAL_TOL,
     dephasing_rates,
     from_hermitian_basis,
+    from_parity_halves,
     hermitian_generator,
     hermitian_permutation,
+    pair_reflection,
+    parity_halves,
     sector_reflection,
     vectorize,
 )
@@ -107,7 +115,7 @@ def test_reflection_is_an_involution_and_the_hermitian_form_of_the_site_mirror(n
         assert np.array_equal(order[order], np.arange(len(sector)))
         mirrored = [int(format(int(i), f"0{n_sites}b")[::-1], 2) for i in sector]
         assert np.array_equal(sector[order], mirrored)
-        P = dense_signed_permutation(*_reflection(n_sites, sectors, k, k))
+        P = dense_signed_permutation(*pair_reflection(n_sites, sectors, k, k))
         mirror = np.eye(len(sector))[order]
         assert np.abs(P - to_hermitian_basis(np.kron(mirror, mirror))).max() < 1e-15
         assert np.array_equal(P @ P, np.eye(len(sector) ** 2))
@@ -121,12 +129,41 @@ def test_reflection_commutes_with_every_block_exactly_when_the_disorder_is_a_pal
     cfg = SpinNetworkConfig(n_sites=5, j0=1.1, alpha=1.3, gamma=0.07, disorder=disorder)
     sectors = excitation_sectors(5)
     for (kl, kr), block in floquet_2T_sector_blocks(cfg).items():
-        P = dense_signed_permutation(*_reflection(5, sectors, kl, kr))
+        P = dense_signed_permutation(*pair_reflection(5, sectors, kl, kr))
         residual = np.abs(P @ block - block @ P).max()
         if commutes:
             assert residual < 1e-13, (kl, kr)
         elif len(block) > 1:
             assert residual > 1e-3, (kl, kr)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_parity_halves_project_and_from_parity_halves_puts_them_back(n_sites, dtype):
+    # with P the dense reflection, the halves of any M put back are its
+    # part that commutes with P, (M + P M P) / 2; the +1 half has the
+    # dimension (d + Tr P) / 2; and the halves of a commuting block share its
+    # spectrum.  The halves are given as an iterator, drawn one at a time.
+    sectors = excitation_sectors(n_sites)
+    rng = np.random.default_rng(n_sites)
+    for kl, kr in [(k, k) for k in range(n_sites + 1)] + [(0, 1), (1, n_sites - 1)]:
+        reflection = pair_reflection(n_sites, sectors, kl, kr)
+        P = dense_signed_permutation(*reflection)
+        d = len(P)
+        M = rng.normal(size=(d, d)).astype(dtype)
+        if dtype is complex:
+            M += 1j * rng.normal(size=(d, d))
+        halves = parity_halves(M, *reflection)
+        assert [h.dtype for h in halves] == [np.dtype(dtype)] * 2
+        assert [len(h) for h in halves] == [(d + round(np.trace(P))) // 2,
+                                            (d - round(np.trace(P))) // 2]
+        back = from_parity_halves(iter(halves), *reflection)
+        assert back.dtype == np.dtype(dtype)
+        assert np.abs(back - (M + P @ M @ P) / 2).max() < 1e-14, (kl, kr)
+        block = M + P @ M @ P
+        split = np.concatenate([np.linalg.eigvals(h) for h in parity_halves(block, *reflection)
+                                if len(h)])
+        assert_spectra_match(split, np.linalg.eigvals(block), 1e-10)
 
 
 def imaginary_residue(block):

@@ -18,6 +18,7 @@ from helpers import (
     brute_force_2T_blocks,
     brute_force_2T_rates,
     brute_force_segment_blocks,
+    kronecker_segment_generator,
     perfect_pulse_configs,
     to_hermitian_basis,
 )
@@ -33,7 +34,9 @@ from dtcsim import (
     sector_gap,
 )
 from dtcsim.floquet import _adjoint_block, _segment_blocks, sector_orbits
+from dtcsim.operators import excitation_sectors
 from dtcsim.spectra import gap_from_eigenvalues, sector_eigenvalues, spectral_distance
+from dtcsim.superop import pair_reflection, reflection_symmetric
 
 CASES = [(n, gamma) for n in (1, 2, 3, 4) for gamma in (0.0, 0.07)]
 
@@ -124,11 +127,61 @@ def test_sector_eigenvalues_matches_brute_force_over_random_networks(cfg):
     brute = brute_force_2T_rates(cfg)
     assert reduced.size == brute.size == cfg.dim**2
 
-    def multipliers(rates):  # exp(rate * 2T); a multiplier of 0 has the rate -inf + nan i
-        return np.exp(rates.real * horizon) * np.exp(1j * np.nan_to_num(rates.imag) * horizon)
+    def multipliers(rates):  # exp(rate * 2T), a rate of -inf giving 0
+        return np.exp(rates.real * horizon) * np.exp(1j * rates.imag * horizon)
 
     assert spectral_distance(multipliers(reduced), multipliers(brute)) <= 1e-12
     assert gap_from_eigenvalues(reduced).n_steady == gap_from_eigenvalues(brute).n_steady
+
+
+def test_a_multiplier_of_exactly_zero_has_the_rate_minus_infinity():
+    # at this config the real eigensolver returns an exact 0 for a diagonal
+    # block; its rate is -inf with imaginary part 0, not -inf + nan i
+    cfg = SpinNetworkConfig(n_sites=2, j0=1.0, alpha=0.0, g=np.pi / 1.5, t1=0.75, t2=0.5,
+                            gamma=50.0)
+    rates = sector_eigenvalues(floquet_2T_sector_blocks(cfg), cfg)
+    infinite = np.isinf(rates.real)
+    assert infinite.any() and not np.isnan(rates).any()
+    assert np.all(rates[infinite] == -np.inf)
+    assert np.all(np.isfinite(rates[~infinite]))
+
+
+def test_a_negative_real_multiplier_has_a_finite_rate():
+    # every multiplier of these diagonal blocks is real, so the real
+    # eigensolver returns a real array; a negative multiplier has the rate
+    # log|mu| / 2T + i pi / 2T, not the nan of a real logarithm
+    cfg = SpinNetworkConfig(n_sites=3, j0=1.0, alpha=0.0, g=2.0 * np.pi, t1=0.25, t2=0.25,
+                            gamma=50.0)
+    rates = sector_eigenvalues(floquet_2T_sector_blocks(cfg, diagonal=True), cfg)
+    assert not np.isnan(rates).any()
+    negative = np.isclose(rates.imag, np.pi / (2.0 * cfg.period))
+    assert negative.any() and np.all(np.isfinite(rates[negative]))
+
+
+@given(perfect_pulse_configs(kinds=("palindromic", "zero")))
+def test_split_segment_exponentials_match_brute_force(cfg):
+    # with palindromic disorder every exponential runs on the two reflection
+    # parity halves of its generator and the block is put back from them;
+    # the brute-force blocks are exponentiated whole from the dense
+    # Liouvillian.  The split drops the cross-parity part V+^T G V- of each
+    # generator, so that part must be zero.
+    n = cfg.n_sites
+    assert reflection_symmetric(cfg.disorder) and n <= 4
+    direct = brute_force_segment_blocks(hamiltonian_interaction(cfg), cfg)
+    for key, block in _segment_blocks(cfg, hermitian=False)[0].items():
+        assert np.abs(block - direct[key]).max() < 1e-12, key
+    sectors = excitation_sectors(n)
+    for kl, kr in direct:
+        gen = kronecker_segment_generator(cfg, kl, kr)
+        if kl == kr:
+            gen = to_hermitian_basis(gen)
+        source, sign = pair_reflection(n, sectors, kl, kr)
+        P = np.zeros(gen.shape)
+        P[np.arange(len(source)), source] = sign
+        w, U = np.linalg.eigh(P)
+        plus, minus = U[:, w > 0], U[:, w < 0]
+        cross = np.abs(plus.T @ gen @ minus).max(initial=0.0)
+        assert cross <= 1e-12 * max(1.0, np.abs(gen).max()), (kl, kr)
 
 
 def test_sector_eigenvalues_refuses_blocks_without_the_symmetries():
