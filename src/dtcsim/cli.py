@@ -8,20 +8,10 @@ gap-sweep  disorder-averaged Liouvillian gap versus disorder strength
 twosite    two-site effective coupling and gap curves
 validate   run the fast invariant suite and exit nonzero on failure
 
-Configuration is resolved in precedence order: built-in defaults, then a JSON
-config file (--config), then DTCSIM_* environment variables, then explicit
-flags.  Each subcommand reads the settings ``_READS`` lists for it: it has a
-flag for each, and its manifest records exactly those.  A setting it does
-not read but that differs from its default, an unknown key (every unknown
-DTCSIM_* name among them) and a non-finite or out-of-range value are each
-refused with exit status 2, naming the key.  All numeric output uses 17
-significant digits so that reruns with the same config and seeds, on the
-same numpy/BLAS build and thread environment, are byte identical (manifest
-wall time aside).
-
-Example:
-    dtcsim evolve --gamma-t 0.02 --n-periods 200 --out runs/fig2
-    dtcsim gap-sweep --w-over-j0 0,5,10,15,20,25,30 --realizations 20
+Settings resolve as :func:`parse_config` describes, and a refused setting
+exits with status 2.  All numeric output uses 17 significant digits, so reruns
+with the same config and seeds, on the same numpy/BLAS build and thread
+environment, are byte identical (manifest wall time aside).
 """
 
 from __future__ import annotations
@@ -174,15 +164,15 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
                  env: dict | None = None) -> RunConfig:
     """Resolve a RunConfig from file, environment and flag overrides.
 
-    Unknown keys, every unknown ``DTCSIM_*`` name included, are rejected;
-    non-numeric, non-finite and out-of-range values raise ConfigError naming
-    the offending key, and so does a field the experiment does not read
-    (see ``_READS``) set to other than its default.  Flags win over
-    environment, environment over file.  Environment values are
-    JSON-decoded, except for text keys, which keep the raw text.  An unset
-    initial_state resolves from n (see :func:`_default_initial_state`); an
-    ``out`` that is, or lies under, an existing file is refused, and so is an
-    initial_state that does not describe a state of n sites.
+    Flags win over environment, environment over file.  Environment values
+    are JSON-decoded, except for text keys, which keep the raw text.
+    Unknown keys, every unknown ``DTCSIM_*`` name included, are refused, and
+    so are non-numeric, non-finite and out-of-range values and a field the
+    experiment does not read (``_READS``) set to other than its default,
+    each with a ConfigError naming the key.  An unset initial_state resolves
+    from n (:func:`_default_initial_state`); an ``out`` that is, or lies
+    under, an existing file is refused, and so is an initial_state that does
+    not describe a state of n sites.
     """
     known = {f.name for f in fields(RunConfig)}
     text_keys = {f.name for f in fields(RunConfig) if f.type in ("str", "str | None")}
@@ -374,7 +364,7 @@ def _run_gap_sweep(config: RunConfig):
         base_seed=config.base_seed,
     )
     result = disorder_gap_sweep(sweep)
-    period = config.period()
+    period = spin.period
     header = ["W_over_J0", "mean_gapT", "min_gapT", "max_gapT", "n_realizations"]
     rows = [
         [config.w_over_j0_values[i], result.mean[i] * period,
@@ -389,8 +379,7 @@ def _run_gap_sweep(config: RunConfig):
 def _run_twosite(config: RunConfig):
     """Two-site coupling and gap curves."""
     spin = config.spin_config()
-    j0, gamma, t2 = spin.j0, spin.gamma, spin.t2
-    period = config.period()
+    j0, gamma, t2, period = spin.j0, spin.gamma, spin.t2, spin.period
     x_values = np.linspace(0.0, np.pi, config.twosite_points)  # w * t2 / 2pi
     w_values = x_values * 2.0 * np.pi / t2
     gaps = two_site_gap_curve(j0, gamma, t2, w_values)

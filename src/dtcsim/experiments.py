@@ -303,12 +303,12 @@ def realization_seed(base_seed: int, realization: int) -> np.random.SeedSequence
 def disorder_gap_sweep(sweep: SweepSpec) -> SweepResult:
     """Average the Liouvillian gap over disorder realizations for each W.
 
-    Every realization samples its disorder from a seed mixed from
-    (base_seed, realization index) and takes the gap from the sector-block
-    fast path.  Realizations that draw the same disorder vector (every one
-    at W = 0) share one gap computation; results and failures are still
-    recorded per (W, realization).  Runs serially and is fully deterministic
-    for a fixed spec.
+    Each realization draws its disorder from a seed mixed from (base_seed,
+    realization index) and takes its gap from
+    :func:`dtcsim.spectra.sector_gap`.  Realizations that draw the same
+    disorder (every one at W = 0) share one gap computation; results and
+    failures are still recorded per (W, realization).  Serial and fully
+    deterministic for a fixed spec.
     """
     cfg = sweep.config
     gaps = np.full((len(sweep.w_values), sweep.n_realizations), np.nan)

@@ -1,91 +1,9 @@
-"""One- and two-period dynamical maps, built from the sector blocks of one period.
-
-The drive alternates a purely unitary kick (dephasing is negligible during a
-short pulse) with an interaction segment evolved under the full Lindblad
-generator, so one period of the vectorised dynamics reads
-
-    Phi_T = exp(L2 * t2) @ (U1 kron conj(U1)),
-
-kick first, composition right to left.  The interaction-segment generator L2
-commutes with excitation number on both tensor factors and is therefore block
-diagonal over sector pairs; its exponential is computed per block, which is
-exact and orders of magnitude cheaper than exponentiating the full 4^N
-matrix.  The propagator preserves Hermiticity, so block (kr, kl) is block
-(kl, kr) conjugated with its index pairs swapped (:func:`_adjoint_block`):
-only the blocks with kl <= kr are built and held, and each consumer derives
-the partners it needs.  Without disorder the global spin flip commutes with
-the segment as well, so block (kl, kr) is the partner of block
-(N - kr, N - kl) with rows and columns reversed, and only one block per orbit
-of that map is exponentiated (16 of the 28 for six sites).
-:class:`BlockPropagator` keeps one period in the half-stored form and applies
-it to a density matrix directly, writing each (kr, kl) sub-matrix as the
-adjoint of the (kl, kr) one; the dense Phi_T of :func:`floquet_map` is
-the segment assembled from the same blocks (:func:`interaction_propagator`)
-with the kick applied, and serves cross-checks and spectra.  A perfect pi
-pulse is U1 = (-i)^N X^(x)N, so its kick reverses both indices of rho, which
-sends sector pair (kl, kr) to (N - kl, N - kr) while the segment keeps every
-pair (weak symmetries; Buca & Prosen, NJP 14, 073007 (2012)).  There the
-propagator kicks by the reversal, with no matmul, and
-:func:`block_propagator` builds only the pairs that a run from a given
-initial state reaches: for |111+++> 31 of the 49, from 10 exponentiated
-blocks.
-Each step skips the blocks whose input is exactly zero, so all of this is
-exact.  The dense map keeps the numeric kick unitary.
-
-:func:`interaction_propagator`, :func:`floquet_map` and :func:`floquet_map_2T`
-form a dense 4^N x 4^N matrix and refuse N > DENSE_LIMIT before building any
-block; :func:`block_propagator` and :func:`floquet_2T_sector_blocks` never do.
-:func:`floquet_map_2T` is Phi_T squared, never assembled from those blocks.
-
-The generator of a diagonal block (k, k) maps the c x c sub-matrix of sector
-k to itself and preserves Hermiticity, so in the Hermitian basis of c x c
-matrices it is a real matrix, which :func:`dtcsim.superop.hermitian_generator`
-builds directly from the real Hamiltonian of the sector and the dephasing
-rates.  Those blocks, the largest ones and the populations among them, are
-exponentiated in real arithmetic and stay in that basis; the spin flip is a
-signed permutation there (:func:`_flipped`).  Only the propagators that step a
-state or assemble the dense map take them back to the basis of matrix
-elements, once per block (:func:`dtcsim.superop.from_hermitian_basis`); the
-basis change is a similarity, so the result is the same exponential up to
-rounding.  The off-diagonal blocks stay complex: their real form would have
-twice the dimension.
-
-When the disorder is a palindrome, zero included, the chain reflection
-l -> N - 1 - l commutes with the segment generator (a weak symmetry; Buca &
-Prosen, NJP 14, 073007 (2012)), and so with each of its sector-pair blocks:
-a signed permutation in the Hermitian basis of a diagonal block, a plain one
-on the row-stacked elements of an off-diagonal block
-(:func:`dtcsim.superop.pair_reflection`).  Each generator is then split into
-its halves of reflection parity +1 and -1 (:func:`dtcsim.superop.parity_halves`),
-each half is exponentiated on its own, and the block is put back from the
-two exponentials by index arithmetic (:func:`dtcsim.superop.from_parity_halves`),
-one half at a time: exp(G) = V+ exp(V+^T G V+) V+^T + V- exp(V-^T G V-) V-^T
-exactly, as G has no entries between the halves.  That halves the dimension
-of every exponential (400 -> 200 + 200 at six sites) and quarters its
-working set; any other disorder is exponentiated whole.
-
-Every exponential in the package goes through :func:`matrix_exp`, numpy
-scaling and squaring with the [13/13] Pade approximant with Al-Mohy &
-Higham's choice of s (SIAM J. Matrix Anal. Appl. 31, 970 (2009)); the
-blocks are at most 1225 x 1225 (seven sites), small enough for exact
-1-norms of matrix powers.  The kernel scales the powers in place and builds
-the Pade sums in reused buffers, term by term in the order of the plain
-expressions, so it rounds exactly as they do.
-
-For a perfect pi pulse the two kicks of a double period cancel and
-conjugate the disorder sign, giving the fully block-diagonal form
-
-    Phi_2T = exp((A + D) t2) @ (exp((A + D) t2) with disorder negated),
-
-which is what :func:`floquet_2T_sector_blocks` evaluates blockwise.  The
-global spin flip maps the negated-disorder segment onto the original one with
-sectors k -> N - k, so the spectrum of block (kl, kr) of Phi_2T equals that of
-(N - kl, N - kr) and is the complex conjugate of that of (kr, kl)
-(Buca & Prosen, NJP 14, 073007 (2012); Albert & Jiang, PRA 89, 022118 (2014)),
-and each block is built and diagonalised once per orbit (:func:`sector_orbits`).
-A diagonal block (k, k) is the real product R_k P R_(N-k) P of two real
-segment blocks, P the flip's signed permutation, and is returned real, in
-the Hermitian basis.
+"""One- and two-period dynamical maps, built from the sector-pair blocks of
+one period (:func:`_segment_blocks`): stepped blockwise
+(:class:`BlockPropagator`), assembled densely (:func:`floquet_map`), or
+multiplied into the blocks of the two-period map of a perfect pi pulse
+(:func:`floquet_2T_sector_blocks`).  The dense routes check
+:func:`dtcsim.operators.require_dense` before building any block.
 """
 
 from __future__ import annotations
@@ -132,17 +50,15 @@ class BlockPropagator:
     """One drive period as the kick and the sector-pair blocks of
     exp(L2 * t2), applied without forming the dense 4^N map.
 
-    ``kick`` is the kick unitary U1, or None for a perfect pi pulse, where
-    U1 = (-i)^N X^(x)N and U1 rho U1^dagger is rho with both indices reversed.
-    ``blocks[(kl, kr)]``, stored for kl <= kr only, acts on the row-stacked
-    sub-matrix ``rho[np.ix_(sectors[kl], sectors[kr])]``; block (kr, kl) is
-    its partner under :func:`_adjoint_block` and is never formed.  The
-    blocks held may be a subset of the pairs (see :func:`block_propagator`);
-    ``exponentiated`` counts those built by a matrix exponential, the others
-    being spin-flip images of them.
-    The kick adjoint, the sector order, each block's slices and the entries
-    no block covers are fixed at construction, so :meth:`apply` does
-    arithmetic only.
+    ``kick`` is the kick unitary U1, or None for a perfect pi pulse,
+    U1 = (-i)^N X^(x)N: that kick reverses both indices of rho, with no
+    matmul, which sends sector pair (kl, kr) to (N - kl, N - kr), while the
+    segment keeps every pair.  ``blocks[(kl, kr)]``, held for kl <= kr and
+    possibly for a subset of the pairs (:func:`block_propagator`), acts on
+    the row-stacked ``rho[np.ix_(sectors[kl], sectors[kr])]``; its partner
+    (kr, kl) is never formed (:func:`_adjoint_block`).  ``exponentiated``
+    counts the blocks built by a matrix exponential.  All but the arithmetic
+    of :meth:`apply` is fixed at construction.
     """
 
     kick: np.ndarray | None
@@ -173,16 +89,13 @@ class BlockPropagator:
         object.__setattr__(self, "_uncovered", uncovered if uncovered.any() else None)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """U1 rho U1^dagger, then every stored sector-pair block on its
-        sub-matrix.
+        """U1 rho U1^dagger, then every held block on its sub-matrix, the
+        (kr, kl) one written as the adjoint of the (kl, kr) one.
 
         The kicked state is reordered so that each sector is a contiguous
-        range of indices; every block then reads and writes a slice, and a
-        block whose input slice is exactly zero is skipped, as its output is
-        zero.  The propagator preserves Hermiticity and rho is Hermitian, so
-        the (kr, kl) sub-matrix of the result is the adjoint of the (kl, kr)
-        one.  Raises ValueError naming the sector pair when the kicked state
-        has a nonzero entry in a pair that no block covers.
+        slice, and a block whose input slice is exactly zero is skipped.
+        Raises ValueError naming the sector pair when the kicked state has a
+        nonzero entry in a pair that no block covers.
         """
         if self.kick is None:
             kicked = rho[self._gather]
@@ -255,12 +168,7 @@ def _sum_into(out: np.ndarray, scratch: np.ndarray, terms) -> np.ndarray:
 def _pade(A: np.ndarray, A2: np.ndarray, A4: np.ndarray, A6: np.ndarray):
     """The denominator V - U and numerator V + U of r_13(A) = (V - U)^-1 (V + U),
     the [13/13] Pade approximant of exp(A), from the even powers of A
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
-
-    Three buffers hold every sum and product; each sum adds its terms in the
-    order of b_13 A^6 + b_11 A^4 + b_9 A^2, so every entry rounds as in
-    those expressions.
-    """
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), in three buffers."""
     b = _B13
     acc, scratch = np.multiply(A6, b[13]), np.empty_like(A)
     odd = A6 @ _sum_into(acc, scratch, ((b[11], A4), (b[9], A2)))
@@ -279,13 +187,10 @@ def _pade(A: np.ndarray, A2: np.ndarray, A4: np.ndarray, A6: np.ndarray):
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
-    """exp(A) by scaling and squaring with the [13/13] Pade approximant and
-    the choice of s of Al-Mohy & Higham (2009), Algorithm 5.1.
-
-    The 1-norms of A^4 and A^6 are exact; ||A^8||^(1/8) and ||A^10||^(1/10)
-    are bounded through them instead of estimated, which can only choose a
-    larger s.  A diagonal A gets exp of its diagonal.  A is left unchanged.
-    """
+    """exp(A) for :func:`matrix_exp`; A is left unchanged, and a diagonal A
+    gets exp of its diagonal.  ||A^8||^(1/8) and ||A^10||^(1/10) are bounded
+    through the exact 1-norms of A^4 and A^6 instead of estimated, which can
+    only choose a larger s."""
     if np.count_nonzero(A) == np.count_nonzero(np.diagonal(A)):
         return np.diag(np.exp(np.diagonal(A)))
     A2 = A @ A
@@ -313,10 +218,14 @@ def _expm(A: np.ndarray) -> np.ndarray:
 def matrix_exp(A: np.ndarray) -> np.ndarray:
     """Matrix exponential of a finite square matrix, real or complex.
 
-    Scaling and squaring with the [13/13] Pade approximant with Al-Mohy &
-    Higham's choice of s (SIAM J. Matrix Anal. Appl. 31, 970 (2009)), in
-    numpy alone.  Raises ValueError for a non-finite entry and OverflowError
-    when a power of the matrix or the exponential itself is not finite.
+    Scaling and squaring with the [13/13] Pade approximant and Al-Mohy &
+    Higham's choice of s (SIAM J. Matrix Anal. Appl. 31, 970 (2009),
+    Algorithm 5.1), in numpy alone.  The 1-norms of the powers are exact,
+    not estimated: every block is at most 1225 x 1225 (seven sites).  The
+    Pade sums are built term by term in reused buffers, in the order of the
+    plain expressions, so they round as those do.  Raises ValueError for a
+    non-finite entry and OverflowError when a power of the matrix or the
+    exponential itself is not finite.
     """
     A = np.asarray(A)
     A = A.astype(np.result_type(A.dtype, np.float64), copy=False)
@@ -351,9 +260,17 @@ def sector_orbits(n_sites: int, diagonal: bool = False) -> dict:
     spin flip (N - kl, N - kr), keyed in sorted order by their representatives,
     the pairs with kl <= kr and kl + kr <= N (and kl = kr with ``diagonal``).
 
-    Each orbit maps its members to whether their Phi_2T block has the conjugate
-    spectrum of the representative's: true where only the swap, alone or
-    after the flip, reaches the member, so not for the swap when kl + kr = N.
+    The swap is Hermiticity preservation (:func:`_adjoint_block`).  The global
+    spin flip X^(x)N keeps the XY coupling and the dephasing, negates the
+    disorder, sends sector k to N - k and reverses the basis order within a
+    sector (a weak symmetry; Buca & Prosen, NJP 14, 073007 (2012); Albert &
+    Jiang, PRA 89, 022118 (2014)).  So segment block (kl, kr) with the
+    disorder negated is block (N - kl, N - kr) with rows and columns
+    reversed: the same block without disorder, and the second factor of
+    Phi_2T at any disorder.  The Phi_2T blocks of an orbit share one
+    spectrum; each orbit maps its members to whether theirs is the conjugate
+    of the representative's, true where only the swap, alone or after the
+    flip, reaches the member, so not for the swap when kl + kr = N.
     """
     n, orbits = n_sites, {}
     for kl in range(n // 2 + 1):
@@ -366,44 +283,27 @@ def sector_orbits(n_sites: int, diagonal: bool = False) -> dict:
 
 def _exponentiated(config: SpinNetworkConfig, pairs) -> list:
     """The pairs among ``pairs`` whose segment block is exponentiated: every
-    one with disorder; without it the orbit representatives of
-    :func:`sector_orbits`, kl + kr <= N, the others being derived from them."""
+    one with disorder, without it the representatives of :func:`sector_orbits`."""
     if np.any(config.disorder):
         return list(pairs)
-    return [(kl, kr) for kl, kr in pairs if kl + kr <= config.n_sites]
+    orbits = sector_orbits(config.n_sites)
+    return [key for key in pairs if key in orbits]
 
 
 def _segment_blocks(config: SpinNetworkConfig, pairs=None, hermitian: bool = True):
-    """exp(L2 * t2) per sector-pair block (kl, kr) of ``pairs``, by default
-    every pair with kl <= kr; L2 = -i[H, .] + dephasing, H the interaction
-    Hamiltonian of ``config``.
+    """exp(L2 * t2) per sector-pair block (kl, kr) of ``pairs`` (by default
+    every pair with kl <= kr), keyed in their order, and the sectors;
+    L2 = -i[H, .] + dephasing, H the interaction Hamiltonian of ``config``.
 
-    H commutes with excitation number for every disorder vector.  The
-    segment propagator preserves Hermiticity, so each (kr, kl) block follows
-    exactly from (kl, kr) by :func:`_adjoint_block`; it is not returned, and
-    the caller derives it where it needs it.  When the disorder is all zero
-    the global spin flip commutes with L2, so block (kl, kr) is the partner
-    of (N - kr, N - kl) with rows and columns reversed: only the
-    representatives (:func:`_exponentiated`) are exponentiated, and the
-    others derived from them, so ``pairs``, given with kl <= kr in sorted
-    order, must then be closed under (kl, kr) -> (N - kr, N - kl).  The
-    exponentials run in descending block size, so the largest runs while the
-    fewest blocks are held.  Each diagonal block (k, k) is built and
-    exponentiated as the real matrix it is in the Hermitian basis
-    (:func:`dtcsim.superop.hermitian_generator`), and returned so, where the
-    spin flip is a signed permutation (:func:`_flipped`).  Without
-    ``hermitian`` it is mapped back to the row-stacked matrix elements right
-    after its exponential (:func:`dtcsim.superop.from_hermitian_basis`), so
-    the conversion runs while the fewest blocks are held, and a derived
-    diagonal block is then the reversed partner, as an off-diagonal one is.
-    When the disorder is a palindrome (:func:`dtcsim.superop.reflection_symmetric`)
-    each generator is split into its two chain-reflection parity halves, in
-    the Hermitian basis for a diagonal block and on the row-stacked elements
-    for an off-diagonal one, and freed; each half is exponentiated and
-    scattered back into the block before the next, and only then does the
-    conversion run.  ``matrix_exp`` then sees the halves, +1 before -1 (a
-    1 x 1 block has no -1 half), not the blocks.
-    Returns the blocks, keyed in the order of ``pairs``, and the sectors.
+    Only the pairs of :func:`_exponentiated` are exponentiated, largest
+    first, while the fewest blocks are held; without disorder ``pairs``,
+    sorted with kl <= kr, must be closed under (kl, kr) -> (N - kr, N - kl).
+    A diagonal block is exponentiated and returned real, in the Hermitian
+    basis (:func:`dtcsim.superop.hermitian_generator`); without ``hermitian``
+    it is converted to matrix elements right after its exponential, while
+    the fewest blocks are held.  At palindromic disorder ``matrix_exp`` sees
+    the parity halves of each generator, +1 before -1, and not the generator
+    (:func:`dtcsim.superop.reflection_symmetric`).
     """
     n = config.n_sites
     H = hamiltonian_interaction(config).real  # real symmetric, stored complex
@@ -478,20 +378,19 @@ def block_propagator(config: SpinNetworkConfig, rho: np.ndarray | None = None
                      ) -> BlockPropagator:
     """One-period propagator: the kick and the interaction blocks.
 
-    At a perfect pi pulse the kick is the index reversal, and a pi pulse
-    sends sector pair (kl, kr) to (N - kl, N - kr) while the segment keeps
-    every pair, so a run from ``rho`` only visits the pairs where rho has a
-    nonzero entry and their images; only those are built, folded to
-    kl <= kr.  Without ``rho``, or when the kick mixes sectors, every pair
-    is built.
+    At a perfect pi pulse a run from ``rho`` only visits the orbits of
+    :func:`sector_orbits` in which rho has a nonzero entry (the reversal kick
+    of :class:`BlockPropagator`), and only their pairs with kl <= kr are
+    built.  Without ``rho``, or when the kick mixes sectors, every pair is
+    built.
     """
     n, sectors = config.n_sites, excitation_sectors(config.n_sites)
     pairs = [(kl, kr) for kl in range(n + 1) for kr in range(kl, n + 1)]
     kick = None if config.perfect_pulse else kick_unitary(config)
     if kick is None and rho is not None:
-        pairs = [(kl, kr) for kl, kr in pairs
-                 if any(np.any(rho[np.ix_(sectors[a], sectors[b])])
-                        for a, b in ((kl, kr), (kr, kl), (n - kl, n - kr), (n - kr, n - kl)))]
+        reached = [orbit for orbit in sector_orbits(n).values()
+                   if any(np.any(rho[np.ix_(sectors[a], sectors[b])]) for a, b in orbit)]
+        pairs = [key for key in pairs if any(key in orbit for orbit in reached)]
     return BlockPropagator(kick, *_segment_blocks(config, pairs, hermitian=False),
                            exponentiated=len(_exponentiated(config, pairs)))
 
@@ -503,7 +402,8 @@ def interaction_propagator(config: SpinNetworkConfig) -> np.ndarray:
 
 
 def floquet_map(config: SpinNetworkConfig) -> DynamicalMap:
-    """One-period dynamical map Phi_T (kick, then dissipative interaction).
+    """One-period dynamical map Phi_T = exp(L2 * t2) @ (U1 kron conj(U1)):
+    the kick, then the dissipative interaction segment.
 
     Right-multiplying by U1 kron conj(U1) maps each row of exp(L2 t2), read
     as a dim x dim matrix R, to U1^T R conj(U1); the batched product avoids
@@ -526,28 +426,16 @@ def floquet_map_2T(config: SpinNetworkConfig) -> DynamicalMap:
 
 
 def floquet_2T_sector_blocks(config: SpinNetworkConfig, diagonal: bool = False):
-    """Sector-pair blocks of Phi_2T for a perfect pi pulse.
+    """Phi_2T of a perfect pi pulse per orbit representative of
+    :func:`sector_orbits` (16 of the 49 blocks for six sites), or with
+    ``diagonal`` only the blocks (k, k) with 2k <= N.
 
-    The pi pulses of a double period cancel up to a global phase and flip the
-    sign of the on-site disorder in between, so Phi_2T is the product of two
-    block-diagonal segment propagators, one with the disorder negated.
-    Negating the disorder is the global spin flip sigma^x on every site: it
-    leaves the XY coupling and the dephasing unchanged, sends sector k to
-    N - k and reverses the sorted basis order inside each sector.  The
-    negated-disorder block (kl, kr) is therefore the (N - kl, N - kr) block
-    of the same segment propagator with rows and columns reversed, and only
-    one set of segment blocks is exponentiated; each factor with kl > kr is
-    derived from its stored partner by :func:`_adjoint_block` when its
-    product is formed.
-    Returns a dict mapping each representative (k_left, k_right) of
-    :func:`sector_orbits` to its block, 16 of the 49 for six sites; every
-    block of an orbit shares its spectrum, up to conjugation.  A diagonal
-    block (k, k) is the real matrix it is in the Hermitian basis of
-    :mod:`dtcsim.superop`, the product of the real segment blocks with the
-    flip's signed permutation; the others are complex, on the row-stacked
-    matrix elements.  The largest
-    block for six sites is 400 x 400, so this is the fast path for disorder
-    sweeps.  With ``diagonal`` only the blocks (k, k) with 2k <= N are built.
+    The two pi pulses cancel up to a global phase and negate the disorder in
+    between, so Phi_2T = exp((A + D) t2) @ (exp((A + D) t2) with disorder
+    negated), and block (kl, kr) is segment block (kl, kr) times the spin flip
+    of segment block (N - kl, N - kr).  A diagonal block (k, k) is returned
+    real, in the Hermitian basis (:func:`_flipped`); the others are complex,
+    on the row-stacked matrix elements.
     """
     if not config.perfect_pulse:
         raise ValueError(

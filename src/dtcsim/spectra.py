@@ -5,39 +5,9 @@ Lambda = log(mu) / tau (principal branch) so that gaps and relaxation times
 read directly in units of 1/T.  The steady manifold of the driven network is
 degenerate (one fixed point per preserved excitation sector), so the gap is
 the slowest rate *outside* the whole zero manifold, not merely the second
-entry of the sorted spectrum.
-
-The perfect-pulse two-period map is block diagonal over excitation sector
-pairs (k_left, k_right), and its block spectra obey two exact relations:
-block (k, k') has the complex-conjugate spectrum of (k', k), because the map
-preserves Hermiticity, and the same spectrum as (N - k, N - k'), because of
-the global spin flip.  Each block is therefore built and diagonalised once
-per orbit of these relations (16 of the 49 blocks for six sites), and
-:func:`sector_eigenvalues` still returns all 4^N rates.
-
-A diagonal block (k, k) maps the c x c sub-matrix of sector k to itself and
-preserves Hermiticity, so its form in the Hermitian basis of c x c matrices
-is a real matrix with the same spectrum, and
-:func:`dtcsim.floquet.floquet_2T_sector_blocks` returns it in that form.
-Those blocks, which hold the steady manifold and the largest block, are
-diagonalised by the real eigensolver with no basis change, which is exact
-up to rounding and returns the complex multipliers in exact conjugate pairs.
-
-When the disorder is a palindrome, zero included, the chain reflection
-l -> N - 1 - l commutes with the coupling, the disorder of both segments and
-the dephasing, so with every Phi_2T block (a weak symmetry; Buca & Prosen,
-NJP 14, 073007 (2012); Albert & Jiang, PRA 89, 022118 (2014)).  On each
-block's basis it is an involutive signed permutation, so its +1 and -1
-eigenvectors are unit vectors and normalised pairs of them, and each block
-is diagonalised as its two parity halves of about half the dimension.
-
-The gap needs only the N + 1 diagonal blocks: dephasing damps block (kl, kr)
-to |mu| <= exp(-4 gamma t2 |kl - kr|) (log-norm bound, Soderlind 2006), with
-equality in block (0, 1), so :func:`sector_gap` adds that floor rate instead.
-
-Three thresholds are fixed: ZERO_THRESHOLD = 1e-10 bounds the steady
-manifold, TRACE_CUTOFF = 1e-8 splits its steady states from its coherences,
-and CONDITION_LIMIT = 1e12 marks an eigendecomposition as defective.
+entry of the sorted spectrum.  At a perfect pi pulse the rates come from the
+sector blocks of Phi_2T (:func:`sector_eigenvalues`), and the gap from its
+diagonal blocks alone (:func:`sector_gap`).
 """
 
 from __future__ import annotations
@@ -166,7 +136,9 @@ def eigendecompose(operator) -> SpectralData:
 
 
 def gap_from_eigenvalues(eigenvalues: np.ndarray) -> GapResult:
-    """Gap and steady-mode count from generator rates alone."""
+    """Gap and steady-mode count from generator rates alone: the gap is -Re of
+    the slowest rate past the zero manifold, or None when every rate sits
+    within ZERO_THRESHOLD of zero, as for purely unitary dynamics."""
     re = np.real(np.asarray(eigenvalues))
     n_steady = int(np.sum(np.abs(re) <= ZERO_THRESHOLD))
     decaying = re[re < -ZERO_THRESHOLD]
@@ -175,12 +147,7 @@ def gap_from_eigenvalues(eigenvalues: np.ndarray) -> GapResult:
 
 
 def liouvillian_gap(spec: SpectralData) -> GapResult:
-    """Gap of a spectrum; see :func:`gap_from_eigenvalues`.
-
-    The gap is -Re of the slowest eigenvalue past the zero manifold, or None
-    when every eigenvalue sits within ZERO_THRESHOLD, as happens for purely
-    unitary dynamics.
-    """
+    """Gap of a spectrum (:func:`gap_from_eigenvalues`)."""
     return gap_from_eigenvalues(spec.eigenvalues)
 
 
@@ -209,15 +176,14 @@ def steady_states(spec: SpectralData):
 
 
 def excitation_superop_commutant_check(dmap: DynamicalMap) -> float:
-    """Residual max-norm of [Phi_2T, N_hat superoperator].
+    """Residual max-norm of [Phi_2T, N_hat superoperator], for both the left-
+    and the right-multiplication excitation superoperators (diagonal under
+    row stacking); returns the larger.
 
-    ``dmap`` is the :func:`floquet_map_2T` of a config, the square of the
-    one-period map, whose interaction segment is assembled from the
-    sector-pair blocks of exp(L2 t2), so the residual checks the kick and the
-    composition of two periods, not the block structure of L2; ``dtcsim
-    validate`` checks that through [H2, N] = 0 (``interaction_u1_symmetry``).
-    The map is commuted with both the left- and right-multiplication
-    excitation superoperators, diagonal under row stacking; returns the larger.
+    ``dmap`` is the :func:`floquet_map_2T` of a config, whose segment is
+    assembled from the sector blocks, so this checks the kick and the
+    composition of two periods, not the block structure of L2, which
+    ``dtcsim validate`` checks through [H2, N] = 0 (``interaction_u1_symmetry``).
     """
     phi2 = dmap.matrix
     counts = excitation_counts((phi2.shape[0].bit_length() - 1) // 2).astype(float)  # 4^N rows
@@ -248,22 +214,18 @@ def _real_form(block: np.ndarray, name: str) -> np.ndarray:
 
 
 def sector_eigenvalues(blocks, config: SpinNetworkConfig) -> np.ndarray:
-    """Pooled rates log(mu) / 2T from the Phi_2T sector blocks of ``config``.
+    """Pooled rates log(mu) / 2T from the Phi_2T sector blocks of ``config``,
+    in the sorted order of the sector pairs, one per basis element; their
+    order within a block is not part of the contract.
 
     ``blocks`` maps orbit representatives to their blocks, as
     :func:`floquet_2T_sector_blocks` returns them; any other key raises
-    ValueError.  The multipliers mu of each block go to every member of its
-    orbit (:func:`dtcsim.floquet.sector_orbits`), conjugated where marked,
-    before the principal-branch log is taken.  The rates come out in the
-    sorted order of the sector pairs, one per basis element; their order
-    within a block is not part of the contract.  A diagonal block (k, k) is
-    given as the real matrix it is in the Hermitian basis, and its complex
-    multipliers come in exact conjugate pairs; ValueError when it is not
-    real, i.e. not the block of a perfect-pulse Phi_2T.
-
-    When the disorder is a palindrome (zero included) the chain reflection
-    commutes with every block, and each block is diagonalised as its two
-    halves of reflection parity +1 and -1 (:func:`dtcsim.superop.parity_halves`).
+    ValueError.  Each block's multipliers go to every member of its orbit
+    (:func:`dtcsim.floquet.sector_orbits`), conjugated where marked.  A
+    diagonal block must be real (:func:`_real_form`), and the real
+    eigensolver returns its complex multipliers in exact conjugate pairs.  At
+    palindromic disorder each block is diagonalised as its two parity halves
+    (:func:`dtcsim.superop.reflection_symmetric`).
     """
     n = config.n_sites
     orbits, sectors = sector_orbits(n), excitation_sectors(n)
@@ -286,8 +248,10 @@ def sector_eigenvalues(blocks, config: SpinNetworkConfig) -> np.ndarray:
 def sector_gap(config: SpinNetworkConfig) -> GapResult:
     """Liouvillian gap through the sector-block fast path (epsilon = 0).
 
-    Diagonalises only the blocks (k, k) and adds the off-diagonal floor rate
-    -2 gamma t2 / T, unless that floor is within ZERO_THRESHOLD of zero."""
+    Dephasing damps Phi_2T block (kl, kr) to |mu| <= exp(-4 gamma t2 |kl - kr|)
+    (log-norm bound, Soderlind 2006), with equality in block (0, 1).  So only
+    the blocks (k, k) are diagonalised, and the off-diagonal floor rate
+    -2 gamma t2 / T is added unless it is within ZERO_THRESHOLD of zero."""
     floor = 2.0 * config.gamma * config.t2 / config.period
     diagonal = floor > ZERO_THRESHOLD
     lam = sector_eigenvalues(floquet_2T_sector_blocks(config, diagonal), config)
@@ -295,16 +259,14 @@ def sector_gap(config: SpinNetworkConfig) -> GapResult:
 
 
 def spectrum_2T(config: SpinNetworkConfig) -> np.ndarray:
-    """All rates Lambda = log(mu) / 2T of the multipliers mu of Phi_2T.
+    """All rates Lambda = log(mu) / 2T of the multipliers mu of Phi_2T, from
+    the sector blocks at a perfect pi pulse and the dense map otherwise.
 
-    Uses the sector-block path for a perfect pi pulse and the dense map
-    otherwise; either way the result is the complete eigenvalue cloud.
     The rates are sorted on (-Re, Im), but many real parts are equal up to
     rounding, so a last-digit change reorders them: compare results of two
     builds, thread settings or versions as multisets (e.g. with
-    :func:`spectral_distance`).  The order, within a sector block as much as
-    across the sorted cloud, is not part of the contract; it is reproducible
-    only on one build, thread setting and version.
+    :func:`spectral_distance`).  The order, within a sector block too, is
+    reproducible only on one build, thread setting and version.
     """
     if config.perfect_pulse:
         lam = sector_eigenvalues(floquet_2T_sector_blocks(config), config)

@@ -6,28 +6,9 @@ therefore -i (H kron I - I kron H^T); for the real-symmetric Hamiltonians
 built by :mod:`dtcsim.operators` the transpose is immaterial, but it matters
 for any future Hamiltonian with complex matrix elements.
 
-A superoperator that maps the c x c matrices of one sector to themselves and
-preserves Hermiticity, as every diagonal sector block (k, k) of the segment
-propagator and of Phi_2T does, is a real matrix in the Hermitian basis of
-c x c matrices: it maps the real span of that basis, the Hermitian matrices,
-to itself.  The change to that basis, r = T vec(X), is unitary and a
-similarity, so the real form has the same spectrum and exp(T G T^dagger) =
-T exp(G) T^dagger; exponentiating or diagonalising the real form is exact,
-only cheaper.  :func:`hermitian_generator` builds the segment generator of
-a sector directly in that basis, :func:`hermitian_permutation` gives an
-involution of the sector's states (the spin flip, the chain reflection) as
-the signed permutation it is there, and :func:`from_hermitian_basis` maps
-a block back to the row-stacked matrix elements.
-
-When the disorder is a palindrome (:func:`reflection_symmetric`) the chain
-reflection commutes with every sector-pair block of the segment generator,
-its exponential and Phi_2T.  :func:`pair_reflection` gives it on a block's
-index space, :func:`parity_halves` projects a block onto its +1 and -1
-eigenspaces, and :func:`from_parity_halves` puts a block back from its two
-halves; all three are index arithmetic.
-
-Only :func:`liouvillian` forms a dense 4^N x 4^N matrix, and it refuses
-N > DENSE_LIMIT.
+The sector blocks use two exact reductions, each derived where it is built:
+the Hermitian basis of a diagonal block (:func:`hermitian_generator`) and
+the chain reflection at palindromic disorder (:func:`reflection_symmetric`).
 """
 
 from __future__ import annotations
@@ -101,6 +82,14 @@ def hermitian_generator(H: np.ndarray, rates: np.ndarray) -> np.ndarray:
     symmetric H and symmetric ``rates``, as the real matrix it is in the
     Hermitian basis.
 
+    A Hermiticity-preserving map of the c x c matrices to themselves, as
+    every diagonal sector block (k, k) of the segment propagator and of
+    Phi_2T is, maps the Hermitian matrices, the real span of the basis
+    (:func:`_hermitian_basis`), to themselves, so it is real there.  The
+    basis change is unitary, so exponentiating or diagonalising the real
+    form is exact, only cheaper.  An off-diagonal block maps between two
+    sectors; its real form would have twice its dimension.
+
     Write a Hermitian X = S + iA with S = Re X symmetric and A = Im X
     antisymmetric.  Then dS/dt = [H, A] + rates * S and dA/dt = -[H, S] +
     rates * A, so the real matrix M = S + A, whose transpose is S - A, obeys
@@ -171,7 +160,13 @@ def reflection_symmetric(disorder: np.ndarray) -> bool:
     """Whether the chain reflection l -> N - 1 - l is a weak symmetry of the
     interaction segment: the coupling depends on |l - m| alone and the
     dephasing is uniform, so exactly when the disorder is a palindrome, zero
-    included (Buca & Prosen, NJP 14, 073007 (2012))."""
+    included (Buca & Prosen, NJP 14, 073007 (2012)).  The negated disorder is
+    then one too, so the reflection commutes with every sector-pair block G
+    of the segment generator, its exponential and Phi_2T
+    (:func:`pair_reflection`), and exp(G) and the eigenvalues of G come from
+    its two parity halves (:func:`parity_halves`) of about half the
+    dimension: exp(G) = V+ exp(V+^T G V+) V+^T + V- exp(V-^T G V-) V-^T.
+    """
     return bool(np.array_equal(disorder, disorder[::-1]))
 
 
@@ -207,10 +202,9 @@ def _parity_bases(source: np.ndarray, sign: np.ndarray):
 
 
 def parity_halves(block: np.ndarray, source: np.ndarray, sign: np.ndarray) -> list:
-    """V^T block V for the eigenvectors V of the involution (source, sign)
-    with eigenvalue +1 and then -1 (:func:`pair_reflection`); a block that
-    commutes with it has no entries between the two.  Each column of V has
-    one or two nonzeros, so each half is formed by index arithmetic."""
+    """V^T block V, by index arithmetic, for the eigenvectors V of the
+    involution (source, sign) (:func:`pair_reflection`) with eigenvalue +1
+    and then -1; a block that commutes with it has no entries between the two."""
     halves = []
     for first, second, a, b in _parity_bases(source, sign):
         columns = block[:, first] * a + block[:, second] * b

@@ -226,6 +226,22 @@ def test_reachable_pair_stepping_matches_dense_map(run):
             assert not rho[outside].any()
 
 
+@given(perfect_pulse_configs(), st.sampled_from([0.0, 0.05]), st.integers(0, 2**32 - 1))
+def test_every_pair_propagator_preserves_trace_and_hermiticity(cfg, epsilon, seed):
+    # a Hermitian input that is not positive, shifted so that its lowest
+    # eigenvalue is -1: apply writes each (kr, kl) sub-matrix as the adjoint
+    # of the (kl, kr) one, so only the diagonal blocks can break Hermiticity
+    cfg = replace(cfg, epsilon=epsilon)
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
+    rho = raw + raw.conj().T
+    rho -= (np.linalg.eigvalsh(rho)[0] + 1.0) * np.eye(cfg.dim)
+    out = block_propagator(cfg).apply(rho)
+    scale = np.abs(rho).max()
+    assert abs(np.trace(out) - np.trace(rho)) <= 1e-12 * scale
+    assert np.abs(out - out.conj().T).max() <= 1e-12 * scale
+
+
 def test_default_run_steps_the_pairs_its_state_reaches(seeded_state, default_config,
                                                       monkeypatch):
     # 111+++ has weight in sectors 3..6 and its kicked images in 0..3: 31 of

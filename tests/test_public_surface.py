@@ -107,6 +107,71 @@ def test_every_module_level_name_has_a_caller():
     assert sorted(dead) == []
 
 
+#: A Sphinx cross-reference in a docstring: its role and its target.
+REFERENCE = re.compile(r":(func|class|mod|meth|data):`([^`]*)`")
+
+
+def _docstrings(tree):
+    """(enclosing class name or None, docstring) of a module and of each of
+    its classes and functions; a class docstring is enclosed by its class."""
+    found = [(None, ast.get_docstring(tree, clean=False))]
+
+    def visit(node, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                found.append((child.name, ast.get_docstring(child, clean=False)))
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((enclosing, ast.get_docstring(child, clean=False)))
+                visit(child, enclosing)
+
+    visit(tree, None)
+    return [(enclosing, doc) for enclosing, doc in found if doc]
+
+
+def _resolve(module, enclosing, role, target):
+    """The object a reference names, or None: a ``dtcsim.`` target from its
+    longest importable module, a bare ``:meth:`` from the enclosing class,
+    any other from the docstring's module."""
+    parts = target.split(".")
+    if parts[0] == "dtcsim":
+        for i in range(len(parts), 0, -1):
+            try:
+                obj, parts = importlib.import_module(".".join(parts[:i])), parts[i:]
+                break
+            except ImportError:
+                pass
+    elif role == "meth" and len(parts) == 1:
+        obj = getattr(module, enclosing or "", None)
+    else:
+        obj = module
+    for name in parts:
+        obj = getattr(obj, name, None)
+    return obj
+
+
+def test_every_docstring_reference_resolves():
+    # a derivation lives once and other docstrings point at it, so a pointer
+    # must name a real object of its role
+    def routine(obj):
+        return callable(obj) and not inspect.isclass(obj)
+
+    kinds = {"func": routine, "meth": routine, "class": inspect.isclass,
+             "mod": inspect.ismodule, "data": lambda obj: not callable(obj)}
+    references, broken = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module("dtcsim" if path.stem == "__init__"
+                                         else f"dtcsim.{path.stem}")
+        for enclosing, doc in _docstrings(ast.parse(path.read_text())):
+            for role, target in REFERENCE.findall(doc):
+                references += 1
+                obj = _resolve(module, enclosing, role, target)
+                if obj is None or not kinds[role](obj):
+                    broken.append(f"{path.name}: :{role}:`{target}`")
+    assert references > 0
+    assert broken == []
+
+
 def _traced():
     """perfbench's TRACED table, read from its source without importing it."""
     tree = ast.parse((PERFBENCH / "tracing.py").read_text())
