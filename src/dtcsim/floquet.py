@@ -24,6 +24,7 @@ from .superop import (
     dephasing_rates,
     from_hermitian_basis,
     from_parity_halves,
+    hermitian_basis,
     hermitian_generator,
     hermitian_permutation,
     pair_reflection,
@@ -56,9 +57,13 @@ class BlockPropagator:
     segment keeps every pair.  ``blocks[(kl, kr)]``, held for kl <= kr and
     possibly for a subset of the pairs (:func:`block_propagator`), acts on
     the row-stacked ``rho[np.ix_(sectors[kl], sectors[kr])]``; its partner
-    (kr, kl) is never formed (:func:`_adjoint_block`).  ``exponentiated``
-    counts the blocks built by a matrix exponential.  All but the arithmetic
-    of :meth:`apply` is fixed at construction.
+    (kr, kl) is never formed (:func:`_adjoint_block`).  A diagonal block is
+    real, on the Hermitian-basis coordinates of its sub-matrix, as on every
+    route but the dense map (:func:`_assemble_blocks`); so :meth:`apply`,
+    which reads the pairs with kl <= kr and the Hermitian part of each
+    diagonal sub-matrix, needs a Hermitian rho and returns one exactly.
+    ``exponentiated`` counts the blocks built by a matrix exponential.  All
+    but the arithmetic of :meth:`apply` is fixed at construction.
     """
 
     kick: np.ndarray | None
@@ -84,13 +89,18 @@ class BlockPropagator:
                            else self.kick.conj().T)
         object.__setattr__(self, "_order", np.ix_(order, order))
         object.__setattr__(self, "_gather", np.ix_(source, source))
+        bases = {}  # per sector size: the coefficients of T, then of T^dagger
+        for c in {len(self.sectors[kl]) for kl, kr in self.blocks if kl == kr}:
+            d1, d2, swap = hermitian_basis(c)
+            bases[c] = (d1, d2, swap, d1.conj(), d2.conj()[swap])
         object.__setattr__(self, "_steps", tuple(
-            (span[kl], span[kr], block, kl != kr) for (kl, kr), block in self.blocks.items()))
+            (span[kl], span[kr], block, bases[len(self.sectors[kl])] if kl == kr else None)
+            for (kl, kr), block in self.blocks.items()))
         object.__setattr__(self, "_uncovered", uncovered if uncovered.any() else None)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """U1 rho U1^dagger, then every held block on its sub-matrix, the
-        (kr, kl) one written as the adjoint of the (kl, kr) one.
+        """U1 rho U1^dagger, then every held block on its row-stacked sub-matrix
+        x, (k, k) as T^dagger R Re(T x), and (kr, kl) as the adjoint of (kl, kr).
 
         The kicked state is reordered so that each sector is a contiguous
         slice, and a block whose input slice is exactly zero is skipped.
@@ -104,13 +114,18 @@ class BlockPropagator:
         if self._uncovered is not None and kicked[self._uncovered].any():
             raise ValueError(self._refusal(kicked))
         stepped = np.zeros_like(kicked)
-        for rows, cols, block, mirrored in self._steps:
+        for rows, cols, block, basis in self._steps:
             sub = kicked[rows, cols]
             if not sub.any():
                 continue
-            stepped[rows, cols] = image = (block @ sub.reshape(-1)).reshape(sub.shape)
-            if mirrored:
+            x = sub.reshape(-1)
+            if basis is None:
+                stepped[rows, cols] = image = (block @ x).reshape(sub.shape)
                 stepped[cols, rows] = image.conj().T
+            else:
+                d1, d2, swap, e1, e2 = basis
+                r = block @ (d1 * x + d2 * x[swap]).real
+                stepped[rows, cols] = (e1 * r + e2 * r[swap]).reshape(sub.shape)
         out = np.empty_like(stepped)
         out[self._order] = stepped
         return out
@@ -290,7 +305,7 @@ def _exponentiated(config: SpinNetworkConfig, pairs) -> list:
     return [key for key in pairs if key in orbits]
 
 
-def _segment_blocks(config: SpinNetworkConfig, pairs=None, hermitian: bool = True):
+def _segment_blocks(config: SpinNetworkConfig, pairs=None):
     """exp(L2 * t2) per sector-pair block (kl, kr) of ``pairs`` (by default
     every pair with kl <= kr), keyed in their order, and the sectors;
     L2 = -i[H, .] + dephasing, H the interaction Hamiltonian of ``config``.
@@ -298,12 +313,10 @@ def _segment_blocks(config: SpinNetworkConfig, pairs=None, hermitian: bool = Tru
     Only the pairs of :func:`_exponentiated` are exponentiated, largest
     first, while the fewest blocks are held; without disorder ``pairs``,
     sorted with kl <= kr, must be closed under (kl, kr) -> (N - kr, N - kl).
-    A diagonal block is exponentiated and returned real, in the Hermitian
-    basis (:func:`dtcsim.superop.hermitian_generator`); without ``hermitian``
-    it is converted to matrix elements right after its exponential, while
-    the fewest blocks are held.  At palindromic disorder ``matrix_exp`` sees
-    the parity halves of each generator, +1 before -1, and not the generator
-    (:func:`dtcsim.superop.reflection_symmetric`).
+    A diagonal block is real, in the Hermitian basis
+    (:func:`dtcsim.superop.hermitian_generator`).  At palindromic disorder
+    ``matrix_exp`` sees the parity halves of each generator, +1 before -1,
+    and not the generator (:func:`dtcsim.superop.reflection_symmetric`).
     """
     n = config.n_sites
     H = hamiltonian_interaction(config).real  # real symmetric, stored complex
@@ -334,19 +347,20 @@ def _segment_blocks(config: SpinNetworkConfig, pairs=None, hermitian: bool = Tru
                 (matrix_exp(half) if len(half) else half for half in halves), *reflection)
         else:
             blocks[(kl, kr)] = matrix_exp(gen)
-            del gen  # freed before the conversion and the next generator
-        if kl == kr and not hermitian:
-            blocks[(kl, kr)] = from_hermitian_basis(blocks[(kl, kr)])
-    for kl, kr in keys:
-        if (kl, kr) in blocks:
-            continue
-        # the spin-flip image of an exponentiated block
-        if kl == kr and hermitian:
-            blocks[(kl, kr)] = _flipped(blocks[(n - kl, n - kl)])
-        else:
-            partner = _adjoint_block(blocks[(n - kr, n - kl)], sizes[n - kr], sizes[n - kl])
-            blocks[(kl, kr)] = np.ascontiguousarray(partner[::-1, ::-1])
-    return {key: blocks[key] for key in keys}, sectors
+            del gen  # freed before the next generator
+    return {key: blocks[key] if key in blocks
+            else np.ascontiguousarray(_flip_image(blocks, sizes, *key)) for key in keys}, sectors
+
+
+def _flip_image(blocks, sizes, kl: int, kr: int) -> np.ndarray:
+    """Block (kl <= kr) of the segment with the disorder negated, the spin
+    flip (:func:`sector_orbits`) of segment block (N - kl, N - kr), from the
+    segment ``blocks``: :func:`_flipped` of (N - kl, N - kl), or a reversed
+    view of the adjoint of (N - kr, N - kl)."""
+    n = len(sizes) - 1
+    if kl == kr:
+        return _flipped(blocks[(n - kl, n - kl)])
+    return _adjoint_block(blocks[(n - kr, n - kl)], sizes[n - kr], sizes[n - kl])[::-1, ::-1]
 
 
 def _flipped(R: np.ndarray) -> np.ndarray:
@@ -358,9 +372,9 @@ def _flipped(R: np.ndarray) -> np.ndarray:
 
 
 def _assemble_blocks(blocks, sectors, dim: int) -> np.ndarray:
-    """Scatter sector-pair blocks into the dense 4^N superoperator; a block
-    (kl, kr) whose partner (kr, kl) is not given also fills the partner's
-    place, with :func:`_adjoint_block`."""
+    """Scatter sector-pair blocks into the dense 4^N superoperator, a diagonal
+    one converted from the Hermitian basis; a block (kl, kr) whose partner
+    (kr, kl) is not given also fills its place (:func:`_adjoint_block`)."""
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
 
     def scatter(kl, kr, block):
@@ -368,7 +382,7 @@ def _assemble_blocks(blocks, sectors, dim: int) -> np.ndarray:
         out[np.ix_(rows, rows)] = block
 
     for (kl, kr), block in blocks.items():
-        scatter(kl, kr, block)
+        scatter(kl, kr, from_hermitian_basis(block) if kl == kr else block)
         if (kr, kl) not in blocks:
             scatter(kr, kl, _adjoint_block(block, len(sectors[kl]), len(sectors[kr])))
     return out
@@ -391,14 +405,14 @@ def block_propagator(config: SpinNetworkConfig, rho: np.ndarray | None = None
         reached = [orbit for orbit in sector_orbits(n).values()
                    if any(np.any(rho[np.ix_(sectors[a], sectors[b])]) for a, b in orbit)]
         pairs = [key for key in pairs if any(key in orbit for orbit in reached)]
-    return BlockPropagator(kick, *_segment_blocks(config, pairs, hermitian=False),
+    return BlockPropagator(kick, *_segment_blocks(config, pairs),
                            exponentiated=len(_exponentiated(config, pairs)))
 
 
 def interaction_propagator(config: SpinNetworkConfig) -> np.ndarray:
     """Dense exp(L2 * t2) for the interaction segment, built blockwise."""
     require_dense(config.n_sites)
-    return _assemble_blocks(*_segment_blocks(config, hermitian=False), config.dim)
+    return _assemble_blocks(*_segment_blocks(config), config.dim)
 
 
 def floquet_map(config: SpinNetworkConfig) -> DynamicalMap:
@@ -433,9 +447,9 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig, diagonal: bool = False):
     The two pi pulses cancel up to a global phase and negate the disorder in
     between, so Phi_2T = exp((A + D) t2) @ (exp((A + D) t2) with disorder
     negated), and block (kl, kr) is segment block (kl, kr) times the spin flip
-    of segment block (N - kl, N - kr).  A diagonal block (k, k) is returned
-    real, in the Hermitian basis (:func:`_flipped`); the others are complex,
-    on the row-stacked matrix elements.
+    of segment block (N - kl, N - kr) (:func:`_flip_image`).  A diagonal
+    block (k, k) is returned real, in the Hermitian basis; the others are
+    complex, on the row-stacked matrix elements.
     """
     if not config.perfect_pulse:
         raise ValueError(
@@ -443,18 +457,8 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig, diagonal: bool = False):
         )
     n = config.n_sites
     plus, sectors = _segment_blocks(config, [(k, k) for k in range(n + 1)] if diagonal else None)
-
-    def segment(kl, kr):
-        if kl <= kr:
-            return plus[(kl, kr)]
-        return _adjoint_block(plus[(kr, kl)], len(sectors[kr]), len(sectors[kl]))
-
-    def product(kl, kr):
-        if kl == kr:  # real, in the Hermitian basis
-            return plus[(kl, kl)] @ _flipped(plus[(n - kl, n - kl)])
-        return segment(kl, kr) @ segment(n - kl, n - kr)[::-1, ::-1]
-
-    return {key: product(*key) for key in sector_orbits(n, diagonal)}
+    sizes = [len(s) for s in sectors]
+    return {key: plus[key] @ _flip_image(plus, sizes, *key) for key in sector_orbits(n, diagonal)}
 
 
 def principal_log_hamiltonian(U: np.ndarray, horizon: float):

@@ -41,7 +41,7 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
     return vec.reshape(dim, dim)
 
 
-def _hermitian_basis(c: int):
+def hermitian_basis(c: int):
     """T = diag(d1) + diag(d2) S on row-stacked c x c matrices, S the transpose.
 
     Row a*c + b of T picks the coefficient of one Hermitian basis element:
@@ -73,7 +73,7 @@ def from_hermitian_basis(R: np.ndarray) -> np.ndarray:
     T^dagger = diag(d1*) + S diag(d2*) = diag(d1*) + diag(d2*[swap]) S, so
     this is index arithmetic on R, O(c^4), with no dense T.
     """
-    d1, d2, swap = _hermitian_basis(int(round(np.sqrt(len(R)))))
+    d1, d2, swap = hermitian_basis(int(round(np.sqrt(len(R)))))
     return _sandwich(R, d1.conj(), d2.conj()[swap], swap)
 
 
@@ -85,7 +85,7 @@ def hermitian_generator(H: np.ndarray, rates: np.ndarray) -> np.ndarray:
     A Hermiticity-preserving map of the c x c matrices to themselves, as
     every diagonal sector block (k, k) of the segment propagator and of
     Phi_2T is, maps the Hermitian matrices, the real span of the basis
-    (:func:`_hermitian_basis`), to themselves, so it is real there.  The
+    (:func:`hermitian_basis`), to themselves, so it is real there.  The
     basis change is unitary, so exponentiating or diagonalising the real
     form is exact, only cheaper.  An off-diagonal block maps between two
     sectors; its real form would have twice its dimension.

@@ -33,7 +33,7 @@ from dtcsim.floquet import principal_log_hamiltonian
 from dtcsim.observables import partial_transpose
 from dtcsim.operators import coupling_matrix, excitation_sectors, kron_all
 from dtcsim.spectra import spectral_distance
-from dtcsim.superop import _hermitian_basis, _sandwich, dephasing_rates
+from dtcsim.superop import _sandwich, dephasing_rates, hermitian_basis
 
 # Pauli matrices in the (|0>, |1>) ordering with sigma^z |1> = +|1>.
 _PAULI = {
@@ -122,7 +122,7 @@ def to_hermitian_basis(M):
     """T M T^dagger: a superoperator on c x c matrices in the Hermitian basis,
     the inverse of ``dtcsim.superop.from_hermitian_basis``.  The result is
     real exactly when M preserves Hermiticity."""
-    d1, d2, swap = _hermitian_basis(int(round(np.sqrt(len(M)))))
+    d1, d2, swap = hermitian_basis(int(round(np.sqrt(len(M)))))
     return _sandwich(M, d1, d2, swap)
 
 

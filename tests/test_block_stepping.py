@@ -1,10 +1,11 @@
 """Block-propagator stepping against stepping with the dense one-period map."""
 
 from dataclasses import replace
+from math import ceil
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtcsim import (
@@ -12,11 +13,13 @@ from dtcsim import (
     SpinNetworkConfig,
     build_initial_state,
     floquet_map,
+    hamiltonian_kick,
+    ode_oracle_evolve,
     run_stroboscopic,
 )
 from dtcsim.experiments import CHUNK_PERIODS, TRACE_TOL, StateInvariantError
 from dtcsim.floquet import block_propagator
-from dtcsim.operators import excitation_sectors
+from dtcsim.operators import excitation_sectors, hamiltonian_interaction
 from helpers import per_period_run, perfect_pulse_configs, recorded_exponentials
 
 OBSERVABLES = ("magnetization", "negativity", "purity", "excitations")
@@ -53,29 +56,34 @@ def test_small_n_block_stepping_matches_dense_map(n_sites, gamma):
 
 def test_block_propagator_applies_every_sector_pair():
     # only the blocks with kl <= kr are held; apply writes each (kr, kl)
-    # sub-matrix as the adjoint of the (kl, kr) one
+    # sub-matrix as the adjoint of the (kl, kr) one.  A diagonal block is
+    # real, in the Hermitian basis: 8 bytes per entry against 16
     cfg = SpinNetworkConfig(n_sites=3, disorder=np.array([0.3, 0.0, 0.7]))
     prop = block_propagator(cfg)
     assert list(prop.blocks) == [(kl, kr) for kl in range(4) for kr in range(kl, 4)]
     sizes = [len(s) for s in prop.sectors]
     assert sum(b.nbytes for b in prop.blocks.values()) == sum(
-        (sizes[kl] * sizes[kr]) ** 2 * 16 for kl, kr in prop.blocks)
+        (sizes[kl] * sizes[kr]) ** 2 * (8 if kl == kr else 16) for kl, kr in prop.blocks)
 
 
 def test_corrupted_block_breaks_hermiticity_check():
     # an off-diagonal output is the adjoint of its partner by construction,
-    # but a diagonal block (k, k) maps its sub-matrix on its own, so the
-    # per-period Hermiticity check can fail there; scaling the row of the
-    # coherence X[0, 1] of sector 1 leaves the trace unchanged
+    # and a real diagonal block maps Hermitian-basis coordinates, so only a
+    # complex diagonal block, applied as given, can break Hermiticity: a
+    # phase on the row of Re X[0, 1] of sector 1 makes X[1, 0] differ from
+    # conj(X[0, 1]) by 0.24 at period 1 and leaves the trace unchanged
     cfg = SpinNetworkConfig(n_sites=2)
     prop = block_propagator(cfg)
     blocks = dict(prop.blocks)
-    blocks[(1, 1)] = blocks[(1, 1)].copy()
-    blocks[(1, 1)][1] *= 1.5
+    blocks[(1, 1)] = blocks[(1, 1)].astype(complex)
+    blocks[(1, 1)][1] *= 1.0 + 0.5j
+    step = replace(prop, blocks=blocks)
     rho0 = build_initial_state(InitialStateSpec(kind="pure_pattern", pattern="++"), 2)
-    with pytest.raises(StateInvariantError, match="Hermiticity") as err:
-        run_stroboscopic(rho0, cfg, 3, dynamical_map=replace(prop, blocks=blocks))
-    assert err.value.period == 1
+    with pytest.raises(StateInvariantError) as expected:
+        per_period_run(rho0, cfg, 3, step)
+    with pytest.raises(StateInvariantError, match="Hermiticity violated by 2.402e-01") as got:
+        run_stroboscopic(rho0, cfg, 3, dynamical_map=step)
+    assert (got.value.period, str(got.value)) == (1, str(expected.value))
 
 
 def test_trace_records_worst_margins():
@@ -171,14 +179,17 @@ def test_map_producing_nan_fails_at_that_period(route):
 
 
 def test_complex_magnetization_fails_at_its_period():
-    # a phase of 4e-10 on row 0 of block (1, 1) puts an imaginary part on the
-    # population of |01>; at period 3 the state still passes every invariant
-    # check (Hermiticity error 4.1e-10 < HERM_TOL) but its magnetization
-    # carries an imaginary residue of 1.9e-10, above the 1e-10 bound
+    # a phase of 4e-10 on row 0 of block (1, 1), the Hermitian-basis row of
+    # the population of |01>, makes that population complex; the next step
+    # reads only the Hermitian part, so the imaginary part is 4e-10 times
+    # the population of that period.  At period 3 the state still passes
+    # every invariant check (Hermiticity error 2.6e-10 < HERM_TOL) but its
+    # magnetization carries an imaginary residue of 1.3e-10, above the
+    # 1e-10 bound
     cfg = SpinNetworkConfig(n_sites=2)
     prop = block_propagator(cfg)
     blocks = dict(prop.blocks)
-    blocks[(1, 1)] = blocks[(1, 1)].copy()
+    blocks[(1, 1)] = blocks[(1, 1)].astype(complex)
     blocks[(1, 1)][0] *= 1.0 + 4e-10j
     step = replace(prop, blocks=blocks)
     rho0 = build_initial_state(InitialStateSpec(kind="pure_pattern", pattern="1+"), 2)
@@ -240,6 +251,77 @@ def test_every_pair_propagator_preserves_trace_and_hermiticity(cfg, epsilon, see
     scale = np.abs(rho).max()
     assert abs(np.trace(out) - np.trace(rho)) <= 1e-12 * scale
     assert np.abs(out - out.conj().T).max() <= 1e-12 * scale
+
+
+@given(partial_support_runs())
+def test_block_route_states_are_exactly_hermitian(run):
+    # each off-diagonal output is written as the adjoint of its partner, and
+    # each diagonal one from real Hermitian-basis coordinates, so every
+    # stepped state is Hermitian to the last bit, kicked by U1 or reversed;
+    # a fused multiply-add can leave 1e-17 on the drawn state's diagonal, so
+    # the initial state is made Hermitian first
+    cfg, rho0 = run
+    rho0 = (rho0 + rho0.conj().T) / 2.0
+    assert run_stroboscopic(rho0, cfg, 6).worst_margins.hermiticity_error == 0.0
+
+
+#: Configs of at most three sites, at epsilon 0 or 0.05, for the checks of
+#: the one-period map that build it on every input.
+small_configs = st.builds(lambda cfg, epsilon: replace(cfg, epsilon=epsilon),
+                          perfect_pulse_configs().filter(lambda cfg: cfg.n_sites <= 3),
+                          st.sampled_from([0.0, 0.05]))
+
+
+@given(small_configs)
+def test_every_pair_propagator_is_completely_positive(cfg):
+    # the Choi matrix sum_ij |i><j| (x) Phi(|i><j|), with apply, whose input
+    # must be Hermitian, taking |i><j| = A + iB as Phi(A) + i Phi(B)
+    prop, d = block_propagator(cfg), cfg.dim
+    images = np.empty((d, d, d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            real, imag = (unit + unit.T) / 2.0, (unit - unit.T) / 2.0j
+            images[i, j] = prop.apply(real) + 1j * prop.apply(imag)
+    choi = images.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    spectrum = np.linalg.eigvalsh(choi)
+    assert spectrum[0] >= -1e-12 * spectrum[-1]
+
+
+@st.composite
+def oracle_runs(draw):
+    """A config of ``small_configs`` with t1 moved to a multiple of T / 20
+    (t1 != t2 kept, g following the pi-pulse condition), a random density
+    matrix, and an RK4 step that divides both segments, with |z| <= 0.03
+    for every eigenvalue z of the generator times the step."""
+    cfg = draw(small_configs)
+    period = cfg.period
+    twentieths = round(20.0 * cfg.t1 / period)
+    if twentieths == 10:
+        twentieths += 1 if cfg.t1 > cfg.t2 else -1
+    t1 = twentieths * period / 20.0
+    cfg = replace(cfg, t1=t1, t2=period - t1, g=np.pi / (2.0 * t1))
+    rate = max(2.0 * np.abs(hamiltonian_kick(cfg)).sum(axis=1).max(),
+               2.0 * np.abs(hamiltonian_interaction(cfg)).sum(axis=1).max()
+               + 2.0 * cfg.gamma * cfg.n_sites)
+    # steps per T / 20: even, for the step-doubling check, and at least the
+    # default's 100; rate * dt <= 1.2 / 40 = 0.03
+    steps = 2 * max(50, ceil(rate * period / 1.2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
+    rho = raw @ raw.conj().T
+    return cfg, rho / np.trace(rho).real, period / (20.0 * steps)
+
+
+@settings(max_examples=10)
+@given(oracle_runs())
+def test_every_pair_propagator_matches_rk4_over_one_period(run):
+    # the kick and the segment integrated from the master equation, with no
+    # sector blocks, no Hermitian basis and no matrix exponential
+    cfg, rho, dt = run
+    via_ode = ode_oracle_evolve(rho, cfg, 1, dt=dt)
+    assert np.abs(block_propagator(cfg).apply(rho) - via_ode).max() < 1e-6
 
 
 def test_default_run_steps_the_pairs_its_state_reaches(seeded_state, default_config,

@@ -178,6 +178,7 @@ def test_evolve_manifest_records_settling_period_at_defaults(tmp_path):
     assert main(["evolve", "--out", str(tmp_path)]) == 0
     numerics = json.loads((tmp_path / "evolve_manifest.json").read_text())["numerics"]
     assert numerics["settling_period"] == 98
+    assert numerics["hermiticity_error"] == 0.0  # every stepped state is exactly Hermitian
     # 111+++ reaches 31 of the 49 sector pairs, from 10 exponentiated blocks
     assert (numerics["sector_pairs_stepped"], numerics["sector_pairs"],
             numerics["blocks_exponentiated"]) == (31, 49, 10)
