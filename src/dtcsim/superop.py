@@ -14,6 +14,7 @@ the chain reflection at palindromic disorder (:func:`reflection_symmetric`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -229,17 +230,21 @@ def from_parity_halves(halves, source: np.ndarray, sign: np.ndarray) -> np.ndarr
     return out
 
 
+@lru_cache(maxsize=8)
 def dephasing_rates(n_sites: int, gamma: float) -> np.ndarray:
-    """Diagonal of the dephasing superoperator, length 4^N.
+    """Diagonal of the dephasing superoperator, length 4^N, read-only.
 
     Component (i, j) equals gamma * sum_l (s_l^i s_l^j - 1) with s the
     sigma^z signs, i.e. -2 gamma times the number of sites where the two
     basis states differ.  Real and <= 0 everywhere; zero exactly on
-    populations (i = j).
+    populations (i = j).  Built once per (N, gamma): the ODE oracle reads it
+    four times per RK4 step.
     """
     s = z_sign_table(n_sites)
     mat = s.T @ s - n_sites  # (i, j) -> sum_l s_l^i s_l^j - N
-    return gamma * mat.reshape(-1)
+    rates = gamma * mat.reshape(-1)
+    rates.flags.writeable = False
+    return rates
 
 
 def liouvillian(H: np.ndarray, n_sites: int, gamma: float) -> np.ndarray:

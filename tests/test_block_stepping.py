@@ -290,12 +290,12 @@ def test_every_pair_propagator_is_completely_positive(cfg):
 
 
 @st.composite
-def oracle_runs(draw):
-    """A config of ``small_configs`` with t1 moved to a multiple of T / 20
+def oracle_runs(draw, configs=small_configs):
+    """A config of ``configs`` with t1 moved to a multiple of T / 20
     (t1 != t2 kept, g following the pi-pulse condition), a random density
     matrix, and an RK4 step that divides both segments, with |z| <= 0.03
     for every eigenvalue z of the generator times the step."""
-    cfg = draw(small_configs)
+    cfg = draw(configs)
     period = cfg.period
     twentieths = round(20.0 * cfg.t1 / period)
     if twentieths == 10:
@@ -314,14 +314,29 @@ def oracle_runs(draw):
     return cfg, rho / np.trace(rho).real, period / (20.0 * steps)
 
 
+def _matches_rk4_over_one_period(cfg, rho, dt):
+    # the kick and the segment integrated from the master equation, with no
+    # sector blocks, no Hermitian basis and no matrix exponential
+    via_ode = ode_oracle_evolve(rho, cfg, 1, dt=dt)
+    assert np.abs(block_propagator(cfg).apply(rho) - via_ode).max() < 1e-6
+
+
 @settings(max_examples=10)
 @given(oracle_runs())
 def test_every_pair_propagator_matches_rk4_over_one_period(run):
-    # the kick and the segment integrated from the master equation, with no
-    # sector blocks, no Hermitian basis and no matrix exponential
-    cfg, rho, dt = run
-    via_ode = ode_oracle_evolve(rho, cfg, 1, dt=dt)
-    assert np.abs(block_propagator(cfg).apply(rho) - via_ode).max() < 1e-6
+    _matches_rk4_over_one_period(*run)
+
+
+four_site_configs = st.builds(lambda cfg, epsilon: replace(cfg, epsilon=epsilon),
+                              perfect_pulse_configs().filter(lambda cfg: cfg.n_sites == 4),
+                              st.sampled_from([0.0, 0.05]))
+
+
+# six draws reach gamma = 50 at both epsilon, at up to 21440 RK4 steps per period
+@settings(max_examples=6)
+@given(oracle_runs(four_site_configs))
+def test_every_pair_propagator_matches_rk4_over_one_period_at_four_sites(run):
+    _matches_rk4_over_one_period(*run)
 
 
 def test_default_run_steps_the_pairs_its_state_reaches(seeded_state, default_config,

@@ -2,12 +2,17 @@
 
 import argparse
 import json
+import os
+import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dtcsim import floquet
+from dtcsim import floquet, superop
 from dtcsim.cli import (
     ConfigError,
     RunConfig,
@@ -497,7 +502,7 @@ def test_non_finite_value_names_key(key, value, json_value, source, tmp_path, mo
 def test_main_validate_subcommand_passes(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
-    assert "11/11 checks passed" in out
+    assert "12/12 checks passed" in out
     assert "FAIL" not in out
 
 
@@ -530,7 +535,68 @@ def test_validate_catches_a_dropped_parity_half(monkeypatch, capsys):
     assert run_validation_suite() == 1
     out = capsys.readouterr().out
     assert "FAIL split_segment_vs_dense_generator" in out
-    assert "10/11 checks passed" in out
+    assert "11/12 checks passed" in out
+
+
+# A fresh interpreter run with -O, which strips assert statements, scales
+# the same Phi_2T block as the test above and runs the suite.
+CORRUPTED_UNDER_O = """
+import sys
+from dtcsim import floquet
+from dtcsim.cli import run_validation_suite
+
+original = floquet.floquet_2T_sector_blocks
+
+def corrupted(config, *args, **kwargs):
+    blocks = original(config, *args, **kwargs)
+    blocks[(0, 1)] = 0.9 * blocks[(0, 1)]
+    return blocks
+
+floquet.floquet_2T_sector_blocks = corrupted
+sys.exit(run_validation_suite() if sys.flags.optimize else 3)
+"""
+
+
+def test_validate_fails_a_corrupted_build_under_optimize():
+    src = str(Path(floquet.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_UNDER_O],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "FAIL block_vs_dense_spectrum" in done.stdout
+
+
+#: A passing report line: the check, its residual and its bound.
+OK_LINE = re.compile(r"ok   (\w+) (\S+) \(bound (\S+)\)")
+VALIDATE_CHECKS = ["hamiltonians_hermitian", "interaction_u1_symmetry",
+                   "generator_trace_preserving", "rhs_route_equivalence", "map_trace_preserving",
+                   "map_contractive", "map_vs_ode_oracle", "block_step_vs_dense_map",
+                   "excitation_commutant", "block_vs_dense_spectrum",
+                   "split_segment_vs_dense_generator", "twosite_routes_agree"]
+
+
+def test_validate_reports_each_residual_under_its_bound(capsys):
+    assert run_validation_suite() == 0
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert summary == "12/12 checks passed"
+    reported = [OK_LINE.fullmatch(line).groups() for line in lines]
+    assert [name for name, _, _ in reported] == VALIDATE_CHECKS
+    for name, residual, bound in reported:
+        assert float(residual) <= float(bound), name
+
+
+def test_validate_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("right-hand side unavailable")
+
+    monkeypatch.setattr(superop, "lindblad_rhs", broken)
+    assert run_validation_suite() == 1
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert summary == "11/12 checks passed"
+    assert len(lines) == 12
+    failed = [line for line in lines if not line.startswith("ok   ")]
+    assert failed == ["FAIL rhs_route_equivalence RuntimeError: right-hand side unavailable"]
 
 
 def test_main_rejects_bad_flag_value(tmp_path):

@@ -292,6 +292,13 @@ def _imports(tree):
     return found
 
 
+def test_src_has_no_assert_statement():
+    # python -O strips assert, so a check of src/ must still hold without it
+    offenders = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert offenders == []
+
+
 def test_every_import_is_stdlib_numpy_or_dtcsim():
     # the library needs numpy alone; scipy is the tests' reference
     allowed = sys.stdlib_module_names | {"numpy", "dtcsim"}
@@ -359,3 +366,42 @@ def test_subcommands_run_with_scipy_blocked(tmp_path, capsys):
     assert _outputs(tmp_path / "blocked") == here
     assert len(here["twosite"][1]["gamma_crossings_w_over_j0"]) == 6
     assert distance == spectral_distance(*SPECTRA)
+
+
+# The keys of each run's manifest, nested ones as dotted paths, besides the
+# settings under "config", which are those the subcommand reads.
+_COMMON_KEYS = {"config", "outputs", "package_version", "schema", "wall_time_seconds"}
+MANIFEST_KEYS = {
+    "evolve": _COMMON_KEYS | {"numerics"} | {f"numerics.{key}" for key in (
+        "blocks_exponentiated", "hermiticity_error", "min_eigenvalue", "sector_pairs",
+        "sector_pairs_stepped", "settling_period", "trace_error", "tolerances",
+        "tolerances.hermiticity", "tolerances.positivity", "tolerances.trace")},
+    "spectrum0": _COMMON_KEYS,
+    "spectrum0.05": _COMMON_KEYS,
+    "gap-sweep": _COMMON_KEYS | {"failures", "seeds"},
+    "twosite": _COMMON_KEYS | {"critical_disorder_estimate_w_over_j0",
+                               "gamma_crossings_w_over_j0", "numerics",
+                               "numerics.branch_flag_points_analytic",
+                               "numerics.branch_flag_points_numeric"},
+}
+
+
+def _key_paths(tree, prefix=""):
+    """Every key of a nested dict, as a dotted path."""
+    paths = set()
+    for key, value in tree.items():
+        paths.add(prefix + key)
+        if isinstance(value, dict):
+            paths |= _key_paths(value, prefix + key + ".")
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_each_subcommand_keeps_its_manifest_keys(name, tmp_path, capsys):
+    argv = RUNS[name]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    stem = argv[0].replace("-", "_")
+    paths = _key_paths(json.loads((tmp_path / f"{stem}_manifest.json").read_text()))
+    settings = {path for path in paths if path.startswith("config.")}
+    assert settings == {f"config.{key}" for key in ("experiment", *_READS[argv[0]])}
+    assert paths - settings == MANIFEST_KEYS[name]
