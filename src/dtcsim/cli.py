@@ -329,6 +329,7 @@ def _run_evolve(config: RunConfig):
         + [trace.negativity[i], trace.purity[i], trace.excitations[i]]
         for i, n in enumerate(trace.periods)
     ]
+    stepped = [part for parts in prop.blocks.values() for part in parts if len(part)]
     extra = {"numerics": {
         **asdict(trace.worst_margins),
         "settling_period": dtc_settling_period(trace),
@@ -336,6 +337,10 @@ def _run_evolve(config: RunConfig):
         "sector_pairs_stepped": sum(1 if kl == kr else 2 for kl, kr in prop.blocks),
         "sector_pairs": (spin.n_sites + 1) ** 2,
         "blocks_exponentiated": prop.exponentiated,
+        # the parts held: parity halves at palindromic disorder, else whole blocks
+        "stepped_matrices": len(stepped),
+        "largest_stepped_dim": max((len(part) for part in stepped), default=0),
+        "stepped_bytes": sum(part.nbytes for part in stepped),
         "tolerances": {"trace": TRACE_TOL, "hermiticity": HERM_TOL,
                        "positivity": POSITIVITY_TOL},
     }}

@@ -110,11 +110,12 @@ def run_stroboscopic(rho0: np.ndarray, config: SpinNetworkConfig, n_periods: int
     offending period index, and the worst margins seen are returned in the
     trace.
 
-    The states of CHUNK_PERIODS periods are stepped into one buffer, then
-    checked and measured as a stack.  The outcome is that of checking each
-    period before stepping on: states stepped past the first invalid one are
-    never checked or measured, and an overflow while stepping them surfaces
-    as the non-finite check of that state, not as a warning.
+    The states come CHUNK_PERIODS periods at a time, as one stack from the
+    map's ``trajectory``, and are checked and measured as a stack.  The
+    outcome is that of checking each period before stepping on: states
+    stepped past the first invalid one are never checked or measured, and an
+    overflow while stepping them surfaces as the non-finite check of that
+    state, not as a warning.
     """
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
@@ -134,14 +135,8 @@ def run_stroboscopic(rho0: np.ndarray, config: SpinNetworkConfig, n_periods: int
 
     rho = np.asarray(rho0, dtype=complex).reshape(config.dim, config.dim)
     step = dynamical_map or block_propagator(config, rho)
-    buffer = np.empty((min(CHUNK_PERIODS, n_records), config.dim, config.dim), dtype=complex)
-    for start in range(0, n_records, CHUNK_PERIODS):
-        states = buffer[:min(CHUNK_PERIODS, n_records - start)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(len(states)):
-                if start + i > 0:
-                    rho = step.apply(rho)
-                states[i] = rho
+    for start, states in zip(range(0, n_records, CHUNK_PERIODS),
+                             step.trajectory(rho, n_records, CHUNK_PERIODS)):
         chunk = slice(start, start + len(states))
         try:
             checked = validate_density_matrix(states, TRACE_TOL, HERM_TOL, POSITIVITY_TOL)

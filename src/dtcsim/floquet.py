@@ -9,6 +9,7 @@ multiplied into the blocks of the two-period map of a perfect pi pulse
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import ceil, factorial, log2
 
 import numpy as np
@@ -28,6 +29,7 @@ from .superop import (
     hermitian_generator,
     hermitian_permutation,
     pair_reflection,
+    parity_bases,
     parity_halves,
     reflection_symmetric,
 )
@@ -45,97 +47,312 @@ class DynamicalMap:
         """The density matrix after one application of the map."""
         return (self.matrix @ rho.reshape(-1)).reshape(rho.shape)
 
+    def trajectory(self, rho: np.ndarray, n_records: int, size: int):
+        """The states of :meth:`BlockPropagator.trajectory`, by :meth:`apply`."""
+        rho = np.asarray(rho, dtype=complex)
+        for start in range(0, n_records, size):
+            states = np.empty((min(size, n_records - start),) + rho.shape, dtype=complex)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(len(states)):
+                    if start + i > 0:
+                        rho = self.apply(rho)
+                    states[i] = rho
+            yield states
+
 
 @dataclass(frozen=True)
 class BlockPropagator:
-    """One drive period as the kick and the sector-pair blocks of
-    exp(L2 * t2), applied without forming the dense 4^N map.
+    """One drive period as the kick and the parts of the sector-pair blocks
+    of exp(L2 * t2), stepped without forming the dense 4^N map.
 
     ``kick`` is the kick unitary U1, or None for a perfect pi pulse,
-    U1 = (-i)^N X^(x)N: that kick reverses both indices of rho, with no
-    matmul, which sends sector pair (kl, kr) to (N - kl, N - kr), while the
-    segment keeps every pair.  ``blocks[(kl, kr)]``, held for kl <= kr and
-    possibly for a subset of the pairs (:func:`block_propagator`), acts on
-    the row-stacked ``rho[np.ix_(sectors[kl], sectors[kr])]``; its partner
-    (kr, kl) is never formed (:func:`_adjoint_block`).  A diagonal block is
-    real, on the Hermitian-basis coordinates of its sub-matrix, as on every
-    route but the dense map (:func:`_assemble_blocks`); so :meth:`apply`,
-    which reads the pairs with kl <= kr and the Hermitian part of each
-    diagonal sub-matrix, needs a Hermitian rho and returns one exactly.
-    ``exponentiated`` counts the blocks built by a matrix exponential.  All
-    but the arithmetic of :meth:`apply` is fixed at construction.
+    U1 = (-i)^N X^(x)N: that kick F reverses both indices of rho, which
+    sends sector pair (kl, kr) to (N - kl, N - kr), while the segment S
+    keeps every pair.  ``blocks[(kl, kr)]``, held for kl <= kr and possibly
+    for a subset of the pairs (:func:`block_propagator`), is the tuple of
+    parts of :func:`_segment_blocks`: the block on its two reflection-parity
+    bases, or whole.  A state is held as its coordinates on those parts: of
+    the row-stacked ``rho[np.ix_(sectors[kl], sectors[kr])]``, or for
+    kl = kr of the real Hermitian-basis coordinates of that sub-matrix; the
+    partner (kr, kl) is the adjoint (:func:`_adjoint_block`).  So a state
+    must be Hermitian, and each one returned is, exactly.
+
+    At a perfect pulse a run is stepped in the frame of the kick
+    (:meth:`trajectory`): z_n = F^n rho_n stays in the pairs of rho_0, with
+    z_n = S z_(n-1) at even n and F S F z_(n-1) at odd n.  F S F, the
+    segment with the disorder negated, is held as the spin flip of the image
+    pair's parts (:func:`_flip_image`): the kick folded into the blocks once,
+    at construction, and shared with S where the two are equal.
+    ``exponentiated`` counts the blocks built by a matrix exponential.
     """
 
     kick: np.ndarray | None
     blocks: dict
     sectors: list
     exponentiated: int
-    _kick_adjoint: np.ndarray = field(init=False, repr=False, compare=False)
-    _order: tuple = field(init=False, repr=False, compare=False)
-    _gather: tuple = field(init=False, repr=False, compare=False)
-    _steps: tuple = field(init=False, repr=False, compare=False)
-    _uncovered: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _kick_adjoint: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _matrices: dict = field(init=False, repr=False, compare=False)
+    _pair_index: np.ndarray = field(init=False, repr=False, compare=False)
+    _layouts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        order = np.concatenate(self.sectors)
-        edges = np.cumsum([0] + [len(s) for s in self.sectors])
-        span = [slice(edges[k], edges[k + 1]) for k in range(len(self.sectors))]
-        # the reversal kick and the sector order as one gather
-        source = order if self.kick is not None else len(order) - 1 - order
-        uncovered = np.ones((len(order), len(order)), dtype=bool)
-        for kl, kr in self.blocks:
-            uncovered[span[kl], span[kr]] = uncovered[span[kr], span[kl]] = False
+        n, sectors = len(self.sectors) - 1, self.sectors
+        dim = sum(len(s) for s in sectors)
+        pair_index = np.full((dim, dim), -1)  # the held pair of each entry
+        matrices = {}  # per pair, (S, F S F) per part
+        for index, ((kl, kr), parts) in enumerate(self.blocks.items()):
+            pair_index[np.ix_(sectors[kl], sectors[kr])] = index
+            pair_index[np.ix_(sectors[kr], sectors[kl])] = index
+            odd = parts
+            if self.kick is None:
+                image = self.blocks.get((n - kr, n - kl))
+                if image is None:
+                    continue  # a state with weight in (kl, kr) is refused
+                if len(image) != len(parts):
+                    raise ValueError(f"sector pair {(kl, kr)} and its kick image "
+                                     f"{(n - kr, n - kl)} must be held in as many parts")
+                odd = _flip_image(self.blocks, sectors, kl, kr)
+            matrices[kl, kr] = [(even, even if np.array_equal(flipped, even) else flipped)
+                                for even, flipped in zip(parts, odd)]
         object.__setattr__(self, "_kick_adjoint", None if self.kick is None
                            else self.kick.conj().T)
-        object.__setattr__(self, "_order", np.ix_(order, order))
-        object.__setattr__(self, "_gather", np.ix_(source, source))
-        bases = {}  # per sector size: the coefficients of T, then of T^dagger
-        for c in {len(self.sectors[kl]) for kl, kr in self.blocks if kl == kr}:
-            d1, d2, swap = hermitian_basis(c)
-            bases[c] = (d1, d2, swap, d1.conj(), d2.conj()[swap])
-        object.__setattr__(self, "_steps", tuple(
-            (span[kl], span[kr], block, bases[len(self.sectors[kl])] if kl == kr else None)
-            for (kl, kr), block in self.blocks.items()))
-        object.__setattr__(self, "_uncovered", uncovered if uncovered.any() else None)
+        object.__setattr__(self, "_matrices", matrices)
+        object.__setattr__(self, "_pair_index", pair_index)
+        object.__setattr__(self, "_layouts", {})  # per tuple of pairs stepped
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """U1 rho U1^dagger, then every held block on its row-stacked sub-matrix
-        x, (k, k) as T^dagger R Re(T x), and (kr, kl) as the adjoint of (kl, kr).
+        """The state one period after the Hermitian ``rho``: the first step
+        of :meth:`trajectory`."""
+        return next(self.trajectory(rho, 2, 2))[1]
 
-        The kicked state is reordered so that each sector is a contiguous
-        slice, and a block whose input slice is exactly zero is skipped.
-        Raises ValueError naming the sector pair when the kicked state has a
-        nonzero entry in a pair that no block covers.
+    def trajectory(self, rho: np.ndarray, n_records: int, size: int):
+        """The states of periods 0 .. n_records - 1 from the Hermitian
+        ``rho``, as stacks of ``size`` periods (the last may be shorter);
+        period 0 is ``rho`` as given.
+
+        At a perfect pulse the coordinates of z_n (:class:`BlockPropagator`)
+        are stepped across the stacks, only on the parts where rho has
+        weight, and each stack is materialised by one gather over their
+        pairs, reversed at odd n.  With a kick unitary each period goes
+        through the dense kick, on every pair.  Overflow while stepping
+        gives non-finite states, not a warning.  Raises ValueError naming
+        the sector pair when a kicked state has weight in a pair that no
+        block covers.
         """
+        rho = np.asarray(rho, dtype=complex)
+        pairs = tuple(self._matrices)
         if self.kick is None:
-            kicked = rho[self._gather]
-        else:
-            kicked = (self.kick @ rho @ self._kick_adjoint)[self._order]
-        if self._uncovered is not None and kicked[self._uncovered].any():
-            raise ValueError(self._refusal(kicked))
-        stepped = np.zeros_like(kicked)
-        for rows, cols, block, basis in self._steps:
-            sub = kicked[rows, cols]
-            if not sub.any():
-                continue
-            x = sub.reshape(-1)
-            if basis is None:
-                stepped[rows, cols] = image = (block @ x).reshape(sub.shape)
-                stepped[cols, rows] = image.conj().T
-            else:
-                d1, d2, swap, e1, e2 = basis
-                r = block @ (d1 * x + d2 * x[swap]).real
-                stepped[rows, cols] = (e1 * r + e2 * r[swap]).reshape(sub.shape)
-        out = np.empty_like(stepped)
-        out[self._order] = stepped
-        return out
+            self._refuse(rho[::-1, ::-1])
+            self._refuse(rho)  # the state kicked twice
+            held = np.unique(self._pair_index[rho != 0])
+            pairs = tuple(key for index, key in enumerate(self.blocks)
+                          if index in held and key in self._matrices)
+        if pairs not in self._layouts:
+            if len(self._layouts) == 8:  # a bound; apply alternates between two
+                self._layouts.clear()
+            slots = {}
+            layout = _coordinate_layout({key: self.blocks[key] for key in pairs},
+                                        self.sectors, slots)
+            self._layouts[pairs] = layout, [
+                (slots[key + (q,)], step, key[0] == key[1]) for key in pairs
+                for q, step in enumerate(self._matrices[key]) if len(step[0])]
+        layout, steps = self._layouts[pairs]
+        z = None
+        if self.kick is None:
+            z = _coordinates(rho[np.newaxis], layout)[0]
+            steps = [step for step in steps if z[step[0]].any()]
+        state = rho
+        for start in range(0, n_records, size):
+            count = min(size, n_records - start)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if z is not None:
+                    coords = np.zeros((count, len(z)), dtype=complex)
+                    for i, period in enumerate(range(start, start + count)):
+                        if period == 0:
+                            coords[0] = z
+                        else:
+                            _step(steps, period % 2, coords[i - 1] if i else z, coords[i])
+                    z = coords[-1]
+                    states = _states(coords, layout)
+                    odd = slice(1 - start % 2, None, 2)
+                    states[odd] = states[odd, ::-1, ::-1]
+                else:
+                    states = np.empty((count,) + rho.shape, dtype=complex)
+                    for i, period in enumerate(range(start, start + count)):
+                        if period > 0:
+                            kicked = self.kick @ state @ self._kick_adjoint
+                            self._refuse(kicked)
+                            x = _coordinates(kicked[np.newaxis], layout)
+                            stepped = np.zeros_like(x)
+                            _step(steps, 0, x[0], stepped[0])
+                            state = _states(stepped, layout)[0]
+                        states[i] = state
+            if start == 0:
+                states[0] = rho
+            yield states
 
-    def _refusal(self, kicked: np.ndarray) -> str:
-        """The message for a kicked state with weight outside the blocks held."""
-        i, j = np.argwhere(self._uncovered & (kicked != 0))[0]
+    def _refuse(self, kicked: np.ndarray):
+        """ValueError naming the first sector pair, in sector order, where a
+        kicked state has weight outside the blocks held."""
+        outside = (kicked != 0) & (self._pair_index < 0)
+        if not outside.any():
+            return
+        order = np.concatenate(self.sectors)
+        i, j = np.argwhere(outside[np.ix_(order, order)])[0]
         sector = np.repeat(np.arange(len(self.sectors)), [len(s) for s in self.sectors])
-        return (f"the kicked state has weight in sector pair {(int(sector[i]), int(sector[j]))}, "
-                "for which this propagator holds no block")
+        raise ValueError(f"the kicked state has weight in sector pair "
+                         f"{(int(sector[i]), int(sector[j]))}, "
+                         "for which this propagator holds no block")
+
+
+def _step(steps, parity: int, y: np.ndarray, out: np.ndarray):
+    """out[slot] = matrices[parity] @ y[slot] for each (slot, matrices,
+    diagonal) of ``steps``, reading the real part of a diagonal pair's."""
+    for slot, matrices, diagonal in steps:
+        out[slot] = matrices[parity] @ (y[slot].real if diagonal else y[slot])
+
+
+def _coordinates(states: np.ndarray, layout: tuple) -> np.ndarray:
+    """The coordinates of a stack of dense states on the parts of
+    ``layout`` (:func:`_coordinate_layout`), and a trailing zero; a diagonal
+    pair's carry an imaginary part that each step drops."""
+    (g1, h1, g2, h2), (v1, c1, v2, c2) = layout[:2]
+    flat = states.reshape(len(states), -1)
+    whole = np.take(flat, g1, axis=1) * h1 + np.take(flat, g2, axis=1) * h2
+    out = np.zeros((len(states), len(v1) + 1), dtype=complex)
+    out[:, :-1] = np.take(whole, v1, axis=1) * c1 + np.take(whole, v2, axis=1) * c2
+    return out
+
+
+def _states(coords: np.ndarray, layout: tuple) -> np.ndarray:
+    """The dense states of a stack of coordinates, by one gather: each pair
+    (kl < kr) of ``layout`` (:func:`_coordinate_layout`) and the adjoint of
+    it at (kr, kl), each diagonal pair from its Hermitian-basis
+    coordinates, and zero outside those pairs."""
+    (u1, w1, u2, w2), (q1, entries, p1, e1, p2, e2) = layout[2:]
+    both = np.empty((len(coords), 2 * len(u1) + 1), dtype=complex)
+    whole = both[:, :len(u1)]
+    np.multiply(np.take(coords, u1, axis=1), w1, out=whole)
+    whole += np.take(coords, u2, axis=1) * w2
+    np.conjugate(whole, out=both[:, len(u1):-1])
+    both[:, -1] = 0.0
+    flat = np.take(both, q1, axis=1)
+    flat[:, entries] = np.take(both, p1, axis=1) * e1 + np.take(both, p2, axis=1) * e2
+    dim = int(round(np.sqrt(flat.shape[1])))
+    return flat.reshape(len(coords), dim, dim)
+
+
+def _coordinate_layout(blocks: dict, sectors, slots: dict) -> tuple:
+    """The index arithmetic between dense states and their coordinates on
+    the parts of ``blocks``, each as (index, weight) terms: from the dense
+    entries to each pair's whole coordinates, from those to the parts (V^T
+    of :func:`dtcsim.superop.parity_bases`), back to the whole coordinates
+    (V), and to the dense entries.  Fills ``slots`` with the slice of the
+    coordinates of each (kl, kr, part)."""
+    dim = sum(len(s) for s in sectors)
+    bases = {key: _part_bases(len(sectors) - 1, *key, len(parts) == 2)
+             for key, parts in blocks.items()}
+    length = sum(len(basis[0]) for parts in bases.values() for basis in parts)
+    wholes = sum(len(sectors[kl]) * len(sectors[kr]) for kl, kr in blocks)
+    g1, g2 = np.empty(wholes, dtype=int), np.empty(wholes, dtype=int)
+    h1, h2 = np.ones(wholes, dtype=complex), np.zeros(wholes, dtype=complex)
+    v1, v2 = np.empty(length, dtype=int), np.empty(length, dtype=int)
+    c1, c2 = np.empty(length), np.empty(length)
+    u1, u2 = np.full(wholes, length), np.full(wholes, length)  # the trailing zero
+    w1, w2 = np.zeros(wholes), np.zeros(wholes)
+    q1 = np.full(dim * dim, 2 * wholes)  # past the conjugates: zero
+    diagonal = []
+    offset = start = 0
+    for (kl, kr), parts in bases.items():
+        il, ir = sectors[kl], sectors[kr]
+        index = np.arange(start, start + len(il) * len(ir))
+        entries = (il[:, None] * dim + ir[None, :]).reshape(-1)
+        g1[index], g2[index] = entries, entries
+        q1[entries] = index
+        if kl == kr:
+            d1, d2, swap = hermitian_basis(len(il))
+            g2[index], h1[index], h2[index] = entries[swap], d1, d2
+            diagonal.append((entries, index, index[swap], d1.conj(), d2.conj()[swap]))
+        else:
+            q1[(il[:, None] + ir[None, :] * dim).reshape(-1)] = wholes + index
+        for q, (first, second, a, b) in enumerate(parts):
+            slots[kl, kr, q] = slot = slice(offset, offset + len(first))
+            v1[slot], v2[slot], c1[slot], c2[slot] = start + first, start + second, a, b
+            column = np.arange(slot.start, slot.stop)
+            terms = (u1, w1) if q == 0 else (u2, w2)
+            terms[0][start + first], terms[1][start + first] = column, a
+            paired = b != 0
+            terms[0][start + second[paired]] = column[paired]
+            terms[1][start + second[paired]] = b[paired]
+            offset = slot.stop
+        start = index[-1] + 1 if len(index) else start
+    entries, p1, p2, e1, e2 = (np.concatenate(x) for x in zip(*diagonal)) if diagonal else (
+        (np.empty(0, dtype=int),) * 3 + (np.empty(0, dtype=complex),) * 2)
+    return ((g1, h1, g2, h2), (v1, c1, v2, c2), (u1, w1, u2, w2),
+            (q1, entries, p1, e1, p2, e2))
+
+
+@lru_cache(maxsize=None)
+def _part_bases(n_sites: int, kl: int, kr: int, split: bool) -> tuple:
+    """The bases of the parts of sector pair (kl, kr), each as (first,
+    second, a, b) of :func:`dtcsim.superop.parity_bases`: its two
+    reflection-parity bases when ``split``, else the identity; read-only."""
+    sectors = excitation_sectors(n_sites)
+    if split:
+        bases = tuple(parity_bases(*pair_reflection(n_sites, sectors, kl, kr)))
+    else:
+        i = np.arange(len(sectors[kl]) * len(sectors[kr]))
+        bases = ((i, i, np.ones(i.size), np.zeros(i.size)),)
+    for basis in bases:
+        for array in basis:
+            array.flags.writeable = False
+    return bases
+
+
+@lru_cache(maxsize=None)
+def _kick_folds(n_sites: int, kl: int, kr: int, split: bool) -> tuple:
+    """The reversal kick, from the coordinates of sector pair (kl <= kr) to
+    those of its image (N - kr, N - kl), per part of :func:`_part_bases`:
+    (source, sign) with y_image[i] = sign[i] y[source[i]], y conjugated
+    first for kl < kr.
+
+    The kick sends sub-matrix X of (kl, kr) to X reversed at (N - kl, N - kr):
+    in the Hermitian basis the signed permutation of
+    :func:`dtcsim.superop.hermitian_permutation` for kl = kr, else held
+    through its adjoint at (N - kr, N - kl), a permutation and a conjugate.
+    The spin flip commutes with the chain reflection, so between the parity
+    bases of the pair and of its image this is a signed permutation that
+    keeps the parity; ValueError if it is not.
+    """
+    sectors = excitation_sectors(n_sites)
+    n, a, c = n_sites, len(sectors[kl]), len(sectors[kr])
+    if kl == kr:
+        source, sign = hermitian_permutation(np.arange(a)[::-1])
+    else:
+        p, q = np.divmod(np.arange(a * c), a)
+        source, sign = (a - 1 - q) * c + (c - 1 - p), np.ones(a * c)
+    folds = []
+    for (first, second, x, y), (to_first, to_second, to_x, to_y) in zip(
+            _part_bases(n, kl, kr, split), _part_bases(n, n - kr, n - kl, split)):
+        # the column of this part holding each coordinate of the pair, and its weight
+        column, weight = np.full(a * c, -1), np.zeros(a * c)
+        paired = np.flatnonzero(y)
+        column[first], weight[first] = np.arange(len(first)), x
+        column[second[paired]], weight[second[paired]] = paired, y[paired]
+        # row m of the image part reads its first and second coordinates,
+        # each the kick of one coordinate of the pair
+        j1, j2 = source[to_first], source[to_second]
+        part_source = column[j1]
+        value = to_x * sign[to_first] * weight[j1] + to_y * sign[to_second] * weight[j2]
+        part_sign = np.sign(value)
+        if (len(to_first) != len(first) or np.any(column[j2][to_y != 0] != part_source[to_y != 0])
+                or not np.array_equal(np.sort(part_source), np.arange(len(first)))
+                or np.abs(value - part_sign).max(initial=0.0) > 1e-12):
+            raise ValueError(f"the kick is not a signed permutation between the parts of "
+                             f"sector pair {(kl, kr)} and of its image")
+        part_source.flags.writeable = part_sign.flags.writeable = False
+        folds.append((part_source, part_sign))
+    return tuple(folds)
 
 
 #: theta_13 of Al-Mohy & Higham (2009), the largest bound eta on the scaled
@@ -307,16 +524,20 @@ def _exponentiated(config: SpinNetworkConfig, pairs) -> list:
 
 def _segment_blocks(config: SpinNetworkConfig, pairs=None):
     """exp(L2 * t2) per sector-pair block (kl, kr) of ``pairs`` (by default
-    every pair with kl <= kr), keyed in their order, and the sectors;
-    L2 = -i[H, .] + dephasing, H the interaction Hamiltonian of ``config``.
+    every pair with kl <= kr), keyed in their order, as the tuple of its
+    parts, and the sectors; L2 = -i[H, .] + dephasing, H the interaction
+    Hamiltonian of ``config``.
 
     Only the pairs of :func:`_exponentiated` are exponentiated, largest
     first, while the fewest blocks are held; without disorder ``pairs``,
-    sorted with kl <= kr, must be closed under (kl, kr) -> (N - kr, N - kl).
-    A diagonal block is real, in the Hermitian basis
+    sorted with kl <= kr, must be closed under (kl, kr) -> (N - kr, N - kl),
+    and the others are their spin flips (:func:`_flip_image`).  A diagonal
+    block is real, in the Hermitian basis
     (:func:`dtcsim.superop.hermitian_generator`).  At palindromic disorder
-    ``matrix_exp`` sees the parity halves of each generator, +1 before -1,
-    and not the generator (:func:`dtcsim.superop.reflection_symmetric`).
+    the parts are the exponentials of the two parity halves of each
+    generator, +1 before -1 (:func:`dtcsim.superop.reflection_symmetric`);
+    otherwise the one part is the whole block.  :func:`_joined` puts a
+    block back together.
     """
     n = config.n_sites
     H = hamiltonian_interaction(config).real  # real symmetric, stored complex
@@ -326,7 +547,7 @@ def _segment_blocks(config: SpinNetworkConfig, pairs=None):
     keys = [(kl, kr) for kl in range(n + 1) for kr in range(kl, n + 1)] if pairs is None \
         else list(pairs)
     mirrored = reflection_symmetric(config.disorder)
-    blocks = {}
+    parts = {}
     for kl, kr in sorted(_exponentiated(config, keys),
                          key=lambda key: -sizes[key[0]] * sizes[key[1]]):
         il, ir = sectors[kl], sectors[kr]
@@ -339,51 +560,56 @@ def _segment_blocks(config: SpinNetworkConfig, pairs=None):
             )
             gen[np.diag_indices_from(gen)] += rates[np.ix_(il, ir)].reshape(-1)
         gen *= config.t2
-        if mirrored:
-            reflection = pair_reflection(n, sectors, kl, kr)
-            halves = parity_halves(gen, *reflection)
-            del gen  # freed before the exponentials
-            blocks[(kl, kr)] = from_parity_halves(
-                (matrix_exp(half) if len(half) else half for half in halves), *reflection)
-        else:
-            blocks[(kl, kr)] = matrix_exp(gen)
-            del gen  # freed before the next generator
-    return {key: blocks[key] if key in blocks
-            else np.ascontiguousarray(_flip_image(blocks, sizes, *key)) for key in keys}, sectors
+        halves = parity_halves(gen, *pair_reflection(n, sectors, kl, kr)) if mirrored else [gen]
+        del gen  # freed before the exponentials
+        parts[(kl, kr)] = tuple(matrix_exp(half) if len(half) else half for half in halves)
+        del halves  # freed before the next generator
+    return {key: parts[key] if key in parts else _flip_image(parts, sectors, *key)
+            for key in keys}, sectors
 
 
-def _flip_image(blocks, sizes, kl: int, kr: int) -> np.ndarray:
-    """Block (kl <= kr) of the segment with the disorder negated, the spin
-    flip (:func:`sector_orbits`) of segment block (N - kl, N - kr), from the
-    segment ``blocks``: :func:`_flipped` of (N - kl, N - kl), or a reversed
-    view of the adjoint of (N - kr, N - kl)."""
-    n = len(sizes) - 1
-    if kl == kr:
-        return _flipped(blocks[(n - kl, n - kl)])
-    return _adjoint_block(blocks[(n - kr, n - kl)], sizes[n - kr], sizes[n - kl])[::-1, ::-1]
+def _joined(parts: tuple, sectors, kl: int, kr: int) -> np.ndarray:
+    """Block (kl, kr) from its :func:`_segment_blocks` parts: the whole
+    block, or the two parity halves put back together."""
+    if len(parts) == 1:
+        return parts[0]
+    return from_parity_halves(parts, *pair_reflection(len(sectors) - 1, sectors, kl, kr))
 
 
-def _flipped(R: np.ndarray) -> np.ndarray:
-    """P R P for a diagonal block R in the Hermitian basis, P the spin flip,
-    which reverses the sorted basis order of a sector: the signed
-    permutation of :func:`dtcsim.superop.hermitian_permutation`."""
-    source, sign = hermitian_permutation(np.arange(int(round(np.sqrt(len(R)))))[::-1])
-    return sign[:, None] * R[np.ix_(source, source)] * sign
+def _flip_image(parts: dict, sectors, kl: int, kr: int) -> tuple:
+    """The parts of block (kl <= kr) of the segment with the disorder
+    negated, the spin flip (:func:`sector_orbits`) of the segment ``parts``
+    of its image (N - kr, N - kl): Q B Q^T per part, B conjugated for
+    kl < kr, with Q the signed permutation of :func:`_kick_folds` from the
+    image back to (kl, kr)."""
+    n = len(sectors) - 1
+    image = parts[(n - kr, n - kl)]
+    flipped = []
+    for part, (source, sign) in zip(image, _kick_folds(n, n - kr, n - kl, len(image) == 2)):
+        out = part[np.ix_(source, source)]
+        if kl != kr:
+            np.conjugate(out, out=out)
+        out *= sign[:, None]
+        out *= sign
+        flipped.append(out)
+    return tuple(flipped)
 
 
-def _assemble_blocks(blocks, sectors, dim: int) -> np.ndarray:
-    """Scatter sector-pair blocks into the dense 4^N superoperator, a diagonal
-    one converted from the Hermitian basis; a block (kl, kr) whose partner
-    (kr, kl) is not given also fills its place (:func:`_adjoint_block`)."""
+def _assemble_blocks(parts: dict, sectors, dim: int) -> np.ndarray:
+    """Scatter the sector-pair blocks of ``parts`` (:func:`_joined`) into the
+    dense 4^N superoperator, a diagonal one converted from the Hermitian
+    basis; a block (kl, kr) whose partner (kr, kl) is not given also fills
+    its place (:func:`_adjoint_block`)."""
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
 
     def scatter(kl, kr, block):
         rows = (sectors[kl][:, None] * dim + sectors[kr][None, :]).reshape(-1)
         out[np.ix_(rows, rows)] = block
 
-    for (kl, kr), block in blocks.items():
+    for (kl, kr), part in parts.items():
+        block = _joined(part, sectors, kl, kr)
         scatter(kl, kr, from_hermitian_basis(block) if kl == kr else block)
-        if (kr, kl) not in blocks:
+        if (kr, kl) not in parts:
             scatter(kr, kl, _adjoint_block(block, len(sectors[kl]), len(sectors[kr])))
     return out
 
@@ -456,9 +682,11 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig, diagonal: bool = False):
             "sector-block construction requires epsilon = 0 and 2*g*t1 = pi"
         )
     n = config.n_sites
-    plus, sectors = _segment_blocks(config, [(k, k) for k in range(n + 1)] if diagonal else None)
-    sizes = [len(s) for s in sectors]
-    return {key: plus[key] @ _flip_image(plus, sizes, *key) for key in sector_orbits(n, diagonal)}
+    parts, sectors = _segment_blocks(config, [(k, k) for k in range(n + 1)] if diagonal else None)
+    # each block put back as its parts are let go
+    plus = {key: (_joined(parts.pop(key), sectors, *key),) for key in list(parts)}
+    return {key: plus[key][0] @ _flip_image(plus, sectors, *key)[0]
+            for key in sector_orbits(n, diagonal)}
 
 
 def principal_log_hamiltonian(U: np.ndarray, horizon: float):

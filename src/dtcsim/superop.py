@@ -183,7 +183,7 @@ def pair_reflection(n_sites: int, sectors, kl: int, kr: int):
     return source, np.ones(source.size)
 
 
-def _parity_bases(source: np.ndarray, sign: np.ndarray):
+def parity_bases(source: np.ndarray, sign: np.ndarray):
     """The orthonormal eigenvectors V of the involution (source, sign), for
     eigenvalue +1 and then -1, as (first, second, a, b): column m of V is
     a[m] e_first[m] + b[m] e_second[m].
@@ -207,7 +207,7 @@ def parity_halves(block: np.ndarray, source: np.ndarray, sign: np.ndarray) -> li
     involution (source, sign) (:func:`pair_reflection`) with eigenvalue +1
     and then -1; a block that commutes with it has no entries between the two."""
     halves = []
-    for first, second, a, b in _parity_bases(source, sign):
+    for first, second, a, b in parity_bases(source, sign):
         columns = block[:, first] * a + block[:, second] * b
         halves.append(a[:, None] * columns[first] + b[:, None] * columns[second])
     return halves
@@ -219,7 +219,7 @@ def from_parity_halves(halves, source: np.ndarray, sign: np.ndarray) -> np.ndarr
     scattered before the next is drawn, so an iterator that computes them
     holds one at a time."""
     out = None
-    for (first, second, a, b), half in zip(_parity_bases(source, sign), halves):
+    for (first, second, a, b), half in zip(parity_bases(source, sign), halves):
         if out is None:
             out = np.zeros((len(source), len(source)), dtype=half.dtype)
         rows = np.zeros((len(source), len(first)), dtype=half.dtype)

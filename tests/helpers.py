@@ -28,7 +28,13 @@ from dtcsim import (
     validate_density_matrix,
 )
 from dtcsim import floquet
-from dtcsim.experiments import HERM_TOL, POSITIVITY_TOL, TRACE_TOL, StateInvariantError
+from dtcsim.experiments import (
+    CHUNK_PERIODS,
+    HERM_TOL,
+    POSITIVITY_TOL,
+    TRACE_TOL,
+    StateInvariantError,
+)
 from dtcsim.floquet import principal_log_hamiltonian
 from dtcsim.observables import partial_transpose
 from dtcsim.operators import coupling_matrix, excitation_sectors, kron_all
@@ -218,6 +224,13 @@ def perfect_pulse_configs(draw, gammas=(0.07, 50.0, 0.0),
     )
 
 
+def joined_segment_blocks(config, pairs=None):
+    """The segment blocks of ``config`` put back whole from the parts that
+    ``_segment_blocks`` returns, and the sectors."""
+    parts, sectors = floquet._segment_blocks(config, pairs)
+    return {key: floquet._joined(part, sectors, *key) for key, part in parts.items()}, sectors
+
+
 def recorded_exponentials(monkeypatch, config, rho=None):
     """The arguments of every matrix_exp call that block_propagator(config,
     rho) makes, in order, and the propagator; later calls are recorded too.
@@ -243,16 +256,20 @@ def negativity_svd(rho, partition):
 
 def per_period_run(rho0, config, n_periods, step):
     """run_stroboscopic as a loop that checks and measures every period on
-    its own before stepping on, with the negativity from :func:`negativity_svd`.
+    its own, with the negativity from :func:`negativity_svd`.
 
-    The reference for the chunked loop: the same StateInvariantError at the
-    same period, for an invariant or a complex magnetization, and the same
-    worst margins.
+    The reference for the chunked checks: the same StateInvariantError at
+    the same period, for an invariant or a complex magnetization, and the
+    same worst margins.  The states are read one at a time from the same
+    trajectory of ``step`` that run_stroboscopic reads in stacks, so that
+    both see the same states to the last bit.
     """
     part = default_partition(config.n_sites)
-    rho = np.asarray(rho0, dtype=complex).reshape(config.dim, config.dim)
+    rho0 = np.asarray(rho0, dtype=complex).reshape(config.dim, config.dim)
+    states = (rho for stack in step.trajectory(rho0, n_periods + 1, CHUNK_PERIODS)
+              for rho in stack)
     rows, worst = [], None
-    for n in range(n_periods + 1):
+    for n, rho in enumerate(states):
         try:
             margins = validate_density_matrix(rho, trace_tol=TRACE_TOL, herm_tol=HERM_TOL,
                                               positivity_tol=POSITIVITY_TOL)
@@ -261,8 +278,6 @@ def per_period_run(rho0, config, n_periods, step):
             raise StateInvariantError(n, str(exc)) from exc
         worst = margins if worst is None else worst.worst(margins)
         rows.append((magnetization, negativity_svd(rho, part), purity(rho), total_excitations(rho)))
-        if n < n_periods:
-            rho = step.apply(rho)
     mags, negs, purs, excs = zip(*rows)
     return ObservableTrace(periods=np.arange(n_periods + 1), magnetization=np.array(mags),
                            negativity=np.array(negs), purity=np.array(purs),

@@ -18,9 +18,15 @@ from dtcsim import (
     run_stroboscopic,
 )
 from dtcsim.experiments import CHUNK_PERIODS, TRACE_TOL, StateInvariantError
-from dtcsim.floquet import block_propagator
-from dtcsim.operators import excitation_sectors, hamiltonian_interaction
-from helpers import per_period_run, perfect_pulse_configs, recorded_exponentials
+from dtcsim.floquet import _joined, _kick_folds, block_propagator
+from dtcsim.operators import excitation_sectors, hamiltonian_interaction, kron_all
+from dtcsim.superop import pair_reflection, parity_bases, reflection_symmetric
+from helpers import (
+    per_period_run,
+    perfect_pulse_configs,
+    recorded_exponentials,
+    to_hermitian_basis,
+)
 
 OBSERVABLES = ("magnetization", "negativity", "purity", "excitations")
 
@@ -57,13 +63,21 @@ def test_small_n_block_stepping_matches_dense_map(n_sites, gamma):
 def test_block_propagator_applies_every_sector_pair():
     # only the blocks with kl <= kr are held; apply writes each (kr, kl)
     # sub-matrix as the adjoint of the (kl, kr) one.  A diagonal block is
-    # real, in the Hermitian basis: 8 bytes per entry against 16
+    # real, in the Hermitian basis: 8 bytes per entry against 16.  The
+    # disorder is no palindrome, so each block is held whole, as one part
     cfg = SpinNetworkConfig(n_sites=3, disorder=np.array([0.3, 0.0, 0.7]))
     prop = block_propagator(cfg)
     assert list(prop.blocks) == [(kl, kr) for kl in range(4) for kr in range(kl, 4)]
+    assert all(len(parts) == 1 for parts in prop.blocks.values())
     sizes = [len(s) for s in prop.sectors]
-    assert sum(b.nbytes for b in prop.blocks.values()) == sum(
+    assert sum(parts[0].nbytes for parts in prop.blocks.values()) == sum(
         (sizes[kl] * sizes[kr]) ** 2 * (8 if kl == kr else 16) for kl, kr in prop.blocks)
+
+
+def _whole_complex(prop, k):
+    """Diagonal block (k, k) of ``prop``, put back from its parity halves
+    and made complex, for a corruption that need not keep the parity."""
+    return _joined(prop.blocks[(k, k)], prop.sectors, k, k).astype(complex)
 
 
 def test_corrupted_block_breaks_hermiticity_check():
@@ -71,12 +85,13 @@ def test_corrupted_block_breaks_hermiticity_check():
     # and a real diagonal block maps Hermitian-basis coordinates, so only a
     # complex diagonal block, applied as given, can break Hermiticity: a
     # phase on the row of Re X[0, 1] of sector 1 makes X[1, 0] differ from
-    # conj(X[0, 1]) by 0.24 at period 1 and leaves the trace unchanged
+    # conj(X[0, 1]) by 0.24 at period 1 and leaves the trace unchanged.  The
+    # block is held whole, as one part
     cfg = SpinNetworkConfig(n_sites=2)
     prop = block_propagator(cfg)
     blocks = dict(prop.blocks)
-    blocks[(1, 1)] = blocks[(1, 1)].astype(complex)
-    blocks[(1, 1)][1] *= 1.0 + 0.5j
+    blocks[(1, 1)] = (_whole_complex(prop, 1),)
+    blocks[(1, 1)][0][1] *= 1.0 + 0.5j
     step = replace(prop, blocks=blocks)
     rho0 = build_initial_state(InitialStateSpec(kind="pure_pattern", pattern="++"), 2)
     with pytest.raises(StateInvariantError) as expected:
@@ -114,8 +129,9 @@ def _trace_scaled(route, factor):
         dense = floquet_map(SMALL)
         return replace(dense, matrix=dense.matrix * factor)
     prop = block_propagator(SMALL)
-    return replace(prop, blocks={key: block * factor if key[0] == key[1] else block
-                                 for key, block in prop.blocks.items()})
+    return replace(prop, blocks={key: tuple(part * factor for part in parts)
+                                 if key[0] == key[1] else parts
+                                 for key, parts in prop.blocks.items()})
 
 
 def test_chunked_run_matches_per_period_loop_at_defaults(seeded_state, default_config):
@@ -170,8 +186,8 @@ def test_map_producing_nan_fails_at_that_period(route):
     else:
         prop = block_propagator(SMALL)
         blocks = dict(prop.blocks)
-        blocks[(1, 1)] = blocks[(1, 1)].copy()
-        blocks[(1, 1)][0, 0] = np.nan
+        blocks[(1, 1)] = (blocks[(1, 1)][0].copy(),)  # one part: no palindrome
+        blocks[(1, 1)][0][0, 0] = np.nan
         step = replace(prop, blocks=blocks)
     with pytest.raises(StateInvariantError, match="non-finite") as err:
         run_stroboscopic(_small_state(), SMALL, C, dynamical_map=step)
@@ -185,12 +201,12 @@ def test_complex_magnetization_fails_at_its_period():
     # the population of that period.  At period 3 the state still passes
     # every invariant check (Hermiticity error 2.6e-10 < HERM_TOL) but its
     # magnetization carries an imaginary residue of 1.3e-10, above the
-    # 1e-10 bound
+    # 1e-10 bound.  The block is held whole, as one part
     cfg = SpinNetworkConfig(n_sites=2)
     prop = block_propagator(cfg)
     blocks = dict(prop.blocks)
-    blocks[(1, 1)] = blocks[(1, 1)].astype(complex)
-    blocks[(1, 1)][0] *= 1.0 + 4e-10j
+    blocks[(1, 1)] = (_whole_complex(prop, 1),)
+    blocks[(1, 1)][0][0] *= 1.0 + 4e-10j
     step = replace(prop, blocks=blocks)
     rho0 = build_initial_state(InitialStateSpec(kind="pure_pattern", pattern="1+"), 2)
     with pytest.raises(StateInvariantError) as expected:
@@ -235,6 +251,90 @@ def test_reachable_pair_stepping_matches_dense_map(run):
         for _ in range(6):
             rho = prop.apply(rho)
             assert not rho[outside].any()
+
+
+# 2 C + 3 periods: two chunk boundaries, across which a perfect pulse keeps
+# its coordinates, and a partial final chunk
+@settings(max_examples=25)
+@given(partial_support_runs())
+def test_chunk_route_matches_the_dense_map_period_by_period(run):
+    cfg, rho0 = run
+    rho0 = (rho0 + rho0.conj().T) / 2.0
+    n_periods = 2 * C + 3
+    phi = floquet_map(cfg)
+    stacks = list(block_propagator(cfg, rho0).trajectory(rho0, n_periods + 1, C))
+    assert [len(states) for states in stacks] == [C, C, 4]
+    rho = rho0
+    for n, state in enumerate(np.concatenate(stacks)):
+        assert np.abs(state - rho).max() < 1e-12, n
+        rho = phi.apply(rho)
+    blockwise = run_stroboscopic(rho0, cfg, n_periods)
+    dense = run_stroboscopic(rho0, cfg, n_periods, dynamical_map=phi)
+    assert _max_trace_difference(blockwise, dense) < 1e-12
+    assert blockwise.worst_margins.hermiticity_error == 0.0
+
+
+def _dense_parity_bases(sectors, kl, kr):
+    """V = [V+ V-], the parity bases of pair (kl, kr) as the columns of one
+    matrix, and the number of +1 columns."""
+    bases = list(parity_bases(*pair_reflection(len(sectors) - 1, sectors, kl, kr)))
+    d = len(sectors[kl]) * len(sectors[kr])
+    V, column = np.zeros((d, d)), 0
+    for first, second, a, b in bases:
+        columns = column + np.arange(len(first))
+        V[first, columns] += a
+        V[second, columns] += b
+        column += len(first)
+    return V, len(bases[0][0])
+
+
+def _dense_kick(cfg, sectors, kl, kr):
+    """K with y' = K y (K conj(y) for kl < kr): the perfect pi pulse
+    X^(x)N rho X^(x)N on the coordinates of pair (kl, kr), read on those of
+    (N - kr, N - kl), through the adjoint for kl < kr, built on dense unit
+    matrices with no index reversal."""
+    n = cfg.n_sites
+    X = kron_all([np.array([[0.0, 1.0], [1.0, 0.0]])] * n)
+    il, ir, jl, jr = sectors[kl], sectors[kr], sectors[n - kr], sectors[n - kl]
+    units = np.zeros((len(il) * len(ir), cfg.dim, cfg.dim))
+    for column, (x, y) in enumerate(np.ndindex(len(il), len(ir))):
+        units[column, il[x], ir[y]] = 1.0
+    kicked = X @ units @ X
+    if kl < kr:
+        kicked = kicked.conj().transpose(0, 2, 1)
+    K = kicked[:, jl[:, None], jr[None, :]].reshape(len(units), -1).T
+    return to_hermitian_basis(K).real if kl == kr else K
+
+
+@pytest.mark.parametrize("cfg", [
+    SpinNetworkConfig(n_sites=4), SpinNetworkConfig(n_sites=5), SpinNetworkConfig(n_sites=6),
+    SpinNetworkConfig(n_sites=4, disorder=np.array([0.4, 2.1, 2.1, 0.4])),
+    SpinNetworkConfig(n_sites=5, disorder=np.array([0.4, 2.1, 1.3, 2.1, 0.4])),
+], ids=["4", "5", "6", "4-palindrome", "5-palindrome"])
+def test_kick_is_a_signed_permutation_between_parity_bases(cfg):
+    # the map that the odd-period blocks fold in: V'^T K V between the
+    # parity bases of each pair and of its image is one +-1 per row,
+    # orthogonal, with no entry between the +1 and -1 halves, and it is
+    # the signed permutation of _kick_folds
+    n, sectors = cfg.n_sites, excitation_sectors(cfg.n_sites)
+    assert reflection_symmetric(cfg.disorder)
+    for kl, kr in [(kl, kr) for kl in range(n + 1) for kr in range(kl, n + 1)]:
+        V, plus = _dense_parity_bases(sectors, kl, kr)
+        W, image_plus = _dense_parity_bases(sectors, n - kr, n - kl)
+        Q = W.T @ _dense_kick(cfg, sectors, kl, kr) @ V
+        assert plus == image_plus, (kl, kr)
+        entry = np.abs(Q) > 1e-12
+        assert np.array_equal(entry.sum(axis=1), np.ones(len(Q))), (kl, kr)
+        assert np.abs(np.abs(Q[entry]) - 1.0).max() <= 1e-15, (kl, kr)
+        assert np.abs(Q @ Q.T - np.eye(len(Q))).max() <= 1e-15, (kl, kr)
+        assert not entry[:plus, plus:].any() and not entry[plus:, :plus].any(), (kl, kr)
+        folds = _kick_folds(n, kl, kr, split=True)
+        for (source, sign), rows in zip(folds, (slice(0, plus), slice(plus, None))):
+            half = Q[rows, rows]
+            if not len(half):
+                continue  # a 1 x 1 block has no -1 half
+            assert np.array_equal(np.argmax(np.abs(half), axis=1), source), (kl, kr)
+            assert np.array_equal(np.sign(half[np.arange(len(half)), source]), sign), (kl, kr)
 
 
 @given(perfect_pulse_configs(), st.sampled_from([0.0, 0.05]), st.integers(0, 2**32 - 1))
@@ -358,6 +458,13 @@ def test_default_run_steps_the_pairs_its_state_reaches(seeded_state, default_con
     assert [sum(pair) for pair in halves] == [400, 300, 225, 120, 90, 36, 20, 15, 6, 1]
     assert [A.shape for A in generators] == [(d, d) for pair in halves for d in pair]
     assert sum(1 if kl == kr else 2 for kl, kr in prop.blocks) == 31
+    # the halves are what is held and stepped, never a whole block: 36
+    # non-empty halves (the 1 x 1 blocks (0, 0) and (6, 6) have no -1 half)
+    assert all(len(parts) == 2 for parts in prop.blocks.values())
+    stepped = [part for parts in prop.blocks.values() for part in parts if len(part)]
+    assert len(stepped) == 36
+    assert max(len(part) for part in stepped) == 200
+    assert not any(len(part) == 400 for part in stepped)
 
 
 def test_apply_refuses_a_state_outside_its_pairs(seeded_state, default_config):

@@ -187,6 +187,9 @@ def test_evolve_manifest_records_settling_period_at_defaults(tmp_path):
     # 111+++ reaches 31 of the 49 sector pairs, from 10 exponentiated blocks
     assert (numerics["sector_pairs_stepped"], numerics["sector_pairs"],
             numerics["blocks_exponentiated"]) == (31, 49, 10)
+    # their 19 stored blocks held as 36 parity halves, the largest 200 x 200
+    assert (numerics["stepped_matrices"], numerics["largest_stepped_dim"],
+            numerics["stepped_bytes"]) == (36, 200, 2866752)
 
 
 @pytest.mark.parametrize("flags, counts", [

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from helpers import (
     assert_spectra_match,
+    joined_segment_blocks,
     kronecker_segment_generator,
     perfect_pulse_configs,
     to_hermitian_basis,
@@ -21,7 +22,7 @@ from helpers import (
 from hypothesis import given
 
 from dtcsim import SpinNetworkConfig, floquet_2T_sector_blocks, hamiltonian_interaction
-from dtcsim.floquet import _flipped, _segment_blocks
+from dtcsim.floquet import _flip_image
 from dtcsim.operators import excitation_sectors
 from dtcsim.spectra import sector_eigenvalues
 from dtcsim.superop import (
@@ -98,13 +99,19 @@ def test_direct_real_generator_matches_the_kronecker_generator(n_sites):
         assert np.abs(R - to_hermitian_basis(kronecker_segment_generator(cfg, k, k))).max() < 1e-14
 
 
-@pytest.mark.parametrize("c", [1, 2, 3, 5, 10])
-def test_spin_flip_is_the_reversal_in_the_hermitian_basis(c):
+# sectors k and N - k of c = 1, 2, 3, 5 and 10 states, with c as the id
+@pytest.mark.parametrize("n_sites, k", [(1, 0), (2, 1), (3, 1), (5, 1), (5, 2)],
+                         ids=["1", "2", "3", "5", "10"])
+def test_spin_flip_is_the_reversal_in_the_hermitian_basis(n_sites, k):
+    # a whole block (N - k, N - k) flipped into (k, k)
+    sectors = excitation_sectors(n_sites)
+    c = len(sectors[k])
     P = dense_signed_permutation(*hermitian_permutation(np.arange(c)[::-1]))
     assert np.abs(P - to_hermitian_basis(np.eye(c * c)[::-1])).max() < 1e-15
     assert np.array_equal(P, P.T) and np.array_equal(P @ P, np.eye(c * c))
     M = np.random.default_rng(c).normal(size=(c * c, c * c))
-    assert np.array_equal(_flipped(M), P @ M @ P)
+    flipped, = _flip_image({(n_sites - k, n_sites - k): (M,)}, sectors, k, k)
+    assert np.array_equal(flipped, P @ M @ P)
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5, 6])
@@ -173,7 +180,7 @@ def imaginary_residue(block):
 
 @given(perfect_pulse_configs())
 def test_diagonal_blocks_are_real_in_the_hermitian_basis(cfg):
-    segment, sectors = _segment_blocks(cfg)
+    segment, sectors = joined_segment_blocks(cfg)
     phi_2T = floquet_2T_sector_blocks(cfg)
     rng = np.random.default_rng(cfg.n_sites)
     for k, sector in enumerate(sectors):

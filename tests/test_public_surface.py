@@ -374,7 +374,8 @@ _COMMON_KEYS = {"config", "outputs", "package_version", "schema", "wall_time_sec
 MANIFEST_KEYS = {
     "evolve": _COMMON_KEYS | {"numerics"} | {f"numerics.{key}" for key in (
         "blocks_exponentiated", "hermiticity_error", "min_eigenvalue", "sector_pairs",
-        "sector_pairs_stepped", "settling_period", "trace_error", "tolerances",
+        "sector_pairs_stepped", "settling_period", "stepped_bytes", "stepped_matrices",
+        "largest_stepped_dim", "trace_error", "tolerances",
         "tolerances.hermiticity", "tolerances.positivity", "tolerances.trace")},
     "spectrum0": _COMMON_KEYS,
     "spectrum0.05": _COMMON_KEYS,

@@ -18,6 +18,7 @@ from helpers import (
     brute_force_2T_blocks,
     brute_force_2T_rates,
     brute_force_segment_blocks,
+    joined_segment_blocks,
     kronecker_segment_generator,
     perfect_pulse_configs,
     to_hermitian_basis,
@@ -33,7 +34,7 @@ from dtcsim import (
     hamiltonian_interaction,
     sector_gap,
 )
-from dtcsim.floquet import _adjoint_block, _segment_blocks, sector_orbits
+from dtcsim.floquet import _adjoint_block, sector_orbits
 from dtcsim.operators import excitation_sectors
 from dtcsim.spectra import gap_from_eigenvalues, sector_eigenvalues, spectral_distance
 from dtcsim.superop import pair_reflection, reflection_symmetric
@@ -58,7 +59,7 @@ def assert_segment_and_2T_blocks_match_brute_force(cfg):
     every Phi_2T block built, one per orbit, against the brute-force blocks;
     a diagonal block (k, k) is held real in the Hermitian basis, so it is
     compared with the brute-force block moved there."""
-    stored, sectors = _segment_blocks(cfg)
+    stored, sectors = joined_segment_blocks(cfg)
     direct = brute_force_segment_blocks(hamiltonian_interaction(cfg), cfg)
     assert list(stored) == [key for key in direct if key[0] <= key[1]]
     for (kl, kr), block in stored.items():
@@ -164,7 +165,7 @@ def test_split_segment_exponentials_match_brute_force(cfg):
     n = cfg.n_sites
     assert reflection_symmetric(cfg.disorder) and n <= 4
     direct = brute_force_segment_blocks(hamiltonian_interaction(cfg), cfg)
-    for (kl, kr), block in _segment_blocks(cfg)[0].items():
+    for (kl, kr), block in joined_segment_blocks(cfg)[0].items():
         want = to_hermitian_basis(direct[(kl, kr)]) if kl == kr else direct[(kl, kr)]
         assert np.abs(block - want).max() < 1e-12, (kl, kr)
     sectors = excitation_sectors(n)
