@@ -49,15 +49,21 @@ class DynamicalMap:
 
     def trajectory(self, rho: np.ndarray, n_records: int, size: int):
         """The states of :meth:`BlockPropagator.trajectory`, by :meth:`apply`."""
-        rho = np.asarray(rho, dtype=complex)
-        for start in range(0, n_records, size):
-            states = np.empty((min(size, n_records - start),) + rho.shape, dtype=complex)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for i in range(len(states)):
-                    if start + i > 0:
-                        rho = self.apply(rho)
-                    states[i] = rho
-            yield states
+        return _stacks(self.apply, np.asarray(rho, dtype=complex), n_records, size)
+
+
+def _stacks(step, rho: np.ndarray, n_records: int, size: int):
+    """rho and the states that ``step`` takes it to, n_records in all, in
+    stacks of ``size``; overflow while stepping gives non-finite states, not
+    a warning."""
+    for start in range(0, n_records, size):
+        states = np.empty((min(size, n_records - start),) + rho.shape, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(len(states)):
+                if start + i > 0:
+                    rho = step(rho)
+                states[i] = rho
+        yield states
 
 
 @dataclass(frozen=True)
@@ -157,39 +163,37 @@ class BlockPropagator:
                 (slots[key + (q,)], step, key[0] == key[1]) for key in pairs
                 for q, step in enumerate(self._matrices[key]) if len(step[0])]
         layout, steps = self._layouts[pairs]
-        z = None
-        if self.kick is None:
-            z = _coordinates(rho[np.newaxis], layout)[0]
-            steps = [step for step in steps if z[step[0]].any()]
-        state = rho
+        if self.kick is not None:
+            yield from _stacks(lambda state: self._kicked_period(state, layout, steps),
+                               rho, n_records, size)
+            return
+        z = _coordinates(rho[np.newaxis], layout)[0]
+        steps = [step for step in steps if z[step[0]].any()]
         for start in range(0, n_records, size):
-            count = min(size, n_records - start)
+            coords = np.zeros((min(size, n_records - start), len(z)), dtype=complex)
             with np.errstate(over="ignore", invalid="ignore"):
-                if z is not None:
-                    coords = np.zeros((count, len(z)), dtype=complex)
-                    for i, period in enumerate(range(start, start + count)):
-                        if period == 0:
-                            coords[0] = z
-                        else:
-                            _step(steps, period % 2, coords[i - 1] if i else z, coords[i])
-                    z = coords[-1]
-                    states = _states(coords, layout)
-                    odd = slice(1 - start % 2, None, 2)
-                    states[odd] = states[odd, ::-1, ::-1]
-                else:
-                    states = np.empty((count,) + rho.shape, dtype=complex)
-                    for i, period in enumerate(range(start, start + count)):
-                        if period > 0:
-                            kicked = self.kick @ state @ self._kick_adjoint
-                            self._refuse(kicked)
-                            x = _coordinates(kicked[np.newaxis], layout)
-                            stepped = np.zeros_like(x)
-                            _step(steps, 0, x[0], stepped[0])
-                            state = _states(stepped, layout)[0]
-                        states[i] = state
+                for i, period in enumerate(range(start, start + len(coords))):
+                    if period == 0:
+                        coords[0] = z
+                    else:
+                        _step(steps, period % 2, coords[i - 1] if i else z, coords[i])
+                states = _states(coords, layout)
+            z = coords[-1]
+            odd = slice(1 - start % 2, None, 2)
+            states[odd] = states[odd, ::-1, ::-1]
             if start == 0:
                 states[0] = rho
             yield states
+
+    def _kicked_period(self, rho: np.ndarray, layout: tuple, steps: list) -> np.ndarray:
+        """One period through the dense kick unitary: U1 rho U1^dagger, into
+        coordinates, every part stepped, and back."""
+        kicked = self.kick @ rho @ self._kick_adjoint
+        self._refuse(kicked)
+        x = _coordinates(kicked[np.newaxis], layout)
+        stepped = np.zeros_like(x)
+        _step(steps, 0, x[0], stepped[0])
+        return _states(stepped, layout)[0]
 
     def _refuse(self, kicked: np.ndarray):
         """ValueError naming the first sector pair, in sector order, where a
@@ -285,7 +289,7 @@ def _coordinate_layout(blocks: dict, sectors, slots: dict) -> tuple:
             terms[0][start + second[paired]] = column[paired]
             terms[1][start + second[paired]] = b[paired]
             offset = slot.stop
-        start = index[-1] + 1 if len(index) else start
+        start += len(index)
     entries, p1, p2, e1, e2 = (np.concatenate(x) for x in zip(*diagonal)) if diagonal else (
         (np.empty(0, dtype=int),) * 3 + (np.empty(0, dtype=complex),) * 2)
     return ((g1, h1, g2, h2), (v1, c1, v2, c2), (u1, w1, u2, w2),
