@@ -49,21 +49,15 @@ class DynamicalMap:
 
     def trajectory(self, rho: np.ndarray, n_records: int, size: int):
         """The states of :meth:`BlockPropagator.trajectory`, by :meth:`apply`."""
-        return _stacks(self.apply, np.asarray(rho, dtype=complex), n_records, size)
-
-
-def _stacks(step, rho: np.ndarray, n_records: int, size: int):
-    """rho and the states that ``step`` takes it to, n_records in all, in
-    stacks of ``size``; overflow while stepping gives non-finite states, not
-    a warning."""
-    for start in range(0, n_records, size):
-        states = np.empty((min(size, n_records - start),) + rho.shape, dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(len(states)):
-                if start + i > 0:
-                    rho = step(rho)
-                states[i] = rho
-        yield states
+        rho = np.asarray(rho, dtype=complex)
+        for start in range(0, n_records, size):
+            states = np.empty((min(size, n_records - start),) + rho.shape, dtype=complex)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(len(states)):
+                    if start + i > 0:
+                        rho = self.apply(rho)
+                    states[i] = rho
+            yield states
 
 
 @dataclass(frozen=True)
@@ -72,59 +66,67 @@ class BlockPropagator:
     of exp(L2 * t2), stepped without forming the dense 4^N map.
 
     ``kick`` is the kick unitary U1, or None for a perfect pi pulse,
-    U1 = (-i)^N X^(x)N: that kick F reverses both indices of rho, which
-    sends sector pair (kl, kr) to (N - kl, N - kr), while the segment S
-    keeps every pair.  ``blocks[(kl, kr)]``, held for kl <= kr and possibly
-    for a subset of the pairs (:func:`block_propagator`), is the tuple of
-    parts of :func:`_segment_blocks`: the block on its two reflection-parity
-    bases, or whole.  A state is held as its coordinates on those parts: of
-    the row-stacked ``rho[np.ix_(sectors[kl], sectors[kr])]``, or for
-    kl = kr of the real Hermitian-basis coordinates of that sub-matrix; the
-    partner (kr, kl) is the adjoint (:func:`_adjoint_block`).  So a state
-    must be Hermitian, and each one returned is, exactly.
+    U1 = (-i)^N X^(x)N: that kick reverses both indices of rho, which sends
+    sector pair (kl, kr) to (N - kl, N - kr), while the segment keeps every
+    pair.  ``blocks[(kl, kr)]``, held for kl <= kr and possibly for a subset
+    of the pairs (:func:`block_propagator`), is the tuple of parts of
+    :func:`_segment_blocks`: the block on its two reflection-parity bases,
+    or whole.  A state is held as its coordinates on the parts of every held
+    pair: of the row-stacked ``rho[np.ix_(sectors[kl], sectors[kr])]``, or
+    for kl = kr of the real Hermitian-basis coordinates of that sub-matrix;
+    the partner (kr, kl) is the adjoint (:func:`_adjoint_block`).  So a
+    state must be Hermitian, and each one returned is, exactly.
 
-    At a perfect pulse a run is stepped in the frame of the kick
-    (:meth:`trajectory`): z_n = F^n rho_n stays in the pairs of rho_0, with
-    z_n = S z_(n-1) at even n and F S F z_(n-1) at odd n.  F S F, the
-    segment with the disorder negated, is held as the spin flip of the image
-    pair's parts (:func:`_flip_image`): the kick folded into the blocks once,
-    at construction, and shared with S where the two are equal.
-    ``exponentiated`` counts the blocks built by a matrix exponential.
+    At a perfect pulse the kick is one signed gather of those coordinates,
+    built at construction from :func:`_kick_folds`; a part whose kick source
+    is not held reads a zero.  So a period is that gather and one matvec per
+    part that holds weight, and besides the parts the propagator keeps only
+    index arithmetic.  ``exponentiated`` counts the blocks built by a matrix
+    exponential.
     """
 
     kick: np.ndarray | None
     blocks: dict
     sectors: list
     exponentiated: int
-    _kick_adjoint: np.ndarray | None = field(init=False, repr=False, compare=False)
-    _matrices: dict = field(init=False, repr=False, compare=False)
     _pair_index: np.ndarray = field(init=False, repr=False, compare=False)
-    _layouts: dict = field(init=False, repr=False, compare=False)
+    _layout: tuple = field(init=False, repr=False, compare=False)
+    _steps: list = field(init=False, repr=False, compare=False)
+    _reversal: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, sectors = len(self.sectors) - 1, self.sectors
         dim = sum(len(s) for s in sectors)
         pair_index = np.full((dim, dim), -1)  # the held pair of each entry
-        matrices = {}  # per pair, (S, F S F) per part
-        for index, ((kl, kr), parts) in enumerate(self.blocks.items()):
+        for index, (kl, kr) in enumerate(self.blocks):
             pair_index[np.ix_(sectors[kl], sectors[kr])] = index
             pair_index[np.ix_(sectors[kr], sectors[kl])] = index
-            odd = parts
-            if self.kick is None:
-                image = self.blocks.get((n - kr, n - kl))
-                if image is None:
+        slots = {}
+        layout = _coordinate_layout(self.blocks, sectors, slots)
+        reversal = None
+        if self.kick is None:
+            # y[i] = sign[i] z[source[i]]; a slot whose source pair is not held
+            # reads the trailing zero
+            length = len(layout[1][0])  # of the coordinates, before the trailing zero
+            source, sign = np.full(length + 1, length), np.ones(length + 1)
+            for (kl, kr), parts in self.blocks.items():
+                image = (n - kr, n - kl)
+                if image not in self.blocks:
                     continue  # a state with weight in (kl, kr) is refused
-                if len(image) != len(parts):
+                if len(self.blocks[image]) != len(parts):
                     raise ValueError(f"sector pair {(kl, kr)} and its kick image "
-                                     f"{(n - kr, n - kl)} must be held in as many parts")
-                odd = _flip_image(self.blocks, sectors, kl, kr)
-            matrices[kl, kr] = [(even, even if np.array_equal(flipped, even) else flipped)
-                                for even, flipped in zip(parts, odd)]
-        object.__setattr__(self, "_kick_adjoint", None if self.kick is None
-                           else self.kick.conj().T)
-        object.__setattr__(self, "_matrices", matrices)
+                                     f"{image} must be held in as many parts")
+                for q, (part_source, part_sign) in enumerate(
+                        _kick_folds(n, kl, kr, len(parts) == 2)):
+                    to = slots[image + (q,)]
+                    source[to], sign[to] = slots[kl, kr, q].start + part_source, part_sign
+            reversal = source, sign
         object.__setattr__(self, "_pair_index", pair_index)
-        object.__setattr__(self, "_layouts", {})  # per tuple of pairs stepped
+        object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "_steps", [
+            (slots[key + (q,)], part, key[0] == key[1])
+            for key, parts in self.blocks.items() for q, part in enumerate(parts) if len(part)])
+        object.__setattr__(self, "_reversal", reversal)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """The state one period after the Hermitian ``rho``: the first step
@@ -136,64 +138,53 @@ class BlockPropagator:
         ``rho``, as stacks of ``size`` periods (the last may be shorter);
         period 0 is ``rho`` as given.
 
-        At a perfect pulse the coordinates of z_n (:class:`BlockPropagator`)
-        are stepped across the stacks, only on the parts where rho has
-        weight, and each stack is materialised by one gather over their
-        pairs, reversed at odd n.  With a kick unitary each period goes
-        through the dense kick, on every pair.  Overflow while stepping
-        gives non-finite states, not a warning.  Raises ValueError naming
-        the sector pair when a kicked state has weight in a pair that no
-        block covers.
+        The coordinates of rho (:class:`BlockPropagator`) are kicked and
+        stepped, z_n = S K z_(n-1), across the stacks, and each stack is
+        materialised by one gather.  S multiplies each part by its slot of
+        K z, the real part for a diagonal pair.  At a perfect pulse K is the
+        signed gather of the reversal, and S steps only the parts where K z
+        holds weight, one list for each parity of n; otherwise K goes
+        through the dense U1 rho U1^dagger and S steps every part.  Overflow
+        while stepping gives non-finite states, not a warning.  Raises
+        ValueError naming the sector pair when a kicked state has weight in
+        a pair that no block covers.
         """
         rho = np.asarray(rho, dtype=complex)
-        pairs = tuple(self._matrices)
+        z = _coordinates(rho[np.newaxis], self._layout)[0]
         if self.kick is None:
             self._refuse(rho[::-1, ::-1])
             self._refuse(rho)  # the state kicked twice
-            held = np.unique(self._pair_index[rho != 0])
-            pairs = tuple(key for index, key in enumerate(self.blocks)
-                          if index in held and key in self._matrices)
-        if pairs not in self._layouts:
-            if len(self._layouts) == 8:  # a bound; apply alternates between two
-                self._layouts.clear()
-            slots = {}
-            layout = _coordinate_layout({key: self.blocks[key] for key in pairs},
-                                        self.sectors, slots)
-            self._layouts[pairs] = layout, [
-                (slots[key + (q,)], step, key[0] == key[1]) for key in pairs
-                for q, step in enumerate(self._matrices[key]) if len(step[0])]
-        layout, steps = self._layouts[pairs]
-        if self.kick is not None:
-            yield from _stacks(lambda state: self._kicked_period(state, layout, steps),
-                               rho, n_records, size)
-            return
-        z = _coordinates(rho[np.newaxis], layout)[0]
-        steps = [step for step in steps if z[step[0]].any()]
+            steps = [[step for step in self._steps if x[step[0]].any()]
+                     for x in (z, self._kicked(z))]
+        else:
+            steps = [self._steps] * 2
         for start in range(0, n_records, size):
             coords = np.zeros((min(size, n_records - start), len(z)), dtype=complex)
             with np.errstate(over="ignore", invalid="ignore"):
                 for i, period in enumerate(range(start, start + len(coords))):
                     if period == 0:
                         coords[0] = z
-                    else:
-                        _step(steps, period % 2, coords[i - 1] if i else z, coords[i])
-                states = _states(coords, layout)
+                        continue
+                    y = self._kicked(coords[i - 1] if i else z)
+                    for slot, part, diagonal in steps[period % 2]:
+                        coords[i, slot] = part @ (y[slot].real if diagonal else y[slot])
+                states = _states(coords, self._layout)
             z = coords[-1]
-            odd = slice(1 - start % 2, None, 2)
-            states[odd] = states[odd, ::-1, ::-1]
             if start == 0:
                 states[0] = rho
             yield states
 
-    def _kicked_period(self, rho: np.ndarray, layout: tuple, steps: list) -> np.ndarray:
-        """One period through the dense kick unitary: U1 rho U1^dagger, into
-        coordinates, every part stepped, and back."""
-        kicked = self.kick @ rho @ self._kick_adjoint
+    def _kicked(self, z: np.ndarray) -> np.ndarray:
+        """The coordinates of the kicked state of coordinates ``z``: at a
+        perfect pulse the signed gather of the reversal, conjugated, which a
+        diagonal pair's step reads the real part of; otherwise
+        U1 rho U1^dagger, refused outside the blocks, back in coordinates."""
+        if self.kick is None:
+            source, sign = self._reversal
+            return np.conjugate(z[source] * sign)
+        kicked = self.kick @ _states(z[np.newaxis], self._layout)[0] @ self.kick.conj().T
         self._refuse(kicked)
-        x = _coordinates(kicked[np.newaxis], layout)
-        stepped = np.zeros_like(x)
-        _step(steps, 0, x[0], stepped[0])
-        return _states(stepped, layout)[0]
+        return _coordinates(kicked[np.newaxis], self._layout)[0]
 
     def _refuse(self, kicked: np.ndarray):
         """ValueError naming the first sector pair, in sector order, where a
@@ -207,13 +198,6 @@ class BlockPropagator:
         raise ValueError(f"the kicked state has weight in sector pair "
                          f"{(int(sector[i]), int(sector[j]))}, "
                          "for which this propagator holds no block")
-
-
-def _step(steps, parity: int, y: np.ndarray, out: np.ndarray):
-    """out[slot] = matrices[parity] @ y[slot] for each (slot, matrices,
-    diagonal) of ``steps``, reading the real part of a diagonal pair's."""
-    for slot, matrices, diagonal in steps:
-        out[slot] = matrices[parity] @ (y[slot].real if diagonal else y[slot])
 
 
 def _coordinates(states: np.ndarray, layout: tuple) -> np.ndarray:
@@ -677,9 +661,11 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig, diagonal: bool = False):
     The two pi pulses cancel up to a global phase and negate the disorder in
     between, so Phi_2T = exp((A + D) t2) @ (exp((A + D) t2) with disorder
     negated), and block (kl, kr) is segment block (kl, kr) times the spin flip
-    of segment block (N - kl, N - kr) (:func:`_flip_image`).  A diagonal
-    block (k, k) is returned real, in the Hermitian basis; the others are
-    complex, on the row-stacked matrix elements.
+    of segment block (N - kl, N - kr) (:func:`_flip_image`), multiplied part
+    by part, the spin flip keeping the parity, and joined once
+    (:func:`_joined`).  A diagonal block (k, k) is returned real, in the
+    Hermitian basis; the others are complex, on the row-stacked matrix
+    elements.
     """
     if not config.perfect_pulse:
         raise ValueError(
@@ -687,9 +673,8 @@ def floquet_2T_sector_blocks(config: SpinNetworkConfig, diagonal: bool = False):
         )
     n = config.n_sites
     parts, sectors = _segment_blocks(config, [(k, k) for k in range(n + 1)] if diagonal else None)
-    # each block put back as its parts are let go
-    plus = {key: (_joined(parts.pop(key), sectors, *key),) for key in list(parts)}
-    return {key: plus[key][0] @ _flip_image(plus, sectors, *key)[0]
+    return {key: _joined(tuple(segment @ flipped for segment, flipped
+                               in zip(parts[key], _flip_image(parts, sectors, *key))), sectors, *key)
             for key in sector_orbits(n, diagonal)}
 
 

@@ -1,5 +1,6 @@
 """Block-propagator stepping against stepping with the dense one-period map."""
 
+import tracemalloc
 from dataclasses import replace
 from math import ceil
 
@@ -19,7 +20,12 @@ from dtcsim import (
 )
 from dtcsim.experiments import CHUNK_PERIODS, TRACE_TOL, StateInvariantError
 from dtcsim.floquet import _joined, _kick_folds, block_propagator
-from dtcsim.operators import excitation_sectors, hamiltonian_interaction, kron_all
+from dtcsim.operators import (
+    excitation_sectors,
+    hamiltonian_interaction,
+    kron_all,
+    sample_disorder,
+)
 from dtcsim.superop import pair_reflection, parity_bases, reflection_symmetric
 from helpers import (
     per_period_run,
@@ -312,7 +318,7 @@ def _dense_kick(cfg, sectors, kl, kr):
     SpinNetworkConfig(n_sites=5, disorder=np.array([0.4, 2.1, 1.3, 2.1, 0.4])),
 ], ids=["4", "5", "6", "4-palindrome", "5-palindrome"])
 def test_kick_is_a_signed_permutation_between_parity_bases(cfg):
-    # the map that the odd-period blocks fold in: V'^T K V between the
+    # the map that the reversal gather applies: V'^T K V between the
     # parity bases of each pair and of its image is one +-1 per row,
     # orthogonal, with no entry between the +1 and -1 halves, and it is
     # the signed permutation of _kick_folds
@@ -465,6 +471,26 @@ def test_default_run_steps_the_pairs_its_state_reaches(seeded_state, default_con
     assert len(stepped) == 36
     assert max(len(part) for part in stepped) == 200
     assert not any(len(part) == 400 for part in stepped)
+
+
+def test_the_step_holds_only_the_bytes_the_manifest_reports(seeded_state, default_config):
+    # at generic disorder every block is held whole and none is its own
+    # spin flip; besides the parts that the evolve manifest counts in
+    # stepped_bytes the propagator keeps only index arithmetic: the
+    # coordinate layout, the pair of each entry and the reversal gather
+    cfg = replace(default_config, disorder=sample_disorder(6, np.pi / default_config.period, 0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prop = block_propagator(cfg, seeded_state)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    stepped = [part for parts in prop.blocks.values() for part in parts if len(part)]
+    stepped_bytes = sum(part.nbytes for part in stepped)
+    # the manifest's numerics of evolve --w-t-over-2pi 0.5
+    assert (len(stepped), max(len(part) for part in stepped), stepped_bytes) == (19, 400, 5731904)
+    assert kept < 1.25 * stepped_bytes
 
 
 def test_apply_refuses_a_state_outside_its_pairs(seeded_state, default_config):

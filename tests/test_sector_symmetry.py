@@ -34,10 +34,15 @@ from dtcsim import (
     hamiltonian_interaction,
     sector_gap,
 )
-from dtcsim.floquet import _adjoint_block, sector_orbits
+from dtcsim.floquet import _adjoint_block, _flip_image, _segment_blocks, sector_orbits
 from dtcsim.operators import excitation_sectors
 from dtcsim.spectra import gap_from_eigenvalues, sector_eigenvalues, spectral_distance
-from dtcsim.superop import pair_reflection, reflection_symmetric
+from dtcsim.superop import (
+    pair_reflection,
+    parity_bases,
+    parity_halves,
+    reflection_symmetric,
+)
 
 CASES = [(n, gamma) for n in (1, 2, 3, 4) for gamma in (0.0, 0.07)]
 
@@ -153,6 +158,32 @@ def test_a_negative_real_multiplier_has_a_finite_rate():
     assert not np.isnan(rates).any()
     negative = np.isclose(rates.imag, np.pi / (2.0 * cfg.period))
     assert negative.any() and np.all(np.isfinite(rates[negative]))
+
+
+@pytest.mark.parametrize("kind", ["zero", "palindrome"])
+@pytest.mark.parametrize("n_sites", [3, 4, 5])
+def test_phi_2T_blocks_are_the_products_of_their_parity_halves(n_sites, kind):
+    # at palindromic disorder, zero included, each Phi_2T block is formed
+    # half by half from the parts of its two segment factors and joined
+    # once: read back on the parity bases it is those products, with no
+    # entry between the +1 and -1 halves
+    half = np.array([0.4, 2.1])[:n_sites // 2]
+    disorder = np.zeros(n_sites) if kind == "zero" else np.r_[half, [1.3] * (n_sites % 2),
+                                                              half[::-1]]
+    cfg = SpinNetworkConfig(n_sites=n_sites, gamma=0.07, disorder=disorder)
+    assert reflection_symmetric(cfg.disorder)
+    parts, sectors = _segment_blocks(cfg)
+    for key, block in floquet_2T_sector_blocks(cfg).items():
+        reflection = pair_reflection(n_sites, sectors, *key)
+        products = [segment @ flipped
+                    for segment, flipped in zip(parts[key], _flip_image(parts, sectors, *key))]
+        for got, want in zip(parity_halves(block, *reflection), products, strict=True):
+            assert np.abs(got - want).max(initial=0.0) <= 1e-13, key
+        bases = list(parity_bases(*reflection))  # V+^T B V- and V-^T B V+ are zero
+        for (first, second, a, b), (to_first, to_second, to_a, to_b) in (bases, bases[::-1]):
+            columns = block[:, first] * a + block[:, second] * b
+            cross = to_a[:, None] * columns[to_first] + to_b[:, None] * columns[to_second]
+            assert not cross.any(), key
 
 
 @given(perfect_pulse_configs(kinds=("palindromic", "zero")))
