@@ -27,8 +27,6 @@ from .superop import (
     from_parity_halves,
     hermitian_basis,
     hermitian_generator,
-    hermitian_permutation,
-    pair_reflection,
     parity_bases,
     parity_halves,
     reflection_symmetric,
@@ -78,55 +76,38 @@ class BlockPropagator:
     state must be Hermitian, and each one returned is, exactly.
 
     At a perfect pulse the kick is one signed gather of those coordinates,
-    built at construction from :func:`_kick_folds`; a part whose kick source
-    is not held reads a zero.  So a period is that gather and one matvec per
-    part that holds weight, and besides the parts the propagator keeps only
-    index arithmetic.  ``exponentiated`` counts the blocks built by a matrix
-    exponential.
+    the reversal read off their layout at construction (:func:`_signed_map`);
+    a part whose kick source is not held reads a zero.  Any other kick must
+    come with the block of every pair, so that no kicked state leaves them.
+    So a period is the kick and one matvec per part that holds weight, and
+    besides the parts the propagator keeps only index arithmetic.
+    ``exponentiated`` counts the blocks built by a matrix exponential.
     """
 
     kick: np.ndarray | None
     blocks: dict
     sectors: list
     exponentiated: int
-    _pair_index: np.ndarray = field(init=False, repr=False, compare=False)
     _layout: tuple = field(init=False, repr=False, compare=False)
     _steps: list = field(init=False, repr=False, compare=False)
     _reversal: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, sectors = len(self.sectors) - 1, self.sectors
-        dim = sum(len(s) for s in sectors)
-        pair_index = np.full((dim, dim), -1)  # the held pair of each entry
-        for index, (kl, kr) in enumerate(self.blocks):
-            pair_index[np.ix_(sectors[kl], sectors[kr])] = index
-            pair_index[np.ix_(sectors[kr], sectors[kl])] = index
+        missing = [(kl, kr) for kl in range(n + 1) for kr in range(kl, n + 1)
+                   if (kl, kr) not in self.blocks]
+        if self.kick is not None and missing:
+            raise ValueError(f"a kick other than the perfect pi pulse needs the block of "
+                             f"every sector pair, and {missing[0]} is missing")
         slots = {}
-        layout = _coordinate_layout(self.blocks, sectors, slots)
-        reversal = None
-        if self.kick is None:
-            # y[i] = sign[i] z[source[i]]; a slot whose source pair is not held
-            # reads the trailing zero
-            length = len(layout[1][0])  # of the coordinates, before the trailing zero
-            source, sign = np.full(length + 1, length), np.ones(length + 1)
-            for (kl, kr), parts in self.blocks.items():
-                image = (n - kr, n - kl)
-                if image not in self.blocks:
-                    continue  # a state with weight in (kl, kr) is refused
-                if len(self.blocks[image]) != len(parts):
-                    raise ValueError(f"sector pair {(kl, kr)} and its kick image "
-                                     f"{image} must be held in as many parts")
-                for q, (part_source, part_sign) in enumerate(
-                        _kick_folds(n, kl, kr, len(parts) == 2)):
-                    to = slots[image + (q,)]
-                    source[to], sign[to] = slots[kl, kr, q].start + part_source, part_sign
-            reversal = source, sign
-        object.__setattr__(self, "_pair_index", pair_index)
+        layout = _coordinate_layout({key: len(parts) == 2 for key, parts in self.blocks.items()},
+                                    sectors, slots)
         object.__setattr__(self, "_layout", layout)
         object.__setattr__(self, "_steps", [
             (slots[key + (q,)], part, key[0] == key[1])
             for key, parts in self.blocks.items() for q, part in enumerate(parts) if len(part)])
-        object.__setattr__(self, "_reversal", reversal)
+        object.__setattr__(self, "_reversal", None if self.kick is not None else _signed_map(
+            layout, np.arange(sum(len(s) for s in sectors))[::-1]))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """The state one period after the Hermitian ``rho``: the first step
@@ -145,9 +126,9 @@ class BlockPropagator:
         signed gather of the reversal, and S steps only the parts where K z
         holds weight, one list for each parity of n; otherwise K goes
         through the dense U1 rho U1^dagger and S steps every part.  Overflow
-        while stepping gives non-finite states, not a warning.  Raises
-        ValueError naming the sector pair when a kicked state has weight in
-        a pair that no block covers.
+        while stepping gives non-finite states, not a warning.  At a perfect
+        pulse, raises ValueError naming the sector pair when rho or its
+        kicked image has weight in a pair that no block covers.
         """
         rho = np.asarray(rho, dtype=complex)
         z = _coordinates(rho[np.newaxis], self._layout)[0]
@@ -178,18 +159,19 @@ class BlockPropagator:
         """The coordinates of the kicked state of coordinates ``z``: at a
         perfect pulse the signed gather of the reversal, conjugated, which a
         diagonal pair's step reads the real part of; otherwise
-        U1 rho U1^dagger, refused outside the blocks, back in coordinates."""
+        U1 rho U1^dagger back in coordinates."""
         if self.kick is None:
             source, sign = self._reversal
             return np.conjugate(z[source] * sign)
         kicked = self.kick @ _states(z[np.newaxis], self._layout)[0] @ self.kick.conj().T
-        self._refuse(kicked)
         return _coordinates(kicked[np.newaxis], self._layout)[0]
 
     def _refuse(self, kicked: np.ndarray):
         """ValueError naming the first sector pair, in sector order, where a
-        kicked state has weight outside the blocks held."""
-        outside = (kicked != 0) & (self._pair_index < 0)
+        kicked state has weight outside the blocks held: the entries that
+        :func:`_states` reads from its final zero, past the conjugates."""
+        q1, wholes = self._layout[3][0], len(self._layout[2][0])
+        outside = (kicked != 0) & (q1.reshape(kicked.shape) == 2 * wholes)
         if not outside.any():
             return
         order = np.concatenate(self.sectors)
@@ -230,18 +212,19 @@ def _states(coords: np.ndarray, layout: tuple) -> np.ndarray:
     return flat.reshape(len(coords), dim, dim)
 
 
-def _coordinate_layout(blocks: dict, sectors, slots: dict) -> tuple:
+def _coordinate_layout(splits: dict, sectors, slots: dict) -> tuple:
     """The index arithmetic between dense states and their coordinates on
-    the parts of ``blocks``, each as (index, weight) terms: from the dense
-    entries to each pair's whole coordinates, from those to the parts (V^T
-    of :func:`dtcsim.superop.parity_bases`), back to the whole coordinates
+    the parts of the pairs (kl, kr) of ``splits``, each split into its two
+    parity bases or whole as its flag says (:func:`_part_bases`), each as
+    (index, weight) terms: from the dense entries to each pair's whole
+    coordinates, from those to the parts (V^T of
+    :func:`dtcsim.superop.parity_bases`), back to the whole coordinates
     (V), and to the dense entries.  Fills ``slots`` with the slice of the
     coordinates of each (kl, kr, part)."""
     dim = sum(len(s) for s in sectors)
-    bases = {key: _part_bases(len(sectors) - 1, *key, len(parts) == 2)
-             for key, parts in blocks.items()}
+    bases = {key: _part_bases(len(sectors) - 1, *key, split) for key, split in splits.items()}
     length = sum(len(basis[0]) for parts in bases.values() for basis in parts)
-    wholes = sum(len(sectors[kl]) * len(sectors[kr]) for kl, kr in blocks)
+    wholes = sum(len(sectors[kl]) * len(sectors[kr]) for kl, kr in splits)
     g1, g2 = np.empty(wholes, dtype=int), np.empty(wholes, dtype=int)
     h1, h2 = np.ones(wholes, dtype=complex), np.zeros(wholes, dtype=complex)
     v1, v2 = np.empty(length, dtype=int), np.empty(length, dtype=int)
@@ -280,6 +263,32 @@ def _coordinate_layout(blocks: dict, sectors, slots: dict) -> tuple:
             (q1, entries, p1, e1, p2, e2))
 
 
+def _signed_map(layout: tuple, order: np.ndarray) -> tuple:
+    """The basis-state map rho -> rho[order][:, order] on the coordinates of
+    ``layout`` (:func:`_coordinate_layout`), and their trailing zero, as the
+    signed permutation (source, sign) with y[i] = sign[i] z[source[i]]; a
+    coordinate whose source pair is not held reads the trailing zero.
+
+    It is read off by pushing the distinct values 1, 2, ... through
+    :func:`_states`, the map and :func:`_coordinates`.  The probe is real,
+    so where the map sends an off-diagonal pair to the adjoint of the one
+    held, a complex y is the conjugate of this, as the caller knows.
+    ValueError unless every coordinate reads one value exactly, up to its
+    sign and the rounding of the 1/sqrt2 weights, and no two read the same.
+    """
+    length = len(layout[1][0])
+    probe = np.arange(1.0, length + 2)
+    probe[-1] = 0.0
+    y = _coordinates(_states(probe[np.newaxis], layout)[:, order][:, :, order], layout)[0]
+    value = np.rint(y.real)
+    source = np.where(value == 0, length, np.abs(value).astype(int) - 1)
+    reads = np.bincount(source)  # how many coordinates read each one
+    if (np.any(np.abs(y - value) > 1e-12 * np.abs(value)) or len(reads) > length + 1
+            or reads[:length].max(initial=0) > 1):
+        raise ValueError("the basis-state map is not a signed permutation of the coordinates")
+    return source, np.where(value < 0, -1.0, 1.0)
+
+
 @lru_cache(maxsize=None)
 def _part_bases(n_sites: int, kl: int, kr: int, split: bool) -> tuple:
     """The bases of the parts of sector pair (kl, kr), each as (first,
@@ -287,7 +296,7 @@ def _part_bases(n_sites: int, kl: int, kr: int, split: bool) -> tuple:
     reflection-parity bases when ``split``, else the identity; read-only."""
     sectors = excitation_sectors(n_sites)
     if split:
-        bases = tuple(parity_bases(*pair_reflection(n_sites, sectors, kl, kr)))
+        bases = tuple(parity_bases(*pair_reflection(n_sites, kl, kr)))
     else:
         i = np.arange(len(sectors[kl]) * len(sectors[kr]))
         bases = ((i, i, np.ones(i.size), np.zeros(i.size)),)
@@ -298,44 +307,37 @@ def _part_bases(n_sites: int, kl: int, kr: int, split: bool) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def pair_reflection(n_sites: int, kl: int, kr: int) -> tuple:
+    """The chain reflection l -> N - 1 - l on sector pair (kl, kr), held
+    whole, as the signed permutation (source, sign) of its coordinates with
+    (P v)[i] = sign[i] v[source[i]] (:func:`_signed_map`): in the Hermitian
+    basis for kl = kr, else a permutation of the row-stacked matrix
+    elements; an involution, read-only.  It is a weak symmetry exactly at
+    palindromic disorder (:func:`dtcsim.superop.reflection_symmetric`)."""
+    bits = (np.arange(2**n_sites)[:, None] >> np.arange(n_sites)) & 1  # bit l is site N - 1 - l
+    layout = _coordinate_layout({(kl, kr): False}, excitation_sectors(n_sites), {})
+    source, sign = (a[:-1] for a in _signed_map(layout, bits @ (1 << np.arange(n_sites)[::-1])))
+    source.flags.writeable = sign.flags.writeable = False
+    return source, sign
+
+
+@lru_cache(maxsize=None)
 def _kick_folds(n_sites: int, kl: int, kr: int, split: bool) -> tuple:
     """The reversal kick, from the coordinates of sector pair (kl <= kr) to
     those of its image (N - kr, N - kl), per part of :func:`_part_bases`:
     (source, sign) with y_image[i] = sign[i] y[source[i]], y conjugated
-    first for kl < kr.
-
-    The kick sends sub-matrix X of (kl, kr) to X reversed at (N - kl, N - kr):
-    in the Hermitian basis the signed permutation of
-    :func:`dtcsim.superop.hermitian_permutation` for kl = kr, else held
-    through its adjoint at (N - kr, N - kl), a permutation and a conjugate.
-    The spin flip commutes with the chain reflection, so between the parity
-    bases of the pair and of its image this is a signed permutation that
-    keeps the parity; ValueError if it is not.
+    first for kl < kr, read off the layout of the two pairs
+    (:func:`_signed_map`).  The spin flip commutes with the chain
+    reflection, so it keeps the parity; ValueError if it does not.
     """
-    sectors = excitation_sectors(n_sites)
-    n, a, c = n_sites, len(sectors[kl]), len(sectors[kr])
-    if kl == kr:
-        source, sign = hermitian_permutation(np.arange(a)[::-1])
-    else:
-        p, q = np.divmod(np.arange(a * c), a)
-        source, sign = (a - 1 - q) * c + (c - 1 - p), np.ones(a * c)
+    image, slots = (n_sites - kr, n_sites - kl), {}
+    layout = _coordinate_layout({(kl, kr): split, image: split}, excitation_sectors(n_sites), slots)
+    source, sign = _signed_map(layout, np.arange(2**n_sites)[::-1])
     folds = []
-    for (first, second, x, y), (to_first, to_second, to_x, to_y) in zip(
-            _part_bases(n, kl, kr, split), _part_bases(n, n - kr, n - kl, split)):
-        # the column of this part holding each coordinate of the pair, and its weight
-        column, weight = np.full(a * c, -1), np.zeros(a * c)
-        paired = np.flatnonzero(y)
-        column[first], weight[first] = np.arange(len(first)), x
-        column[second[paired]], weight[second[paired]] = paired, y[paired]
-        # row m of the image part reads its first and second coordinates,
-        # each the kick of one coordinate of the pair
-        j1, j2 = source[to_first], source[to_second]
-        part_source = column[j1]
-        value = to_x * sign[to_first] * weight[j1] + to_y * sign[to_second] * weight[j2]
-        part_sign = np.sign(value)
-        if (len(to_first) != len(first) or np.any(column[j2][to_y != 0] != part_source[to_y != 0])
-                or not np.array_equal(np.sort(part_source), np.arange(len(first)))
-                or np.abs(value - part_sign).max(initial=0.0) > 1e-12):
+    for q in range(1 + split):
+        part, to = slots[kl, kr, q], slots[image + (q,)]
+        part_source, part_sign = source[to] - part.start, sign[to]
+        if not np.array_equal(np.sort(part_source), np.arange(part.stop - part.start)):
             raise ValueError(f"the kick is not a signed permutation between the parts of "
                              f"sector pair {(kl, kr)} and of its image")
         part_source.flags.writeable = part_sign.flags.writeable = False
@@ -548,7 +550,7 @@ def _segment_blocks(config: SpinNetworkConfig, pairs=None):
             )
             gen[np.diag_indices_from(gen)] += rates[np.ix_(il, ir)].reshape(-1)
         gen *= config.t2
-        halves = parity_halves(gen, *pair_reflection(n, sectors, kl, kr)) if mirrored else [gen]
+        halves = parity_halves(gen, *pair_reflection(n, kl, kr)) if mirrored else [gen]
         del gen  # freed before the exponentials
         parts[(kl, kr)] = tuple(matrix_exp(half) if len(half) else half for half in halves)
         del halves  # freed before the next generator
@@ -561,7 +563,7 @@ def _joined(parts: tuple, sectors, kl: int, kr: int) -> np.ndarray:
     block, or the two parity halves put back together."""
     if len(parts) == 1:
         return parts[0]
-    return from_parity_halves(parts, *pair_reflection(len(sectors) - 1, sectors, kl, kr))
+    return from_parity_halves(parts, *pair_reflection(len(sectors) - 1, kl, kr))
 
 
 def _flip_image(parts: dict, sectors, kl: int, kr: int) -> tuple:

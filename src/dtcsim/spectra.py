@@ -16,15 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import DynamicalMap, floquet_2T_sector_blocks, floquet_map_2T, sector_orbits
-from .operators import SpinNetworkConfig, excitation_counts, excitation_sectors
-from .superop import (
-    HERMITIAN_REAL_TOL,
-    devectorize,
+from .floquet import (
+    DynamicalMap,
+    floquet_2T_sector_blocks,
+    floquet_map_2T,
     pair_reflection,
-    parity_halves,
-    reflection_symmetric,
+    sector_orbits,
 )
+from .operators import SpinNetworkConfig, excitation_counts
+from .superop import HERMITIAN_REAL_TOL, devectorize, parity_halves, reflection_symmetric
 
 #: |Re Lambda| at or below this counts as part of the steady manifold (units 1/T).
 ZERO_THRESHOLD = 1e-10
@@ -228,7 +228,7 @@ def sector_eigenvalues(blocks, config: SpinNetworkConfig) -> np.ndarray:
     (:func:`dtcsim.superop.reflection_symmetric`).
     """
     n = config.n_sites
-    orbits, sectors = sector_orbits(n), excitation_sectors(n)
+    orbits = sector_orbits(n)
     mirrored = reflection_symmetric(config.disorder)
     mus = {}
     for (kl, kr), block in blocks.items():
@@ -238,7 +238,7 @@ def sector_eigenvalues(blocks, config: SpinNetworkConfig) -> np.ndarray:
                 "pass the blocks of floquet_2T_sector_blocks")
         if kl == kr:
             block = _real_form(block, f"Phi_2T sector block {(kl, kr)}")
-        halves = parity_halves(block, *pair_reflection(n, sectors, kl, kr)) if mirrored else [block]
+        halves = parity_halves(block, *pair_reflection(n, kl, kr)) if mirrored else [block]
         mu = np.concatenate([np.linalg.eigvals(half) for half in halves if len(half)])
         for key, swapped in orbits[(kl, kr)].items():
             mus[key] = mu.conj() if swapped else mu

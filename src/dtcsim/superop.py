@@ -8,7 +8,9 @@ for any future Hamiltonian with complex matrix elements.
 
 The sector blocks use two exact reductions, each derived where it is built:
 the Hermitian basis of a diagonal block (:func:`hermitian_generator`) and
-the chain reflection at palindromic disorder (:func:`reflection_symmetric`).
+the chain reflection at palindromic disorder (:func:`reflection_symmetric`),
+whose signed permutation of a block's coordinates is
+:func:`dtcsim.floquet.pair_reflection`.
 """
 
 from __future__ import annotations
@@ -127,64 +129,23 @@ def hermitian_generator(H: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return R
 
 
-def hermitian_permutation(order: np.ndarray):
-    """X -> X[order][:, order] on c x c matrices, ``order`` an involution of
-    0 .. c - 1, in the Hermitian basis: a signed permutation P with
-    (P r)[i] = sign[i] r[source[i]], returned as (source, sign).
-
-    The map sends X_ab to slot (p, q) with (a, b) = (order[p], order[q]).
-    Where the involution keeps the order of p and q, coordinate (p, q) reads
-    coordinate (a, b).  Where it reverses it, the pair's real part stays in
-    the symmetric slot and its imaginary part changes sign in the
-    antisymmetric one, so (p, q) reads (b, a), negated when p > q.  P is
-    symmetric and its own inverse.
-    """
-    c = len(order)
-    p, q = np.divmod(np.arange(c * c), c)
-    a, b = order[p], order[q]
-    kept = (p < q) == (a < b)
-    source = np.where(kept, a * c + b, b * c + a)
-    sign = np.where(~kept & (p > q), -1.0, 1.0)
-    return source, sign
-
-
-def sector_reflection(n_sites: int, sector: np.ndarray) -> np.ndarray:
-    """The chain reflection l -> N - 1 - l on the basis states of one
-    excitation sector, as the position of each state's mirror image in
-    ``sector`` (sorted basis indices); an involution."""
-    bits = (sector[:, None] >> np.arange(n_sites)) & 1  # bit l is site N - 1 - l
-    mirrored = bits @ (1 << np.arange(n_sites)[::-1])
-    return np.searchsorted(sector, mirrored)
-
-
 def reflection_symmetric(disorder: np.ndarray) -> bool:
     """Whether the chain reflection l -> N - 1 - l is a weak symmetry of the
     interaction segment: the coupling depends on |l - m| alone and the
     dephasing is uniform, so exactly when the disorder is a palindrome, zero
     included (Buca & Prosen, NJP 14, 073007 (2012)).  The negated disorder is
-    then one too, so the reflection commutes with every sector-pair block G
-    of the segment generator, its exponential and Phi_2T
-    (:func:`pair_reflection`), and exp(G) and the eigenvalues of G come from
-    its two parity halves (:func:`parity_halves`) of about half the
-    dimension: exp(G) = V+ exp(V+^T G V+) V+^T + V- exp(V-^T G V-) V-^T.
+    then one too, so the reflection (:func:`dtcsim.floquet.pair_reflection`)
+    commutes with every sector-pair block G of the segment generator, its
+    exponential and Phi_2T, and exp(G) and the eigenvalues of G come from its
+    two parity halves (:func:`parity_halves`) of about half the dimension:
+    exp(G) = V+ exp(V+^T G V+) V+^T + V- exp(V-^T G V-) V-^T.
     """
     return bool(np.array_equal(disorder, disorder[::-1]))
 
 
-def pair_reflection(n_sites: int, sectors, kl: int, kr: int):
-    """The chain reflection on the index space of sector-pair block (kl, kr),
-    as the signed permutation (source, sign) with (P v)[i] = sign[i] v[source[i]]:
-    in the Hermitian basis for kl = kr, else the plain permutation of the
-    row-stacked matrix elements."""
-    left, right = (sector_reflection(n_sites, sectors[k]) for k in (kl, kr))
-    if kl == kr:
-        return hermitian_permutation(left)
-    source = (left[:, None] * len(right) + right[None, :]).reshape(-1)
-    return source, np.ones(source.size)
-
-
 def parity_bases(source: np.ndarray, sign: np.ndarray):
-    """The orthonormal eigenvectors V of the involution (source, sign), for
+    """The orthonormal eigenvectors V of the involution (source, sign), such
+    as the chain reflection of :func:`dtcsim.floquet.pair_reflection`, for
     eigenvalue +1 and then -1, as (first, second, a, b): column m of V is
     a[m] e_first[m] + b[m] e_second[m].
 
@@ -204,8 +165,9 @@ def parity_bases(source: np.ndarray, sign: np.ndarray):
 
 def parity_halves(block: np.ndarray, source: np.ndarray, sign: np.ndarray) -> list:
     """V^T block V, by index arithmetic, for the eigenvectors V of the
-    involution (source, sign) (:func:`pair_reflection`) with eigenvalue +1
-    and then -1; a block that commutes with it has no entries between the two."""
+    involution (source, sign) (:func:`dtcsim.floquet.pair_reflection`) with
+    eigenvalue +1 and then -1; a block that commutes with it has no entries
+    between the two."""
     halves = []
     for first, second, a, b in parity_bases(source, sign):
         columns = block[:, first] * a + block[:, second] * b

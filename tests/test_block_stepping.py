@@ -19,14 +19,22 @@ from dtcsim import (
     run_stroboscopic,
 )
 from dtcsim.experiments import CHUNK_PERIODS, TRACE_TOL, StateInvariantError
-from dtcsim.floquet import _joined, _kick_folds, block_propagator
+from dtcsim.floquet import (
+    _coordinate_layout,
+    _joined,
+    _kick_folds,
+    _signed_map,
+    block_propagator,
+    kick_unitary,
+    pair_reflection,
+)
 from dtcsim.operators import (
     excitation_sectors,
     hamiltonian_interaction,
     kron_all,
     sample_disorder,
 )
-from dtcsim.superop import pair_reflection, parity_bases, reflection_symmetric
+from dtcsim.superop import parity_bases, reflection_symmetric
 from helpers import (
     per_period_run,
     perfect_pulse_configs,
@@ -283,7 +291,7 @@ def test_chunk_route_matches_the_dense_map_period_by_period(run):
 def _dense_parity_bases(sectors, kl, kr):
     """V = [V+ V-], the parity bases of pair (kl, kr) as the columns of one
     matrix, and the number of +1 columns."""
-    bases = list(parity_bases(*pair_reflection(len(sectors) - 1, sectors, kl, kr)))
+    bases = list(parity_bases(*pair_reflection(len(sectors) - 1, kl, kr)))
     d = len(sectors[kl]) * len(sectors[kr])
     V, column = np.zeros((d, d)), 0
     for first, second, a, b in bases:
@@ -321,26 +329,76 @@ def test_kick_is_a_signed_permutation_between_parity_bases(cfg):
     # the map that the reversal gather applies: V'^T K V between the
     # parity bases of each pair and of its image is one +-1 per row,
     # orthogonal, with no entry between the +1 and -1 halves, and it is
-    # the signed permutation of _kick_folds
+    # the signed permutation of _kick_folds; held whole, V = V' = 1
     n, sectors = cfg.n_sites, excitation_sectors(cfg.n_sites)
     assert reflection_symmetric(cfg.disorder)
     for kl, kr in [(kl, kr) for kl in range(n + 1) for kr in range(kl, n + 1)]:
-        V, plus = _dense_parity_bases(sectors, kl, kr)
-        W, image_plus = _dense_parity_bases(sectors, n - kr, n - kl)
-        Q = W.T @ _dense_kick(cfg, sectors, kl, kr) @ V
-        assert plus == image_plus, (kl, kr)
-        entry = np.abs(Q) > 1e-12
-        assert np.array_equal(entry.sum(axis=1), np.ones(len(Q))), (kl, kr)
-        assert np.abs(np.abs(Q[entry]) - 1.0).max() <= 1e-15, (kl, kr)
-        assert np.abs(Q @ Q.T - np.eye(len(Q))).max() <= 1e-15, (kl, kr)
-        assert not entry[:plus, plus:].any() and not entry[plus:, :plus].any(), (kl, kr)
-        folds = _kick_folds(n, kl, kr, split=True)
-        for (source, sign), rows in zip(folds, (slice(0, plus), slice(plus, None))):
-            half = Q[rows, rows]
-            if not len(half):
-                continue  # a 1 x 1 block has no -1 half
-            assert np.array_equal(np.argmax(np.abs(half), axis=1), source), (kl, kr)
-            assert np.array_equal(np.sign(half[np.arange(len(half)), source]), sign), (kl, kr)
+        K = _dense_kick(cfg, sectors, kl, kr)
+        for split in (False, True):
+            if split:
+                V, plus = _dense_parity_bases(sectors, kl, kr)
+                W, image_plus = _dense_parity_bases(sectors, n - kr, n - kl)
+            else:
+                V = W = np.eye(len(K))
+                plus = image_plus = len(K)
+            Q = W.T @ K @ V
+            assert plus == image_plus, (kl, kr)
+            entry = np.abs(Q) > 1e-12
+            assert np.array_equal(entry.sum(axis=1), np.ones(len(Q))), (kl, kr)
+            assert np.abs(np.abs(Q[entry]) - 1.0).max() <= 1e-15, (kl, kr)
+            assert np.abs(Q @ Q.T - np.eye(len(Q))).max() <= 1e-15, (kl, kr)
+            assert not entry[:plus, plus:].any() and not entry[plus:, :plus].any(), (kl, kr)
+            folds = _kick_folds(n, kl, kr, split=split)
+            assert len(folds) == 1 + split
+            for (source, sign), rows in zip(folds, (slice(0, plus), slice(plus, None))):
+                half = Q[rows, rows]
+                if not len(half):
+                    continue  # a 1 x 1 block has no -1 half
+                assert np.array_equal(np.argmax(np.abs(half), axis=1), source), (kl, kr, split)
+                assert np.array_equal(np.sign(half[np.arange(len(half)), source]), sign), \
+                    (kl, kr, split)
+
+
+def test_a_map_that_leaves_the_sectors_is_no_signed_permutation():
+    # swapping |00> and |01> moves entries between sector pairs, so
+    # coordinates of pair (0, 1) read the Hermitian-basis combinations of
+    # pair (1, 1); a mirror of the sites keeps every pair.  At one site,
+    # rho -> rho[0, 0] everywhere reads whole values only, but all three
+    # coordinates read the first
+    def layout(n):
+        pairs = {(kl, kr): False for kl in range(n + 1) for kr in range(kl, n + 1)}
+        return _coordinate_layout(pairs, excitation_sectors(n), {})
+
+    source, sign = _signed_map(layout(2), np.array([0, 2, 1, 3]))
+    assert np.array_equal(np.sort(source), np.arange(len(source)))
+    for n, order in ((2, [1, 0, 2, 3]), (1, [0, 0])):
+        with pytest.raises(ValueError, match="not a signed permutation of the coordinates"):
+            _signed_map(layout(n), np.array(order))
+
+
+def test_a_split_pair_whose_kick_image_is_whole_is_refused():
+    # zero disorder splits every pair; pair (0, 1) is kicked into (2, 3),
+    # which held whole reads (e_i +- e_j) / sqrt2 of the two parity bases
+    prop = block_propagator(SpinNetworkConfig(n_sites=3))
+    blocks = dict(prop.blocks)
+    assert len(blocks[(0, 1)]) == len(blocks[(2, 3)]) == 2
+    blocks[(2, 3)] = (_joined(blocks[(2, 3)], prop.sectors, 2, 3),)
+    with pytest.raises(ValueError, match="not a signed permutation of the coordinates"):
+        replace(prop, blocks=blocks)
+
+
+def test_a_kick_without_the_block_of_every_pair_is_refused():
+    # U1 mixes the sectors, so a kicked state can reach any pair
+    cfg = SpinNetworkConfig(n_sites=3, epsilon=0.05)
+    prop = block_propagator(cfg)
+    assert prop.kick is not None and len(prop.blocks) == 10
+    blocks = dict(prop.blocks)
+    del blocks[(1, 2)]
+    with pytest.raises(ValueError, match=r"every sector pair, and \(1, 2\) is missing"):
+        replace(prop, blocks=blocks)
+    with pytest.raises(ValueError, match=r"\(0, 0\) is missing"):
+        replace(prop, blocks={}, kick=kick_unitary(cfg))
+    replace(prop, blocks={}, kick=None)  # a perfect pulse may hold any pairs
 
 
 @given(perfect_pulse_configs(), st.sampled_from([0.0, 0.05]), st.integers(0, 2**32 - 1))
@@ -477,7 +535,7 @@ def test_the_step_holds_only_the_bytes_the_manifest_reports(seeded_state, defaul
     # at generic disorder every block is held whole and none is its own
     # spin flip; besides the parts that the evolve manifest counts in
     # stepped_bytes the propagator keeps only index arithmetic: the
-    # coordinate layout, the pair of each entry and the reversal gather
+    # coordinate layout and the reversal gather
     cfg = replace(default_config, disorder=sample_disorder(6, np.pi / default_config.period, 0))
     tracemalloc.start()
     try:

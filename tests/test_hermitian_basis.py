@@ -22,7 +22,7 @@ from helpers import (
 from hypothesis import given
 
 from dtcsim import SpinNetworkConfig, floquet_2T_sector_blocks, hamiltonian_interaction
-from dtcsim.floquet import _flip_image
+from dtcsim.floquet import _flip_image, _kick_folds, pair_reflection
 from dtcsim.operators import excitation_sectors
 from dtcsim.spectra import sector_eigenvalues
 from dtcsim.superop import (
@@ -31,10 +31,7 @@ from dtcsim.superop import (
     from_hermitian_basis,
     from_parity_halves,
     hermitian_generator,
-    hermitian_permutation,
-    pair_reflection,
     parity_halves,
-    sector_reflection,
     vectorize,
 )
 
@@ -106,7 +103,8 @@ def test_spin_flip_is_the_reversal_in_the_hermitian_basis(n_sites, k):
     # a whole block (N - k, N - k) flipped into (k, k)
     sectors = excitation_sectors(n_sites)
     c = len(sectors[k])
-    P = dense_signed_permutation(*hermitian_permutation(np.arange(c)[::-1]))
+    (fold,) = _kick_folds(n_sites, n_sites - k, n_sites - k, split=False)
+    P = dense_signed_permutation(*fold)
     assert np.abs(P - to_hermitian_basis(np.eye(c * c)[::-1])).max() < 1e-15
     assert np.array_equal(P, P.T) and np.array_equal(P @ P, np.eye(c * c))
     M = np.random.default_rng(c).normal(size=(c * c, c * c))
@@ -116,16 +114,25 @@ def test_spin_flip_is_the_reversal_in_the_hermitian_basis(n_sites, k):
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5, 6])
 def test_reflection_is_an_involution_and_the_hermitian_form_of_the_site_mirror(n_sites):
+    # mirrors[k] sends the states of sector k, in sorted order, to their
+    # mirror images; a diagonal pair is compared in the Hermitian basis, an
+    # off-diagonal one on its row-stacked matrix elements
     sectors = excitation_sectors(n_sites)
-    for k, sector in enumerate(sectors):
-        order = sector_reflection(n_sites, sector)
-        assert np.array_equal(order[order], np.arange(len(sector)))
+    mirrors = []
+    for sector in sectors:
         mirrored = [int(format(int(i), f"0{n_sites}b")[::-1], 2) for i in sector]
+        order = np.searchsorted(sector, mirrored)
         assert np.array_equal(sector[order], mirrored)
-        P = dense_signed_permutation(*pair_reflection(n_sites, sectors, k, k))
-        mirror = np.eye(len(sector))[order]
-        assert np.abs(P - to_hermitian_basis(np.kron(mirror, mirror))).max() < 1e-15
-        assert np.array_equal(P @ P, np.eye(len(sector) ** 2))
+        assert np.array_equal(order[order], np.arange(len(sector)))
+        mirrors.append(np.eye(len(sector))[order])
+    for kl, kr in np.ndindex(n_sites + 1, n_sites + 1):
+        P = dense_signed_permutation(*pair_reflection(n_sites, kl, kr))
+        mirror = np.kron(mirrors[kl], mirrors[kr])
+        if kl == kr:
+            assert np.abs(P - to_hermitian_basis(mirror)).max() < 1e-15
+        else:
+            assert np.array_equal(P, mirror), (kl, kr)
+        assert np.array_equal(P @ P, np.eye(len(P)))
 
 
 @pytest.mark.parametrize("disorder, commutes", [
@@ -134,9 +141,8 @@ def test_reflection_is_an_involution_and_the_hermitian_form_of_the_site_mirror(n
 def test_reflection_commutes_with_every_block_exactly_when_the_disorder_is_a_palindrome(
         disorder, commutes):
     cfg = SpinNetworkConfig(n_sites=5, j0=1.1, alpha=1.3, gamma=0.07, disorder=disorder)
-    sectors = excitation_sectors(5)
     for (kl, kr), block in floquet_2T_sector_blocks(cfg).items():
-        P = dense_signed_permutation(*pair_reflection(5, sectors, kl, kr))
+        P = dense_signed_permutation(*pair_reflection(5, kl, kr))
         residual = np.abs(P @ block - block @ P).max()
         if commutes:
             assert residual < 1e-13, (kl, kr)
@@ -151,10 +157,9 @@ def test_parity_halves_project_and_from_parity_halves_puts_them_back(n_sites, dt
     # part that commutes with P, (M + P M P) / 2; the +1 half has the
     # dimension (d + Tr P) / 2; and the halves of a commuting block share its
     # spectrum.  The halves are given as an iterator, drawn one at a time.
-    sectors = excitation_sectors(n_sites)
     rng = np.random.default_rng(n_sites)
     for kl, kr in [(k, k) for k in range(n_sites + 1)] + [(0, 1), (1, n_sites - 1)]:
-        reflection = pair_reflection(n_sites, sectors, kl, kr)
+        reflection = pair_reflection(n_sites, kl, kr)
         P = dense_signed_permutation(*reflection)
         d = len(P)
         M = rng.normal(size=(d, d)).astype(dtype)

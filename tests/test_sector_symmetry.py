@@ -34,15 +34,15 @@ from dtcsim import (
     hamiltonian_interaction,
     sector_gap,
 )
-from dtcsim.floquet import _adjoint_block, _flip_image, _segment_blocks, sector_orbits
-from dtcsim.operators import excitation_sectors
-from dtcsim.spectra import gap_from_eigenvalues, sector_eigenvalues, spectral_distance
-from dtcsim.superop import (
+from dtcsim.floquet import (
+    _adjoint_block,
+    _flip_image,
+    _segment_blocks,
     pair_reflection,
-    parity_bases,
-    parity_halves,
-    reflection_symmetric,
+    sector_orbits,
 )
+from dtcsim.spectra import gap_from_eigenvalues, sector_eigenvalues, spectral_distance
+from dtcsim.superop import parity_bases, parity_halves, reflection_symmetric
 
 CASES = [(n, gamma) for n in (1, 2, 3, 4) for gamma in (0.0, 0.07)]
 
@@ -174,7 +174,7 @@ def test_phi_2T_blocks_are_the_products_of_their_parity_halves(n_sites, kind):
     assert reflection_symmetric(cfg.disorder)
     parts, sectors = _segment_blocks(cfg)
     for key, block in floquet_2T_sector_blocks(cfg).items():
-        reflection = pair_reflection(n_sites, sectors, *key)
+        reflection = pair_reflection(n_sites, *key)
         products = [segment @ flipped
                     for segment, flipped in zip(parts[key], _flip_image(parts, sectors, *key))]
         for got, want in zip(parity_halves(block, *reflection), products, strict=True):
@@ -199,12 +199,11 @@ def test_split_segment_exponentials_match_brute_force(cfg):
     for (kl, kr), block in joined_segment_blocks(cfg)[0].items():
         want = to_hermitian_basis(direct[(kl, kr)]) if kl == kr else direct[(kl, kr)]
         assert np.abs(block - want).max() < 1e-12, (kl, kr)
-    sectors = excitation_sectors(n)
     for kl, kr in direct:
         gen = kronecker_segment_generator(cfg, kl, kr)
         if kl == kr:
             gen = to_hermitian_basis(gen)
-        source, sign = pair_reflection(n, sectors, kl, kr)
+        source, sign = pair_reflection(n, kl, kr)
         P = np.zeros(gen.shape)
         P[np.arange(len(source)), source] = sign
         w, U = np.linalg.eigh(P)
