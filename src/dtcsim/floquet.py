@@ -24,11 +24,8 @@ from .operators import (
 from .superop import (
     dephasing_rates,
     from_hermitian_basis,
-    from_parity_halves,
     hermitian_basis,
     hermitian_generator,
-    parity_bases,
-    parity_halves,
     reflection_symmetric,
 )
 
@@ -217,10 +214,9 @@ def _coordinate_layout(splits: dict, sectors, slots: dict) -> tuple:
     the parts of the pairs (kl, kr) of ``splits``, each split into its two
     parity bases or whole as its flag says (:func:`_part_bases`), each as
     (index, weight) terms: from the dense entries to each pair's whole
-    coordinates, from those to the parts (V^T of
-    :func:`dtcsim.superop.parity_bases`), back to the whole coordinates
-    (V), and to the dense entries.  Fills ``slots`` with the slice of the
-    coordinates of each (kl, kr, part)."""
+    coordinates, from those to the parts (V^T), back to the whole
+    coordinates (V), and to the dense entries.  Fills ``slots`` with the
+    slice of the coordinates of each (kl, kr, part)."""
     dim = sum(len(s) for s in sectors)
     bases = {key: _part_bases(len(sectors) - 1, *key, split) for key, split in splits.items()}
     length = sum(len(basis[0]) for parts in bases.values() for basis in parts)
@@ -291,19 +287,35 @@ def _signed_map(layout: tuple, order: np.ndarray) -> tuple:
 
 @lru_cache(maxsize=None)
 def _part_bases(n_sites: int, kl: int, kr: int, split: bool) -> tuple:
-    """The bases of the parts of sector pair (kl, kr), each as (first,
-    second, a, b) of :func:`dtcsim.superop.parity_bases`: its two
-    reflection-parity bases when ``split``, else the identity; read-only."""
+    """The bases V of the parts of sector pair (kl, kr), each as (first,
+    second, a, b) with column m of V equal to a[m] e_first[m] + b[m]
+    e_second[m]: when ``split`` the eigenvectors of the chain reflection
+    (:func:`pair_reflection`) for eigenvalue +1 and then -1, else the
+    identity; read-only.
+
+    A fixed point i of the reflection is the eigenvector e_i of eigenvalue
+    sign[i] (b = 0); a pair i < j = source[i], whose signs agree, gives
+    (e_i + sign[i] e_j)/sqrt2 for +1 and (e_i - sign[i] e_j)/sqrt2 for -1.
+    """
     sectors = excitation_sectors(n_sites)
+    i = np.arange(len(sectors[kl]) * len(sectors[kr]))
     if split:
-        bases = tuple(parity_bases(*pair_reflection(n_sites, kl, kr)))
+        source, sign = pair_reflection(n_sites, kl, kr)
+        fixed, paired = source == i, i < source
+        low, high, s = i[paired], source[paired], sign[paired] / np.sqrt(2.0)
+        bases = []
+        for parity in (1.0, -1.0):
+            alone = i[fixed & (sign == parity)]
+            bases.append((np.concatenate([alone, low]), np.concatenate([alone, high]),
+                          np.concatenate([np.ones(alone.size),
+                                          np.full(low.size, 1.0 / np.sqrt(2.0))]),
+                          np.concatenate([np.zeros(alone.size), parity * s])))
     else:
-        i = np.arange(len(sectors[kl]) * len(sectors[kr]))
-        bases = ((i, i, np.ones(i.size), np.zeros(i.size)),)
+        bases = [(i, i, np.ones(i.size), np.zeros(i.size))]
     for basis in bases:
         for array in basis:
             array.flags.writeable = False
-    return bases
+    return tuple(bases)
 
 
 @lru_cache(maxsize=None)
@@ -550,7 +562,7 @@ def _segment_blocks(config: SpinNetworkConfig, pairs=None):
             )
             gen[np.diag_indices_from(gen)] += rates[np.ix_(il, ir)].reshape(-1)
         gen *= config.t2
-        halves = parity_halves(gen, *pair_reflection(n, kl, kr)) if mirrored else [gen]
+        halves = parity_halves(gen, n, kl, kr) if mirrored else [gen]
         del gen  # freed before the exponentials
         parts[(kl, kr)] = tuple(matrix_exp(half) if len(half) else half for half in halves)
         del halves  # freed before the next generator
@@ -558,12 +570,32 @@ def _segment_blocks(config: SpinNetworkConfig, pairs=None):
             for key in keys}, sectors
 
 
-def _joined(parts: tuple, sectors, kl: int, kr: int) -> np.ndarray:
-    """Block (kl, kr) from its :func:`_segment_blocks` parts: the whole
-    block, or the two parity halves put back together."""
+def parity_halves(block: np.ndarray, n_sites: int, kl: int, kr: int) -> list:
+    """V^T block V for each reflection-parity basis V of sector pair
+    (kl, kr) (:func:`_part_bases`), +1 then -1, by index arithmetic; a block
+    that commutes with the chain reflection has no entries between the two."""
+    halves = []
+    for first, second, a, b in _part_bases(n_sites, kl, kr, True):
+        columns = block[:, first] * a + block[:, second] * b
+        halves.append(a[:, None] * columns[first] + b[:, None] * columns[second])
+    return halves
+
+
+def _joined(parts, sectors, kl: int, kr: int) -> np.ndarray:
+    """Block (kl, kr) from the sequence of its :func:`_segment_blocks`
+    parts: the whole block, or V+ h+ V+^T + V- h- V-^T of the two parity
+    halves h (:func:`parity_halves`), by index arithmetic."""
     if len(parts) == 1:
         return parts[0]
-    return from_parity_halves(parts, *pair_reflection(len(sectors) - 1, kl, kr))
+    size = len(sectors[kl]) * len(sectors[kr])
+    out = np.zeros((size, size), dtype=parts[0].dtype)
+    for (first, second, a, b), half in zip(_part_bases(len(sectors) - 1, kl, kr, True), parts):
+        rows = np.zeros((size, len(first)), dtype=half.dtype)
+        rows[first] = a[:, None] * half
+        rows[second] += b[:, None] * half
+        out[:, first] += rows * a
+        out[:, second] += rows * b
+    return out
 
 
 def _flip_image(parts: dict, sectors, kl: int, kr: int) -> tuple:

@@ -20,11 +20,11 @@ from .floquet import (
     DynamicalMap,
     floquet_2T_sector_blocks,
     floquet_map_2T,
-    pair_reflection,
+    parity_halves,
     sector_orbits,
 )
 from .operators import SpinNetworkConfig, excitation_counts
-from .superop import HERMITIAN_REAL_TOL, devectorize, parity_halves, reflection_symmetric
+from .superop import HERMITIAN_REAL_TOL, devectorize, reflection_symmetric
 
 #: |Re Lambda| at or below this counts as part of the steady manifold (units 1/T).
 ZERO_THRESHOLD = 1e-10
@@ -224,8 +224,9 @@ def sector_eigenvalues(blocks, config: SpinNetworkConfig) -> np.ndarray:
     (:func:`dtcsim.floquet.sector_orbits`), conjugated where marked.  A
     diagonal block must be real (:func:`_real_form`), and the real
     eigensolver returns its complex multipliers in exact conjugate pairs.  At
-    palindromic disorder each block is diagonalised as its two parity halves
-    (:func:`dtcsim.superop.reflection_symmetric`).
+    palindromic disorder (:func:`dtcsim.superop.reflection_symmetric`) each
+    block is diagonalised as its two parity halves
+    (:func:`dtcsim.floquet.parity_halves`).
     """
     n = config.n_sites
     orbits = sector_orbits(n)
@@ -238,7 +239,7 @@ def sector_eigenvalues(blocks, config: SpinNetworkConfig) -> np.ndarray:
                 "pass the blocks of floquet_2T_sector_blocks")
         if kl == kr:
             block = _real_form(block, f"Phi_2T sector block {(kl, kr)}")
-        halves = parity_halves(block, *pair_reflection(n, kl, kr)) if mirrored else [block]
+        halves = parity_halves(block, n, kl, kr) if mirrored else [block]
         mu = np.concatenate([np.linalg.eigvals(half) for half in halves if len(half)])
         for key, swapped in orbits[(kl, kr)].items():
             mus[key] = mu.conj() if swapped else mu

@@ -6,11 +6,12 @@ therefore -i (H kron I - I kron H^T); for the real-symmetric Hamiltonians
 built by :mod:`dtcsim.operators` the transpose is immaterial, but it matters
 for any future Hamiltonian with complex matrix elements.
 
-The sector blocks use two exact reductions, each derived where it is built:
-the Hermitian basis of a diagonal block (:func:`hermitian_generator`) and
-the chain reflection at palindromic disorder (:func:`reflection_symmetric`),
-whose signed permutation of a block's coordinates is
-:func:`dtcsim.floquet.pair_reflection`.
+The sector blocks use two exact reductions: the Hermitian basis of a
+diagonal block (:func:`hermitian_basis`, :func:`hermitian_generator`) and,
+at palindromic disorder (:func:`reflection_symmetric`), the chain
+reflection, whose parity bases, and the split and join of a block on them,
+are derived once in :mod:`dtcsim.floquet`
+(:func:`dtcsim.floquet.parity_halves`).
 """
 
 from __future__ import annotations
@@ -100,8 +101,9 @@ def hermitian_generator(H: np.ndarray, rates: np.ndarray) -> np.ndarray:
     G[(a, b), (x, y)] = delta_ay H_xb - delta_bx H_ay.  The Hermitian-basis
     coordinates are M rotated pairwise, r_ab = (M_ab + M_ba)/sqrt2 and
     r_ba = (M_ab - M_ba)/sqrt2 for a < b, r_aa = M_aa: r = Q m with
-    Q = diag(q1) + diag(q2) S orthogonal and symmetric, S the transpose.  So
-    the generator is Q G Q, plus the rates on the diagonal, which Q leaves
+    Q = diag(q1) + diag(q2) S orthogonal and symmetric, S the transpose, read
+    off T (:func:`hermitian_basis`) as q1 = Re d1 - Im d1, q2 = Re d2 - Im d2.
+    So the generator is Q G Q, plus the rates on the diagonal, which Q leaves
     unchanged, and Q G Q is nonzero on four planes of c^3 entries:
 
         alpha (delta_ay H_xb - delta_bx H_ay) + beta (delta_ax H_yb - delta_by H_ax)
@@ -111,10 +113,8 @@ def hermitian_generator(H: np.ndarray, rates: np.ndarray) -> np.ndarray:
     arithmetic, with no c^4 temporary.
     """
     c = len(H)
-    a, b = np.divmod(np.arange(c * c), c)
-    s = 1.0 / np.sqrt(2.0)
-    q1 = np.where(a < b, s, np.where(a > b, -s, 1.0))
-    q2 = np.where(a == b, 0.0, s)
+    d1, d2, _ = hermitian_basis(c)
+    q1, q2 = d1.real - d1.imag, d2.real - d2.imag
     i, j, k = (index.reshape(-1) for index in np.indices((c, c, c)))
     row = i * c + j
     R = np.zeros((c * c, c * c))
@@ -136,60 +136,12 @@ def reflection_symmetric(disorder: np.ndarray) -> bool:
     included (Buca & Prosen, NJP 14, 073007 (2012)).  The negated disorder is
     then one too, so the reflection (:func:`dtcsim.floquet.pair_reflection`)
     commutes with every sector-pair block G of the segment generator, its
-    exponential and Phi_2T, and exp(G) and the eigenvalues of G come from its
-    two parity halves (:func:`parity_halves`) of about half the dimension:
+    exponential and Phi_2T, and exp(G) and the eigenvalues of G come from
+    its two parity halves (:func:`dtcsim.floquet.parity_halves`) of about
+    half the dimension:
     exp(G) = V+ exp(V+^T G V+) V+^T + V- exp(V-^T G V-) V-^T.
     """
     return bool(np.array_equal(disorder, disorder[::-1]))
-
-
-def parity_bases(source: np.ndarray, sign: np.ndarray):
-    """The orthonormal eigenvectors V of the involution (source, sign), such
-    as the chain reflection of :func:`dtcsim.floquet.pair_reflection`, for
-    eigenvalue +1 and then -1, as (first, second, a, b): column m of V is
-    a[m] e_first[m] + b[m] e_second[m].
-
-    A fixed point i is the eigenvector e_i of eigenvalue sign[i] (b = 0); a
-    pair i < j = source[i], whose signs agree, gives (e_i + sign[i] e_j)/sqrt2
-    for +1 and (e_i - sign[i] e_j)/sqrt2 for -1.
-    """
-    i = np.arange(len(source))
-    fixed, paired = source == i, i < source
-    low, high, s = i[paired], source[paired], sign[paired] / np.sqrt(2.0)
-    for parity in (1.0, -1.0):
-        alone = i[fixed & (sign == parity)]
-        yield (np.concatenate([alone, low]), np.concatenate([alone, high]),
-               np.concatenate([np.ones(alone.size), np.full(low.size, 1.0 / np.sqrt(2.0))]),
-               np.concatenate([np.zeros(alone.size), parity * s]))
-
-
-def parity_halves(block: np.ndarray, source: np.ndarray, sign: np.ndarray) -> list:
-    """V^T block V, by index arithmetic, for the eigenvectors V of the
-    involution (source, sign) (:func:`dtcsim.floquet.pair_reflection`) with
-    eigenvalue +1 and then -1; a block that commutes with it has no entries
-    between the two."""
-    halves = []
-    for first, second, a, b in parity_bases(source, sign):
-        columns = block[:, first] * a + block[:, second] * b
-        halves.append(a[:, None] * columns[first] + b[:, None] * columns[second])
-    return halves
-
-
-def from_parity_halves(halves, source: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """V+ h+ V+^T + V- h- V-^T, the block whose :func:`parity_halves` are
-    ``halves``, by index arithmetic.  ``halves`` is iterated once, each half
-    scattered before the next is drawn, so an iterator that computes them
-    holds one at a time."""
-    out = None
-    for (first, second, a, b), half in zip(parity_bases(source, sign), halves):
-        if out is None:
-            out = np.zeros((len(source), len(source)), dtype=half.dtype)
-        rows = np.zeros((len(source), len(first)), dtype=half.dtype)
-        rows[first] = a[:, None] * half
-        rows[second] += b[:, None] * half
-        out[:, first] += rows * a
-        out[:, second] += rows * b
-    return out
 
 
 @lru_cache(maxsize=8)

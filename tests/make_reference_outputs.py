@@ -82,23 +82,24 @@ def _palindromic_evolve(path: Path) -> dict:
             "largest_stepped_dim": max(len(part) for part in stepped)}
 
 
-def outputs(workdir: Path) -> dict:
-    """name -> (table path, exact values) of every case of :data:`NAMES`,
-    run from the current tree with its files in ``workdir``."""
-    found = {}
-    for name, argv in COMMANDS.items():
-        with contextlib.redirect_stdout(io.StringIO()):
-            if main([*argv, "--out", str(workdir / name)]) != 0:
-                raise RuntimeError(f"dtcsim {' '.join(argv)} failed")
-        stem = argv[0].replace("-", "_")
-        manifest = json.loads((workdir / name / f"{stem}_manifest.json").read_text())
-        exact = {key: manifest["numerics"][key] for key in EVOLVE_EXACT} \
-            if stem == "evolve" else {}
-        found[name] = (workdir / name / f"{stem}.csv", exact)
-    found["gap_sweep"][1]["n_steady_w0"] = sector_gap(RunConfig(n=4).spin_config()).n_steady
-    path = workdir / "evolve_palindrome.csv"
-    found["evolve_palindrome"] = (path, _palindromic_evolve(path))
-    return found
+def output(name: str, workdir: Path) -> tuple:
+    """(table path, exact values) of the case ``name`` of :data:`NAMES`, run
+    from the current tree with its files in ``workdir``."""
+    if name == "evolve_palindrome":
+        path = workdir / f"{name}.csv"
+        return path, _palindromic_evolve(path)
+    argv = COMMANDS[name]
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main([*argv, "--out", str(workdir / name)]) != 0:
+            raise RuntimeError(f"dtcsim {' '.join(argv)} failed")
+    stem = argv[0].replace("-", "_")
+    manifest = json.loads((workdir / name / f"{stem}_manifest.json").read_text())
+    exact = {}
+    if stem == "evolve":
+        exact = {key: manifest["numerics"][key] for key in EVOLVE_EXACT}
+    elif stem == "gap_sweep":
+        exact = {"n_steady_w0": sector_gap(RunConfig(n=4).spin_config()).n_steady}
+    return workdir / name / f"{stem}.csv", exact
 
 
 def write(data: Path = DATA) -> None:
@@ -106,7 +107,7 @@ def write(data: Path = DATA) -> None:
     current tree."""
     data.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
-        found = outputs(Path(workdir))
+        found = {name: output(name, Path(workdir)) for name in NAMES}
         for name, (table, _) in found.items():
             shutil.copyfile(table, data / f"{name}.csv")
     exact = {name: values for name, (_, values) in found.items()}

@@ -23,10 +23,10 @@ from dtcsim.floquet import (
     _coordinate_layout,
     _joined,
     _kick_folds,
+    _part_bases,
     _signed_map,
     block_propagator,
     kick_unitary,
-    pair_reflection,
 )
 from dtcsim.operators import (
     excitation_sectors,
@@ -34,7 +34,7 @@ from dtcsim.operators import (
     kron_all,
     sample_disorder,
 )
-from dtcsim.superop import parity_bases, reflection_symmetric
+from dtcsim.superop import reflection_symmetric
 from helpers import (
     per_period_run,
     perfect_pulse_configs,
@@ -291,7 +291,7 @@ def test_chunk_route_matches_the_dense_map_period_by_period(run):
 def _dense_parity_bases(sectors, kl, kr):
     """V = [V+ V-], the parity bases of pair (kl, kr) as the columns of one
     matrix, and the number of +1 columns."""
-    bases = list(parity_bases(*pair_reflection(len(sectors) - 1, kl, kr)))
+    bases = _part_bases(len(sectors) - 1, kl, kr, True)
     d = len(sectors[kl]) * len(sectors[kr])
     V, column = np.zeros((d, d)), 0
     for first, second, a, b in bases:

@@ -528,13 +528,14 @@ def test_validate_catches_corrupted_2T_blocks(monkeypatch, capsys):
 def test_validate_catches_a_dropped_parity_half(monkeypatch, capsys):
     # putting a segment block back from its +1 half alone changes only the
     # split route, which the palindromic check compares with the dense generator
-    original = floquet.from_parity_halves
+    original = floquet._joined
 
-    def plus_half_only(halves, source, sign):
-        halves = list(halves)
-        return original([halves[0], np.zeros_like(halves[1])], source, sign)
+    def plus_half_only(parts, sectors, kl, kr):
+        if len(parts) == 2:
+            parts = [parts[0], np.zeros_like(parts[1])]
+        return original(parts, sectors, kl, kr)
 
-    monkeypatch.setattr(floquet, "from_parity_halves", plus_half_only)
+    monkeypatch.setattr(floquet, "_joined", plus_half_only)
     assert run_validation_suite() == 1
     out = capsys.readouterr().out
     assert "FAIL split_segment_vs_dense_generator" in out

@@ -10,6 +10,8 @@ generator) and is compared against it here and in
 ``tests/test_sector_symmetry.py``.
 """
 
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 from helpers import (
@@ -22,16 +24,14 @@ from helpers import (
 from hypothesis import given
 
 from dtcsim import SpinNetworkConfig, floquet_2T_sector_blocks, hamiltonian_interaction
-from dtcsim.floquet import _flip_image, _kick_folds, pair_reflection
+from dtcsim.floquet import _flip_image, _joined, _kick_folds, pair_reflection, parity_halves
 from dtcsim.operators import excitation_sectors
 from dtcsim.spectra import sector_eigenvalues
 from dtcsim.superop import (
     HERMITIAN_REAL_TOL,
     dephasing_rates,
     from_hermitian_basis,
-    from_parity_halves,
     hermitian_generator,
-    parity_halves,
     vectorize,
 )
 
@@ -153,27 +153,27 @@ def test_reflection_commutes_with_every_block_exactly_when_the_disorder_is_a_pal
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_parity_halves_project_and_from_parity_halves_puts_them_back(n_sites, dtype):
-    # with P the dense reflection, the halves of any M put back are its
-    # part that commutes with P, (M + P M P) / 2; the +1 half has the
-    # dimension (d + Tr P) / 2; and the halves of a commuting block share its
-    # spectrum.  The halves are given as an iterator, drawn one at a time.
+    # with P the dense reflection, the halves of any M put back by _joined
+    # (once from_parity_halves) are its part that commutes with P,
+    # (M + P M P) / 2; the +1 half has the dimension (d + Tr P) / 2; and the
+    # halves of a commuting block share its spectrum.  Every pair kl <= kr.
     rng = np.random.default_rng(n_sites)
-    for kl, kr in [(k, k) for k in range(n_sites + 1)] + [(0, 1), (1, n_sites - 1)]:
-        reflection = pair_reflection(n_sites, kl, kr)
-        P = dense_signed_permutation(*reflection)
+    sectors = excitation_sectors(n_sites)
+    for kl, kr in combinations_with_replacement(range(n_sites + 1), 2):
+        P = dense_signed_permutation(*pair_reflection(n_sites, kl, kr))
         d = len(P)
         M = rng.normal(size=(d, d)).astype(dtype)
         if dtype is complex:
             M += 1j * rng.normal(size=(d, d))
-        halves = parity_halves(M, *reflection)
+        halves = parity_halves(M, n_sites, kl, kr)
         assert [h.dtype for h in halves] == [np.dtype(dtype)] * 2
         assert [len(h) for h in halves] == [(d + round(np.trace(P))) // 2,
                                             (d - round(np.trace(P))) // 2]
-        back = from_parity_halves(iter(halves), *reflection)
+        back = _joined(halves, sectors, kl, kr)
         assert back.dtype == np.dtype(dtype)
         assert np.abs(back - (M + P @ M @ P) / 2).max() < 1e-14, (kl, kr)
         block = M + P @ M @ P
-        split = np.concatenate([np.linalg.eigvals(h) for h in parity_halves(block, *reflection)
+        split = np.concatenate([np.linalg.eigvals(h) for h in parity_halves(block, n_sites, kl, kr)
                                 if len(h)])
         assert_spectra_match(split, np.linalg.eigvals(block), 1e-10)
 

@@ -265,6 +265,19 @@ def test_expm_is_called_only_inside_matrix_exp():
     assert references == {("floquet.py", "matrix_exp", "_expm")}
 
 
+def test_only_part_bases_derives_the_reflection_parity_bases():
+    # the parity bases of a sector pair are formed once, from the chain
+    # reflection, and every split and join reads them from _part_bases
+    references = {(path.name, functions[-1] if functions else None, name)
+                  for path in sorted(PACKAGE.glob("*.py"))
+                  for functions, _, name in _references(ast.parse(path.read_text()),
+                                                        {"pair_reflection"})}
+    assert references == {("floquet.py", "_part_bases", "pair_reflection")}
+    superop = ast.parse((PACKAGE / "superop.py").read_text())
+    assert [node.name for node in ast.walk(superop)
+            if isinstance(node, ast.FunctionDef) and "parity" in node.name] == []
+
+
 # The functions that form a dense 4^N x 4^N map or eigendecompose one: the
 # independent cross-check of the sector blocks, not a production route.
 DENSE_ROUTE = {"floquet_map", "floquet_map_2T", "interaction_propagator",

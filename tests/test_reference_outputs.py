@@ -7,21 +7,16 @@ import json
 
 import numpy as np
 import pytest
-from make_reference_outputs import DATA, NAMES, load_table, outputs
+from make_reference_outputs import DATA, NAMES, load_table, output
 
 from dtcsim.spectra import spectral_distance
 
 TOL = 1e-12
 
 
-@pytest.fixture(scope="module")
-def fresh(tmp_path_factory):
-    return outputs(tmp_path_factory.mktemp("reference"))
-
-
 @pytest.mark.parametrize("name", NAMES)
-def test_outputs_match_the_stored_reference(fresh, name):
-    table, exact = fresh[name]
+def test_outputs_match_the_stored_reference(name, tmp_path):
+    table, exact = output(name, tmp_path)
     got, want = load_table(table), load_table(DATA / f"{name}.csv")
     if name.startswith("spectrum"):
         assert got.shape == want.shape

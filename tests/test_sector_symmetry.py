@@ -37,12 +37,14 @@ from dtcsim import (
 from dtcsim.floquet import (
     _adjoint_block,
     _flip_image,
+    _part_bases,
     _segment_blocks,
     pair_reflection,
+    parity_halves,
     sector_orbits,
 )
 from dtcsim.spectra import gap_from_eigenvalues, sector_eigenvalues, spectral_distance
-from dtcsim.superop import parity_bases, parity_halves, reflection_symmetric
+from dtcsim.superop import reflection_symmetric
 
 CASES = [(n, gamma) for n in (1, 2, 3, 4) for gamma in (0.0, 0.07)]
 
@@ -174,12 +176,11 @@ def test_phi_2T_blocks_are_the_products_of_their_parity_halves(n_sites, kind):
     assert reflection_symmetric(cfg.disorder)
     parts, sectors = _segment_blocks(cfg)
     for key, block in floquet_2T_sector_blocks(cfg).items():
-        reflection = pair_reflection(n_sites, *key)
         products = [segment @ flipped
                     for segment, flipped in zip(parts[key], _flip_image(parts, sectors, *key))]
-        for got, want in zip(parity_halves(block, *reflection), products, strict=True):
+        for got, want in zip(parity_halves(block, n_sites, *key), products, strict=True):
             assert np.abs(got - want).max(initial=0.0) <= 1e-13, key
-        bases = list(parity_bases(*reflection))  # V+^T B V- and V-^T B V+ are zero
+        bases = _part_bases(n_sites, *key, True)  # V+^T B V- and V-^T B V+ are zero
         for (first, second, a, b), (to_first, to_second, to_a, to_b) in (bases, bases[::-1]):
             columns = block[:, first] * a + block[:, second] * b
             cross = to_a[:, None] * columns[to_first] + to_b[:, None] * columns[to_second]
